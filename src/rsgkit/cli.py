@@ -486,19 +486,19 @@ def _execute(spec: RunSpec) -> tuple[SolveTrace, dict]:
     alpha = float(spec.get("solver.alpha"))
     eps0 = spec.get("solver.eps0")
     if eps0 is None:
-        eps0 = max(problem.default_eps0(w0), 1e-12)
+        eps0 = problem.default_eps0(w0)
     extras["eps0_effective"] = eps0
     target = spec.get("solver.target_eps")
     stages = spec.get("solver.stages")
-    if stages is None and algo in ("rsg", "rsg_dap"):
-        stages = compute_stage_count(eps0, target, alpha)
-        extras["stages_derived"] = stages
     t = spec.get("solver.t")
-    if t is None and algo in ("rsg", "rsg_dap"):
-        eb = ErrorBoundParams(spec.require("solver.theta_eb"), spec.require("solver.c_eb"))
-        t = compute_inner_iters(problem.lipschitz_bound, eb, target, alpha)
-        extras["t_derived"] = t
     try:
+        if stages is None and algo in ("rsg", "rsg_dap"):
+            stages = compute_stage_count(eps0, target, alpha)
+            extras["stages_derived"] = stages
+        if t is None and algo in ("rsg", "rsg_dap"):
+            eb = ErrorBoundParams(spec.require("solver.theta_eb"), spec.require("solver.c_eb"))
+            t = compute_inner_iters(problem.lipschitz_bound, eb, target, alpha)
+            extras["t_derived"] = t
         cfg = RestartConfig(
             alpha=alpha,
             stages=int(stages) if stages is not None else 1,

@@ -30,28 +30,30 @@ __all__ = [
 def pnorm(w: Array, p: float) -> float:
     """(sum_i |w_i|**p)**(1/p) for p >= 1, with math.inf meaning max|w_i|.
 
-    Raises ValueError for p < 1 or non-finite entries.
+    Raises ValueError for p < 1 or non-finite entries.  A non-finite entry
+    always makes the norm non-finite, so only a non-finite result pays for
+    the scan that tells it apart from overflow.
     """
     w = np.asarray(w, dtype=float)
-    if w.size and not np.all(np.isfinite(w)):
-        raise ValueError("pnorm: input has a non-finite entry")
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"pnorm: order must be >= 1, got {p}")
     if w.size == 0:
         return 0.0
     a = np.abs(w)
     if math.isinf(p):
-        return float(a.max())
-    if p == 1.0:
-        return float(a.sum())
-    if p == 2.0:
-        return float(np.sqrt(np.dot(a, a)))
-    # factor out the max so a**p cannot overflow at large p; the scaled
-    # entries lie in [0, 1] (underflow of tiny ratios only sharpens zero)
-    amax = float(a.max())
-    if amax == 0.0:
-        return 0.0
-    return amax * float(np.sum((a / amax) ** p) ** (1.0 / p))
+        r = float(a.max())
+    elif p == 1.0:
+        r = float(a.sum())
+    elif p == 2.0:
+        r = float(np.sqrt(np.dot(a, a)))
+    else:
+        # factor out the max so a**p cannot overflow at large p; the scaled
+        # entries lie in [0, 1] (underflow of tiny ratios only sharpens zero)
+        amax = float(a.max())
+        r = amax * float(np.sum((a / amax) ** p) ** (1.0 / p)) if 0.0 < amax < math.inf else amax
+    if not math.isfinite(r) and not np.all(np.isfinite(w)):
+        raise ValueError("pnorm: input has a non-finite entry")
+    return r
 
 
 def conjugate_exponent(p: float) -> float:
@@ -207,6 +209,8 @@ class ProblemInstance:
         return w if self.project is None else self.project(w)
 
     def default_eps0(self, w0: Array) -> float:
-        """Default initial-gap estimate: f(w0) minus the known lower bound."""
+        """Default initial-gap estimate: f(w0) minus the known lower bound,
+        floored at 1e-12 so an optimal start still gives a valid
+        ``RestartConfig.eps0``."""
         gap = float(self.objective(np.asarray(w0, dtype=float))) - self.fstar_lower_bound
-        return max(gap, 0.0)
+        return max(gap, 1e-12)

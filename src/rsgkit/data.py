@@ -32,6 +32,9 @@ __all__ = [
 
 Source = Union[str, Path, IO[str]]
 
+# Redraw rounds synth_classification allows before it gives up on a margin.
+_MAX_REDRAW_ROUNDS = 100_000
+
 _TOKEN = re.compile(r"\S+")
 
 
@@ -244,6 +247,11 @@ def synth_classification(n: int, d: int, margin: float, seed: int) -> Dataset:
     y_i (x_i . u) >= margin for every row; the stored planted vector is
     u / margin, which attains zero hinge loss.  margin = 0 disables the
     enforcement (ties label as +1).  Bitwise reproducible per seed.
+
+    Each score is standard normal, so a large margin clears almost no draw
+    (about 1 in 10**4 at margin 3.9, 1 in 4 * 10**11 at margin 7): after
+    _MAX_REDRAW_ROUNDS rounds with rows still inside the margin, this
+    raises ValueError instead of looping on.
     """
     if n < 1 or d < 1:
         raise ValueError(f"synth_classification: need n >= 1 and d >= 1, got n={n}, d={d}")
@@ -253,13 +261,19 @@ def synth_classification(n: int, d: int, margin: float, seed: int) -> Dataset:
     u = rng.standard_normal(d)
     u = u / np.linalg.norm(u)
     X = rng.standard_normal((n, d))
-    if margin > 0.0:
-        while True:
-            scores = X @ u
-            bad = np.abs(scores) < margin
-            if not np.any(bad):
-                break
-            X[bad] = rng.standard_normal((int(bad.sum()), d))
+    rounds = 0
+    while margin > 0.0:
+        scores = X @ u
+        bad = np.abs(scores) < margin
+        if not np.any(bad):
+            break
+        if rounds == _MAX_REDRAW_ROUNDS:
+            raise ValueError(
+                f"synth_classification: {int(bad.sum())} rows still lie within margin "
+                f"{margin} after {rounds} redraw rounds; use a smaller margin"
+            )
+        X[bad] = rng.standard_normal((int(bad.sum()), d))
+        rounds += 1
     scores = X @ u
     y = np.where(scores >= 0.0, 1.0, -1.0)
     planted = u / margin if margin > 0.0 else u.copy()

@@ -181,7 +181,7 @@ def long_run_min(
     objective, subgrad, project = problem.objective, problem.subgrad, problem.project
     w = problem.feasible(np.asarray(w0, dtype=float))
     G = problem.lipschitz_bound
-    gap0 = max(problem.default_eps0(w), 1e-12)
+    gap0 = problem.default_eps0(w)
     eta = gap0 / (2.0 * G * G)
     best_f = float(objective(w))
     best_w = w.copy()

@@ -2,8 +2,10 @@
 bounds, minimal-norm subgradient selections at kinks, and (where the class
 has one) a declared error-bound exponent.
 
-All builders return :class:`rsgkit.core.ProblemInstance`.  Data matrices are
-scipy CSR; objective/subgrad closures take dense vectors.
+All builders return :class:`rsgkit.core.ProblemInstance`; objective/subgrad
+closures take dense vectors.  ``Dataset.X`` is scipy CSR; the linear-model
+builders lay it out once: dense when at least ``_DENSE_MIN_DENSITY`` of its
+entries are stored, otherwise CSR with a CSR transpose built once.
 """
 
 from __future__ import annotations
@@ -83,19 +85,31 @@ def _require_binary_labels(data: Dataset, who: str) -> None:
         raise ValueError(f"{who}: labels must be in {{-1, +1}}, got {labels[:8]}")
 
 
-def _row_norms(X: sp.csr_matrix, q: float) -> Array:
-    """q-norm of every row of a sparse matrix (q >= 1 or inf)."""
-    A = abs(X.tocsr(copy=False))
+# X w plus X^T v on one BLAS thread: CSR with a prebuilt transpose beats dense
+# below this density at 2000 x 500.  At 506 x 13 dense wins at any density,
+# but a density rule is what keeps large sparse files from being densified.
+_DENSE_MIN_DENSITY = 0.4
+
+
+def _laid_out(M: sp.spmatrix) -> tuple:
+    """M and its transpose in the oracle layout, built once: at or above the
+    crossover, views of one dense buffer holding M in Fortran order (so both
+    products stream contiguous memory); below it, CSR and a CSR transpose."""
+    M = M.tocsr()
+    if M.nnz >= _DENSE_MIN_DENSITY * M.shape[0] * M.shape[1]:
+        A = np.asfortranarray(M.toarray())
+        return A, A.T
+    return M, M.T.tocsr()
+
+
+def _row_norms(A: Array | sp.csr_matrix, q: float) -> Array:
+    """q-norm of every row of a laid-out matrix (q >= 1 or inf)."""
+    a = abs(A)
     if math.isinf(q):
-        out = np.zeros(A.shape[0])
-        maxes = A.max(axis=1).toarray().ravel()
-        out[: maxes.size] = maxes
-        return out
-    if q == 1.0:
-        return np.asarray(A.sum(axis=1)).ravel()
-    if q == 2.0:
-        return np.sqrt(np.asarray(A.power(2).sum(axis=1)).ravel())
-    return np.asarray(A.power(q).sum(axis=1)).ravel() ** (1.0 / q)
+        m = a.max(axis=1)
+        return m.toarray().ravel() if sp.issparse(a) else m
+    s = a.power(q).sum(axis=1) if sp.issparse(a) else (a**q).sum(axis=1)
+    return np.asarray(s).ravel() ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -221,6 +235,62 @@ def _check_submodular(setfn: SetFunction) -> None:
                 )
 
 
+# (value, minimal-norm slope) of each loss in t, the margin y z for hinge and
+# the residual z - y otherwise; a is the tube half-width or the power.
+# sign(0) = 0, and a margin of exactly 1 and the tube boundary are inactive.
+_LOSS_FNS = {
+    "hinge": (lambda t, a: np.maximum(0.0, 1.0 - t), lambda t, a: -(t < 1.0).astype(float)),
+    "absolute": (lambda t, a: np.abs(t), lambda t, a: np.sign(t)),
+    "eps_insensitive": (
+        lambda t, a: np.maximum(0.0, np.abs(t) - a),
+        lambda t, a: np.sign(t) * (np.abs(t) - a > 0.0).astype(float),
+    ),
+    "power": (lambda t, a: np.abs(t) ** a, lambda t, a: a * np.abs(t) ** (a - 1.0) * np.sign(t)),
+}
+
+
+def _linear_model(
+    layout: tuple, y: Array, loss: str, a: float = 0.0, reg: str = "none", lam: float = 0.0, F=None
+) -> tuple:
+    """objective and subgrad of mean_i loss(t_i) + penalty(w), z = X w on a
+    :func:`_laid_out` X.  l1: lam * sum|w|, sign(0) = 0; linf: lam * max|w|
+    on the largest-magnitude coordinate (lowest index wins ties, 0 at w = 0);
+    fused: lam * sum|F w|, F laid out like X; any other reg adds nothing."""
+    value, slope = _LOSS_FNS[loss]
+    A, AT = layout
+    n = y.shape[0]
+    margin = loss == "hinge"
+    pen = pen_sub = None
+    if reg == "l1":
+        pen, pen_sub = (lambda w: lam * float(np.sum(np.abs(w)))), (lambda w: lam * np.sign(w))
+    elif reg == "linf":
+        pen = lambda w: lam * float(np.max(np.abs(w)))  # noqa: E731
+
+        def pen_sub(w: Array) -> Array:
+            s = np.zeros_like(w)
+            j = int(np.argmax(np.abs(w)))
+            s[j] = lam * np.sign(w[j])
+            return s
+
+    elif reg == "fused":
+        Fa, FT = _laid_out(F)
+        pen = lambda w: lam * float(np.sum(np.abs(Fa.dot(w))))  # noqa: E731
+        pen_sub = lambda w: lam * FT.dot(np.sign(Fa.dot(w)))  # noqa: E731
+
+    def objective(w: Array) -> float:
+        z = A.dot(w)
+        f = float(value(y * z if margin else z - y, a).sum()) / n
+        return f if pen is None else f + pen(w)
+
+    def subgrad(w: Array) -> Array:
+        z = A.dot(w)
+        s = slope(y * z if margin else z - y, a)
+        g = AT.dot(y * s if margin else s) / n
+        return g if pen is None else g + pen_sub(w)
+
+    return objective, subgrad
+
+
 def robust_regression(
     data: Dataset,
     p_loss: float,
@@ -239,24 +309,17 @@ def robust_regression(
     if not (1.0 < p_loss < 2.0):
         raise ValueError(f"robust_regression: p_loss must lie in (1, 2), got {p_loss}")
     _require_rows(data, "robust_regression")
-    X, y, n = data.X, data.y, data.n
+    y, n = data.y, data.n
     if region_radius is None:
         region_radius = 10.0 * max(1.0, float(np.linalg.norm(y)) / math.sqrt(n))
     if not region_radius > 0.0:
         raise ValueError(f"robust_regression: region_radius must be > 0, got {region_radius}")
-    rn2 = _row_norms(X, 2.0)
-    rnq = rn2 if norm_q == 2.0 else _row_norms(X, norm_q)
+    layout = _laid_out(data.X)
+    rn2 = _row_norms(layout[0], 2.0)
+    rnq = rn2 if norm_q == 2.0 else _row_norms(layout[0], norm_q)
     r_bar = rn2 * region_radius + np.abs(y)
     G = float(p_loss / n * np.sum(r_bar ** (p_loss - 1.0) * rnq))
-
-    def objective(w: Array) -> float:
-        r = X @ w - y
-        return float(np.mean(np.abs(r) ** p_loss))
-
-    def subgrad(w: Array) -> Array:
-        r = X @ w - y
-        return (p_loss / n) * (X.T @ (np.abs(r) ** (p_loss - 1.0) * np.sign(r)))
-
+    objective, subgrad = _linear_model(layout, y, "power", p_loss)
     radius = float(region_radius)
     project = (lambda w: project_l2_ball(w, radius)) if constrain_to_region else None
     return ProblemInstance(
@@ -269,6 +332,13 @@ def robust_regression(
         eb_theta=0.5,
         name=f"robust_regression_p{p_loss:g}",
     )
+
+
+def _erm_bound(A: Array | sp.csr_matrix, reg: str, lam: float, norm_q: float) -> float:
+    loss_part = float(_row_norms(A, norm_q).max())
+    if reg == "l1":
+        return loss_part + lam * (A.shape[1] ** (1.0 / norm_q) if not math.isinf(norm_q) else 1.0)
+    return loss_part + (lam if reg == "linf" else 0.0)
 
 
 def lipschitz_bound_for(
@@ -293,14 +363,7 @@ def lipschitz_bound_for(
     if reg not in _REGS:
         raise ValueError(f"lipschitz_bound_for: unknown reg {reg!r}, expected one of {_REGS}")
     _require_rows(data, "lipschitz_bound_for")
-    loss_part = float(_row_norms(data.X, norm_q).max())
-    if reg == "l1":
-        reg_part = lam * (data.d ** (1.0 / norm_q) if not math.isinf(norm_q) else 1.0)
-    elif reg == "linf":
-        reg_part = lam
-    else:
-        reg_part = 0.0
-    return loss_part + reg_part
+    return _erm_bound(_laid_out(data.X)[0], reg, lam, norm_q)
 
 
 def piecewise_linear_erm(
@@ -336,69 +399,18 @@ def piecewise_linear_erm(
     _require_rows(data, "piecewise_linear_erm")
     if loss == "hinge":
         _require_binary_labels(data, "piecewise_linear_erm")
-    X, y, n, d = data.X, data.y, data.n, data.d
-
-    if loss == "hinge":
-
-        def loss_val(w: Array) -> float:
-            m = y * (X @ w)
-            return float(np.mean(np.maximum(0.0, 1.0 - m)))
-
-        def loss_sub(w: Array) -> Array:
-            m = y * (X @ w)
-            active = (m < 1.0).astype(float)
-            return -(X.T @ (y * active)) / n
-
-    elif loss == "absolute":
-
-        def loss_val(w: Array) -> float:
-            return float(np.mean(np.abs(X @ w - y)))
-
-        def loss_sub(w: Array) -> Array:
-            return (X.T @ np.sign(X @ w - y)) / n
-
-    else:  # eps_insensitive
-
-        def loss_val(w: Array) -> float:
-            e = np.abs(X @ w - y) - eps_ins
-            return float(np.mean(np.maximum(0.0, e)))
-
-        def loss_sub(w: Array) -> Array:
-            r = X @ w - y
-            active = (np.abs(r) - eps_ins > 0.0).astype(float)
-            return (X.T @ (np.sign(r) * active)) / n
-
-    project: Optional[Callable[[Array], Array]] = None
-    if reg == "l1":
-        reg_val = lambda w: lam * float(np.sum(np.abs(w)))  # noqa: E731
-        reg_sub = lambda w: lam * np.sign(w)  # noqa: E731
-    elif reg == "linf":
-
-        def reg_val(w: Array) -> float:
-            return lam * float(np.max(np.abs(w)))
-
-        def reg_sub(w: Array) -> Array:
-            s = np.zeros_like(w)
-            j = int(np.argmax(np.abs(w)))
-            if w[j] != 0.0:
-                s[j] = lam * np.sign(w[j])
-            return s
-
-    else:
-        reg_val = lambda w: 0.0  # noqa: E731
-        reg_sub = lambda w: np.zeros_like(w)  # noqa: E731
-        if reg == "l1_ball":
-            project = lambda w: project_l1_ball(w, radius)  # noqa: E731
-        elif reg == "linf_ball":
-            project = lambda w: project_box(w, -radius, radius)  # noqa: E731
-
-    G = lipschitz_bound_for(loss, data, reg, lam, norm_q)
+    layout = _laid_out(data.X)
+    objective, subgrad = _linear_model(layout, data.y, loss, eps_ins, reg, lam)
+    projections = {
+        "l1_ball": lambda w: project_l1_ball(w, radius),
+        "linf_ball": lambda w: project_box(w, -radius, radius),
+    }
     return ProblemInstance(
-        dim=d,
-        objective=lambda w: loss_val(w) + reg_val(w),
-        subgrad=lambda w: loss_sub(w) + reg_sub(w),
-        lipschitz_bound=G,
-        project=project,
+        dim=data.d,
+        objective=objective,
+        subgrad=subgrad,
+        lipschitz_bound=_erm_bound(layout[0], reg, lam, norm_q),
+        project=projections.get(reg),
         lipschitz_norm_q=norm_q,
         eb_theta=1.0,
         name=f"{loss}_{reg}",
@@ -422,28 +434,15 @@ def gflasso_svm(
         raise ValueError(
             f"gflasso_svm: graph is over {graph.dim} features, data has {data.d}"
         )
-    X, y, n = data.X, data.y, data.n
-    F = graph.F
-    loss_G = float(_row_norms(X, norm_q).max())
-    G = loss_G + lam * (2.0 ** (1.0 / norm_q)) * graph.total_weight
-
-    def objective(w: Array) -> float:
-        m = y * (X @ w)
-        hinge = float(np.mean(np.maximum(0.0, 1.0 - m)))
-        return hinge + lam * float(np.sum(np.abs(F @ w)))
-
-    def subgrad(w: Array) -> Array:
-        m = y * (X @ w)
-        active = (m < 1.0).astype(float)
-        g = -(X.T @ (y * active)) / n
-        return g + lam * (F.T @ np.sign(F @ w))
-
+    layout = _laid_out(data.X)
+    fused_G = lam * (2.0 ** (1.0 / norm_q)) * graph.total_weight
+    G = float(_row_norms(layout[0], norm_q).max()) + fused_G
+    objective, subgrad = _linear_model(layout, data.y, "hinge", reg="fused", lam=lam, F=graph.F)
     return ProblemInstance(
         dim=data.d,
         objective=objective,
         subgrad=subgrad,
         lipschitz_bound=G,
-        project=None,
         lipschitz_norm_q=norm_q,
         eb_theta=1.0,
         name=f"gflasso_lam{lam:g}",

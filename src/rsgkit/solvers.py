@@ -274,9 +274,12 @@ class _TraceBuilder:
     def checked_objective(self, w: Array, where: str) -> float:
         val = float(self.problem.objective(w))
         if not math.isfinite(val):
-            self._close_partial()
-            raise DivergenceError(f"non-finite objective ({val}) at {where}", self.trace)
+            raise self.diverged(f"non-finite objective ({val}) at {where}")
         return val
+
+    def diverged(self, message: str) -> DivergenceError:
+        self._close_partial()
+        return DivergenceError(message, self.trace)
 
     def log(self, stage: int, it: int, obj: float, eta: float) -> None:
         if obj < self.best:
@@ -413,17 +416,23 @@ def _dap_stage(
                 obj = tb.checked_objective(w, f"stage {stage} iter {t}")
                 tb.log(stage, t, obj, eta)
             g = subgrad(w)
-            if lambda_mode == "unit":
-                lam = 1.0
-            else:
-                gq = pnorm(g, space.q)
-                # A zero subgradient certifies optimality; any positive
-                # weight keeps the average well defined.
-                lam = 1.0 / gq if gq > 0.0 else 1.0
-            acc += lam * w
-            lam_sum += lam
-            g_hat = g_hat + lam * g
-            w = pnorm_prox(center, eta * g_hat, space.p)
+            # pnorm raises ValueError when an entry is non-finite, found by a
+            # scalar test on the norm it computes: a blown-up subgradient or
+            # step ends the run as a divergence with its partial trace
+            try:
+                if lambda_mode == "unit":
+                    lam = 1.0
+                else:
+                    gq = pnorm(g, space.q)
+                    # A zero subgradient certifies optimality; any positive
+                    # weight keeps the average well defined.
+                    lam = 1.0 / gq if gq > 0.0 else 1.0
+                acc += lam * w
+                lam_sum += lam
+                g_hat = g_hat + lam * g
+                w = pnorm_prox(center, eta * g_hat, space.p)
+            except ValueError as exc:
+                raise tb.diverged(f"non-finite q-norm ({exc}) at stage {stage} iter {t}") from None
     return acc / lam_sum
 
 

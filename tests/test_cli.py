@@ -280,6 +280,54 @@ solver.T = 50
     assert summary["error"]
 
 
+def test_cli_exit_1_on_target_above_eps0(tmp_path, capsys):
+    text = BASE.replace("solver.stages = 3\n", "") + "solver.target_eps = 2.0\n"
+    cfg = write_config(tmp_path, text, name="target.cfg")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "t")]) == 1
+    assert "exceeds eps0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lambda_mode", ["unit", "inv_grad_norm"])
+def test_cli_exit_3_rsg_dap_divergence_writes_partial_trace(tmp_path, capsys, lambda_mode):
+    text = """\
+problem.kind = pwl
+problem.synth = classification
+problem.n = 30
+problem.d = 4
+problem.margin = 0.5
+problem.data_seed = 7
+problem.loss = hinge
+solver.algo = rsg_dap
+solver.norm_p = 1.5
+solver.stages = 4
+solver.t = 60
+solver.eps0 = 1e300
+solver.eta_scale = 1e300
+solver.w0 = gaussian
+solver.seed = 3
+"""
+    text += f"solver.lambda_mode = {lambda_mode}\n"
+    cfg = write_config(tmp_path, text, name="dap_diverge.cfg")
+    out = tmp_path / "dap"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert "diverged" in capsys.readouterr().out
+    rid = RunSpec.from_text(text).run_id
+    rows = read_rows(out / f"{rid}.csv")
+    assert rows[0] == ",".join(CSV_HEADER)
+    assert len(rows) >= 2  # the start point is logged before the blow-up
+    summary = json.loads((out / f"{rid}.json").read_text())
+    assert summary["exit_code"] == 3 and "non-finite" in summary["error"]
+
+
+def test_cli_exit_2_on_unreachable_margin(tmp_path, capsys):
+    text = BASE.replace("problem.n = 20", "problem.n = 2").replace(
+        "problem.margin = 0.5", "problem.margin = 7"
+    )
+    cfg = write_config(tmp_path, text, name="margin.cfg")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    assert "margin" in capsys.readouterr().err
+
+
 def test_cli_verify_prox_exits_zero(capsys):
     assert main(["verify", "prox"]) == 0
     assert "prox" in capsys.readouterr().out

@@ -33,6 +33,17 @@ def test_pnorm_rejects_bad_input():
         pnorm(np.array([np.inf]), 2.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_pnorm_non_finite_entry_raises_and_overflow_returns_inf(p):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            pnorm(np.array([1.0, bad, 0.0]), p)
+    # finite entries whose norm overflows are not an error
+    if p in (1.0, 2.0):
+        with np.errstate(over="ignore"):
+            assert pnorm(np.array([1e308, 1e308]), p) == math.inf
+
+
 def test_conjugate_exponent():
     assert conjugate_exponent(2.0) == 2.0
     assert conjugate_exponent(1.5) == pytest.approx(3.0, rel=1e-15)

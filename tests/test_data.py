@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from rsgkit import data as data_module
 from rsgkit.data import (
     ParseError,
     binarize_labels,
@@ -164,6 +165,41 @@ def test_synth_classification_margin_zero():
     ds = synth_classification(10, 2, margin=0.0, seed=3)
     assert set(np.unique(ds.y)) <= {-1.0, 1.0}
     assert np.isclose(np.linalg.norm(ds.planted), 1.0)
+
+
+def unbounded_classification(n, d, margin, seed):
+    """The generator's stream without a redraw bound: (X, y, redraw rounds)."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(d)
+    u = u / np.linalg.norm(u)
+    X = rng.standard_normal((n, d))
+    rounds = 0
+    while margin > 0.0 and np.any(np.abs(X @ u) < margin):
+        bad = np.abs(X @ u) < margin
+        X[bad] = rng.standard_normal((int(bad.sum()), d))
+        rounds += 1
+    return X, np.where(X @ u >= 0.0, 1.0, -1.0), rounds
+
+
+@pytest.mark.parametrize("args", [(100, 20, 0.3, 5), (200, 10, 0.3, 11), (30, 4, 0.5, 7)])
+def test_synth_classification_redraw_bound_keeps_stream(args):
+    X, y, _ = unbounded_classification(*args)
+    ds = synth_classification(*args)
+    assert np.array_equal(ds.X.toarray(), X) and np.array_equal(ds.y, y)
+
+
+def test_synth_classification_redraw_bound_raises(monkeypatch):
+    X, y, rounds = unbounded_classification(20, 3, 2.0, 1)
+    assert rounds > 1
+    monkeypatch.setattr(data_module, "_MAX_REDRAW_ROUNDS", rounds)
+    ds = synth_classification(20, 3, margin=2.0, seed=1)  # needs exactly the bound
+    assert np.array_equal(ds.X.toarray(), X) and np.array_equal(ds.y, y)
+    monkeypatch.setattr(data_module, "_MAX_REDRAW_ROUNDS", rounds - 1)
+    with pytest.raises(ValueError, match="margin"):
+        synth_classification(20, 3, margin=2.0, seed=1)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="redraw rounds"):
+        synth_classification(2, 2, margin=7.0, seed=0)
 
 
 @pytest.mark.parametrize(

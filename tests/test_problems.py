@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from rsgkit import problems
 from rsgkit.problems import (
     Dataset,
     GFlassoGraph,
@@ -373,6 +374,94 @@ def test_gflasso_validation():
         gflasso_svm(data, GFlassoGraph(3, ()), lam=0.1)
     with pytest.raises(ValueError, match="labels"):
         gflasso_svm(dense([[1.0, 0.0]], [2.0]), graph, lam=0.1)
+
+
+# ---------------------------------------------------------------------------
+# oracle layout: dense and sparse storage give the same oracles
+
+
+FAMILIES = {
+    "robust": lambda data: robust_regression(data, p_loss=1.5),
+    "hinge_l1": lambda data: piecewise_linear_erm(data, loss="hinge", reg="l1", lam=0.25),
+    "absolute_linf": lambda data: piecewise_linear_erm(
+        data, loss="absolute", reg="linf", lam=0.5
+    ),
+    "eps_ins": lambda data: piecewise_linear_erm(data, loss="eps_insensitive", eps_ins=0.5),
+    "gflasso": lambda data: gflasso_svm(
+        data, GFlassoGraph(data.d, ((0, 1, 1.0), (1, 2, 0.5), (0, 3, 2.0))), lam=0.25
+    ),
+}
+
+
+def both_layouts(monkeypatch, family, data):
+    """The family built on data once forced dense and once forced sparse."""
+    built = []
+    for threshold in (0.0, math.inf):
+        monkeypatch.setattr(problems, "_DENSE_MIN_DENSITY", threshold)
+        built.append(FAMILIES[family](data))
+    monkeypatch.undo()
+    return built
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_layouts_agree_at_random_points(monkeypatch, family):
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(40, 5)) * (rng.random((40, 5)) < 0.6)
+    data = Dataset(sp.csr_matrix(X), np.where(rng.random(40) < 0.5, -1.0, 1.0))
+    dense_inst, sparse_inst = both_layouts(monkeypatch, family, data)
+    assert dense_inst.lipschitz_bound == pytest.approx(sparse_inst.lipschitz_bound, rel=1e-12)
+    for _ in range(50):
+        w = rng.normal(size=5)
+        fd, fs = dense_inst.objective(w), sparse_inst.objective(w)
+        assert abs(fd - fs) <= 1e-12 * abs(fs)
+        gd, gs = dense_inst.subgrad(w), sparse_inst.subgrad(w)
+        assert np.linalg.norm(gd - gs) <= 1e-12 * np.linalg.norm(gs)
+
+
+def test_layouts_agree_exactly_at_pinned_kinks(monkeypatch):
+    # small integers and dyadic weights keep every sum exact in any order
+    X = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, -1.0], [2.0, 1.0, 0.0, 0.0]])
+    y = np.array([1.0, -1.0, 1.0])
+    data = Dataset(sp.csr_matrix(X), y)
+    on_margin = np.array([0.5, 0.0, 0.25, 1.0])
+    assert np.array_equal(y * (X @ on_margin), np.ones(3))
+    inside = np.array([0.0, 0.0, 0.5, 0.0])  # margins 1, 0, 0
+    for family in ("hinge_l1", "gflasso"):
+        dense_inst, sparse_inst = both_layouts(monkeypatch, family, data)
+        for w in (on_margin, inside):
+            assert dense_inst.objective(w) == sparse_inst.objective(w)
+            assert np.array_equal(dense_inst.subgrad(w), sparse_inst.subgrad(w))
+    hinge, _ = both_layouts(monkeypatch, "hinge_l1", data)
+    # margin exactly 1 is inactive and sign(0) = 0 at the zero weights
+    assert np.array_equal(hinge.subgrad(on_margin), 0.25 * np.array([1.0, 0.0, 1.0, 1.0]))
+    expected = -(y[1] * X[1] + y[2] * X[2]) / 3.0 + np.array([0.0, 0.0, 0.25, 0.0])
+    assert np.array_equal(hinge.subgrad(inside), expected)
+
+    tie = np.array([0.5, -0.5, 0.25, 0.5])  # |w| ties at 0.5: lowest index wins
+    data_r = Dataset(sp.csr_matrix(X), np.array([1.0, -1.0, 1.0]))
+    assert np.array_equal(X @ tie - data_r.y, np.array([0.0, 0.0, -0.5]))
+    for family in ("absolute_linf", "eps_ins", "robust"):
+        dense_inst, sparse_inst = both_layouts(monkeypatch, family, data_r)
+        assert dense_inst.objective(tie) == sparse_inst.objective(tie)
+        assert np.array_equal(dense_inst.subgrad(tie), sparse_inst.subgrad(tie))
+    absolute, _ = both_layouts(monkeypatch, "absolute_linf", data_r)
+    # residual 0 contributes sign(0) = 0; l-infinity puts lam on coordinate 0
+    expected = -X[2] / 3.0 + np.array([0.5, 0.0, 0.0, 0.0])
+    assert np.array_equal(absolute.subgrad(tie), expected)
+    tube, _ = both_layouts(monkeypatch, "eps_ins", data_r)
+    # |r| = 0.5 sits on the tube boundary, which is inactive
+    assert tube.objective(tie) == 0.0 and np.array_equal(tube.subgrad(tie), np.zeros(4))
+
+
+def test_layout_follows_density_crossover():
+    rng = np.random.default_rng(4)
+    sparse_X = sp.random(400, 60, density=0.02, format="csr", random_state=rng)
+    A, AT = problems._laid_out(sparse_X)
+    assert sp.issparse(A) and sp.issparse(AT)  # large sparse files stay sparse
+    dense_X = sp.csr_matrix(rng.normal(size=(40, 6)))
+    A, AT = problems._laid_out(dense_X)
+    assert isinstance(A, np.ndarray) and AT.flags.c_contiguous
+    assert np.array_equal(A, dense_X.toarray()) and np.array_equal(AT, A.T)
 
 
 # ---------------------------------------------------------------------------

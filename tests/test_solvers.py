@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rsgkit.core import ErrorBoundParams, PNormSpace, ProblemInstance, pnorm
+from rsgkit.problems import miniature_zoo
 from rsgkit.solvers import (
     DivergenceError,
     DoublingConfig,
@@ -457,3 +458,10 @@ def test_stride_subsampling():
     _, trace = sg_run(half_sq(1), np.array([1.0]), eta=0.01, T=1000, stride=100)
     iters = [r.iter for r in trace.records]
     assert iters == [1] + list(range(100, 1001, 100))
+
+
+def test_rsg_from_an_optimal_start_with_default_eps0():
+    zoo_abs = miniature_zoo()["abs_1d"]
+    assert zoo_abs.default_eps0([0.0]) == 1e-12  # the gap is 0; eps0 must stay > 0
+    w, trace = rsg(zoo_abs, [0.0], RestartConfig(eps0=zoo_abs.default_eps0([0.0])))
+    assert w[0] == 0.0 and trace.final_objective == 0.0
