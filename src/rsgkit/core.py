@@ -176,7 +176,8 @@ class ProblemInstance:
     known_fstar is a test-only reference value; fstar_lower_bound feeds
     the default initial-gap estimate (losses here are nonnegative, so 0
     is always sound); eb_theta records the declared error-bound exponent
-    when the problem class has one.
+    when the problem class has one.  :meth:`values` evaluates the
+    objective at many points at once.
     """
 
     dim: int
@@ -207,6 +208,25 @@ class ProblemInstance:
         """Project w onto the feasible set (identity when unconstrained)."""
         w = np.asarray(w, dtype=float)
         return w if self.project is None else self.project(w)
+
+    def values(self, W: Array) -> Array:
+        """Objective at each row of the (m, dim) array W, as an (m,) array.
+
+        Evaluates in bulk through ``objective.batch`` when the objective
+        callable carries one (the linear-model builders and the hand-written
+        zoo members attach it); any other objective, including one swapped
+        in by ``dataclasses.replace``, is called once per row.
+        """
+        W = np.asarray(W, dtype=float)
+        if W.ndim != 2 or W.shape[1] != self.dim:
+            raise ValueError(f"values: expected an (m, {self.dim}) array, got shape {W.shape}")
+        batch = getattr(self.objective, "batch", None)
+        if batch is None:
+            return np.array([float(self.objective(w)) for w in W], dtype=float)
+        out = np.asarray(batch(W), dtype=float)
+        if out.shape != (W.shape[0],):
+            raise ValueError(f"values: batch returned shape {out.shape} for {W.shape[0]} rows")
+        return out
 
     def default_eps0(self, w0: Array) -> float:
         """Default initial-gap estimate: f(w0) minus the known lower bound,

@@ -77,6 +77,20 @@ class OracleReport:
         }
 
 
+# entries of the points x dim block grid_min hands to one values() call; the
+# linear-model batch splits its n x points score block by the same size
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _box(d: int, box_lo, box_hi, who: str) -> tuple[Array, Array]:
+    """Box bounds broadcast to length d; non-finite bounds are refused."""
+    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,)).copy()
+    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,)).copy()
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"{who}: box bounds must be finite, got {lo.tolist()} to {hi.tolist()}")
+    return lo, hi
+
+
 def grid_min(
     problem: ProblemInstance,
     box_lo,
@@ -92,12 +106,18 @@ def grid_min(
     rather than run an over-budget sweep.  certified_tol is the worst-case
     value gap G * ||h||_2 / 2 for grid spacing h: no point of the box is
     farther than half a cell diagonal from a grid point.
+
+    Grid points are evaluated in C order, in blocks, through
+    :meth:`ProblemInstance.values`.  The first minimum in that order wins
+    and points where the objective is NaN are skipped (no finite point:
+    argmin None, fstar inf).  fstar is ``problem.objective(argmin)``; a
+    batch value there that differs from it by more than
+    1e-12 * max(1, |fstar|) raises InconsistentOracleError.
     """
     d = problem.dim
     if points_per_dim < 2:
         raise ValueError(f"grid_min: points_per_dim must be >= 2, got {points_per_dim}")
-    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,)).copy()
-    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,)).copy()
+    lo, hi = _box(d, box_lo, box_hi, "grid_min")
     if np.any(lo >= hi):
         raise ValueError("grid_min: box_lo must be strictly below box_hi")
     total = points_per_dim**d
@@ -109,22 +129,30 @@ def grid_min(
         )
     axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
     h = (hi - lo) / (points_per_dim - 1)
-    objective = problem.objective
-    best_f = math.inf
+    shape = (points_per_dim,) * d
+    block = max(1, _BLOCK_ENTRIES // d)
+    best_v = math.inf
     best_w: Optional[Array] = None
-    w = np.empty(d)
-    for flat in range(total):
-        rem = flat
-        for i in range(d - 1, -1, -1):
-            rem, k = divmod(rem, points_per_dim)
-            w[i] = axes[i][k]
-        val = float(objective(w))
-        if val < best_f:
-            best_f = val
-            best_w = w.copy()
+    for start in range(0, total, block):
+        idx = np.unravel_index(np.arange(start, min(start + block, total)), shape)
+        W = np.column_stack([axes[i][idx[i]] for i in range(d)])
+        vals = problem.values(W)
+        vals = np.where(np.isnan(vals), math.inf, vals)
+        k = int(np.argmin(vals))
+        if vals[k] < best_v:
+            best_v = float(vals[k])
+            best_w = W[k].copy()
+    fstar = math.inf
+    if best_w is not None:
+        fstar = float(problem.objective(best_w))
+        if not (fstar == best_v or abs(fstar - best_v) <= 1e-12 * max(1.0, abs(fstar))):
+            raise InconsistentOracleError(
+                f"grid_min: batch value {best_v!r} at {best_w.tolist()} but "
+                f"objective there = {fstar!r}"
+            )
     tol = 0.5 * problem.lipschitz_bound * float(np.linalg.norm(h))
     return OracleReport(
-        fstar=best_f,
+        fstar=fstar,
         argmin=best_w,
         method="grid",
         certified_tol=tol,
@@ -251,8 +279,7 @@ class SublevelGrid:
         if not eps > 0:
             raise ValueError(f"SublevelGrid: eps must be > 0, got {eps}")
         d = problem.dim
-        lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,))
-        hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,))
+        lo, hi = _box(d, box_lo, box_hi, "SublevelGrid")
         total = points_per_dim**d
         if total > budget:
             raise BudgetError(
@@ -271,7 +298,7 @@ class SublevelGrid:
                 if np.max(np.abs(problem.project(pts[k]) - pts[k])) <= 1e-12
             ]
             pts = pts[keep]
-        vals = np.array([problem.objective(pts[k]) for k in range(pts.shape[0])])
+        vals = problem.values(pts)
         inside = vals <= self.level
         if not np.any(inside):
             raise InconsistentOracleError(

@@ -249,22 +249,37 @@ _LOSS_FNS = {
 }
 
 
+# entries of the n x rows score block of one batched product: rows =
+# _SCORE_BLOCK // n keeps its memory flat whatever the dataset size
+_SCORE_BLOCK = 1 << 20
+
+
+def _batched(objective: Callable[[Array], float], batch: Callable[[Array], Array]):
+    """objective carrying ``batch``, its value at each row of a 2-d array,
+    where :meth:`ProblemInstance.values` finds it."""
+    objective.batch = batch
+    return objective
+
+
 def _linear_model(
     layout: tuple, y: Array, loss: str, a: float = 0.0, reg: str = "none", lam: float = 0.0, F=None
 ) -> tuple:
     """objective and subgrad of mean_i loss(t_i) + penalty(w), z = X w on a
     :func:`_laid_out` X.  l1: lam * sum|w|, sign(0) = 0; linf: lam * max|w|
     on the largest-magnitude coordinate (lowest index wins ties, 0 at w = 0);
-    fused: lam * sum|F w|, F laid out like X; any other reg adds nothing."""
+    fused: lam * sum|F w|, F laid out like X; any other reg adds nothing.
+    The objective carries a batch form with one product X W^T per block."""
     value, slope = _LOSS_FNS[loss]
     A, AT = layout
     n = y.shape[0]
     margin = loss == "hinge"
-    pen = pen_sub = None
+    pen = pen_sub = pen_rows = None
     if reg == "l1":
         pen, pen_sub = (lambda w: lam * float(np.sum(np.abs(w)))), (lambda w: lam * np.sign(w))
+        pen_rows = lambda W: lam * np.abs(W).sum(axis=1)  # noqa: E731
     elif reg == "linf":
         pen = lambda w: lam * float(np.max(np.abs(w)))  # noqa: E731
+        pen_rows = lambda W: lam * np.abs(W).max(axis=1)  # noqa: E731
 
         def pen_sub(w: Array) -> Array:
             s = np.zeros_like(w)
@@ -276,11 +291,25 @@ def _linear_model(
         Fa, FT = _laid_out(F)
         pen = lambda w: lam * float(np.sum(np.abs(Fa.dot(w))))  # noqa: E731
         pen_sub = lambda w: lam * FT.dot(np.sign(Fa.dot(w)))  # noqa: E731
+        pen_rows = lambda W: lam * np.abs(Fa.dot(W.T)).sum(axis=0)  # noqa: E731
 
     def objective(w: Array) -> float:
         z = A.dot(w)
         f = float(value(y * z if margin else z - y, a).sum()) / n
         return f if pen is None else f + pen(w)
+
+    rows = max(1, _SCORE_BLOCK // n)
+    yc = y[:, None]
+
+    def batch(W: Array) -> Array:
+        f = np.empty(W.shape[0])
+        for s in range(0, W.shape[0], rows):
+            Ws = W[s : s + rows]
+            Z = A.dot(Ws.T)
+            f[s : s + rows] = value(yc * Z if margin else Z - yc, a).sum(axis=0) / n
+            if pen_rows is not None:
+                f[s : s + rows] += pen_rows(Ws)
+        return f
 
     def subgrad(w: Array) -> Array:
         z = A.dot(w)
@@ -288,7 +317,7 @@ def _linear_model(
         g = AT.dot(y * s if margin else s) / n
         return g if pen is None else g + pen_sub(w)
 
-    return objective, subgrad
+    return _batched(objective, batch), subgrad
 
 
 def robust_regression(
@@ -560,7 +589,7 @@ def miniature_zoo() -> dict[str, ProblemInstance]:
 
     zoo["square_1d"] = ProblemInstance(
         dim=1,
-        objective=lambda w: float(w[0] * w[0]),
+        objective=_batched(lambda w: float(w[0] * w[0]), lambda W: W[:, 0] * W[:, 0]),
         subgrad=lambda w: 2.0 * np.asarray(w, dtype=float),
         lipschitz_bound=8.0,  # valid while probes stay inside |w| <= 4
         known_fstar=0.0,
@@ -570,7 +599,7 @@ def miniature_zoo() -> dict[str, ProblemInstance]:
 
     zoo["l1_2d"] = ProblemInstance(
         dim=2,
-        objective=lambda w: float(np.sum(np.abs(w))),
+        objective=_batched(lambda w: float(np.sum(np.abs(w))), lambda W: np.abs(W).sum(axis=1)),
         subgrad=lambda w: np.sign(np.asarray(w, dtype=float)),
         lipschitz_bound=float(math.sqrt(2.0)),
         known_fstar=0.0,

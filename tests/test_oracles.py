@@ -83,6 +83,121 @@ def test_grid_min_validation():
         grid_min(inst, 1.0, -1.0, 11)
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(math.nan, 1.0), (-1.0, math.inf), (-math.inf, 1.0), ([-1.0, math.nan], 1.0)],
+)
+def test_grid_oracles_reject_non_finite_box(lo, hi):
+    # a NaN bound used to give a "certified" report with certified_tol NaN,
+    # an infinite one fstar inf with argmin None
+    inst = ZOO["abs_1d"] if np.ndim(lo) == 0 else ZOO["l1_2d"]
+    with pytest.raises(ValueError, match="finite"):
+        grid_min(inst, lo, hi, 11)
+    oracle = exact_report(0.0, np.zeros(inst.dim))
+    with pytest.raises(ValueError, match="finite"):
+        SublevelGrid(inst, oracle, eps=0.5, box_lo=lo, box_hi=hi, points_per_dim=11)
+
+
+def reference_grid_min(problem, box_lo, box_hi, points_per_dim):
+    """The per-point sweep grid_min replaced: every grid point in C order,
+    one objective call each, the first strict improvement kept."""
+    d = problem.dim
+    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,))
+    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,))
+    axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
+    best_f, best_w = math.inf, None
+    w = np.empty(d)
+    for flat in range(points_per_dim**d):
+        rem = flat
+        for i in range(d - 1, -1, -1):
+            rem, k = divmod(rem, points_per_dim)
+            w[i] = axes[i][k]
+        val = float(problem.objective(w))
+        if val < best_f:
+            best_f, best_w = val, w.copy()
+    return best_f, best_w
+
+
+def assert_same_as_reference(problem, lo, hi, ppd):
+    report = grid_min(problem, lo, hi, ppd)
+    fstar, argmin = reference_grid_min(problem, lo, hi, ppd)
+    assert report.fstar == fstar, (problem.name, report.fstar, fstar)
+    if argmin is None:
+        assert report.argmin is None
+    else:
+        assert np.array_equal(report.argmin, argmin), (problem.name, report.argmin, argmin)
+    return report
+
+
+# the grids of the C10 acceptance check
+C10_GRIDS = [
+    ("abs_1d", -2.0, 2.0, 4001),
+    ("abs_median_1d", -2.0, 6.0, 4001),
+    ("square_1d", -2.0, 2.0, 4001),
+    ("rr_1d_p15", -1.0, 4.0, 4001),
+    ("eps_ins_1d", -1.0, 4.0, 4001),
+    ("l1_2d", -2.0, 2.0, 401),
+    ("hinge_sep_2d", -3.0, 3.0, 401),
+]
+
+
+@pytest.mark.parametrize("name, lo, hi, ppd", C10_GRIDS)
+def test_grid_min_matches_per_point_sweep_on_c10_grids(name, lo, hi, ppd):
+    assert_same_as_reference(ZOO[name], lo, hi, ppd)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grid_min_matches_per_point_sweep_on_seeded_boxes(seed):
+    rng = np.random.default_rng(seed)
+    for name in sorted(ZOO):
+        inst = ZOO[name]
+        if inst.dim > 2:
+            continue
+        box = (-4.0 - rng.uniform(0.0, 0.5), 4.0 + rng.uniform(0.0, 0.5))
+        assert_same_as_reference(inst, *box, 2001 if inst.dim == 1 else 101)
+
+
+def custom(objective, batch=None, dim=2):
+    if batch is not None:
+        objective.batch = batch
+    return ProblemInstance(dim=dim, objective=objective, subgrad=np.sign, lipschitz_bound=2.0)
+
+
+def test_grid_min_skips_nan_points_like_the_sweep():
+    # the unconstrained minimum (0.3, 0) sits in the NaN region w_0 > 0.25
+    def f(w):
+        return math.nan if w[0] > 0.25 else abs(w[0] - 0.3) + abs(w[1])
+
+    def f_rows(W):
+        return np.where(W[:, 0] > 0.25, np.nan, np.abs(W[:, 0] - 0.3) + np.abs(W[:, 1]))
+
+    for inst in (custom(f), custom(lambda w: f(w), f_rows)):
+        report = assert_same_as_reference(inst, -1.0, 1.0, 21)
+        assert report.argmin == pytest.approx([0.2, 0.0], abs=1e-12)
+        assert report.fstar == pytest.approx(0.1)
+
+
+def test_grid_min_all_nan_gives_no_argmin():
+    def f(w):
+        return math.nan
+
+    for inst in (custom(f), custom(lambda w: f(w), lambda W: np.full(W.shape[0], np.nan))):
+        report = assert_same_as_reference(inst, -1.0, 1.0, 11)
+        assert report.argmin is None and report.fstar == math.inf
+
+
+def test_grid_min_refuses_a_batch_that_disagrees_with_its_objective():
+    def f(w):
+        return float(np.sum(np.abs(w)))
+
+    stale = custom(f, lambda W: np.abs(W).sum(axis=1) - 1e-6)
+    with pytest.raises(InconsistentOracleError, match="batch value"):
+        grid_min(stale, -1.0, 1.0, 11)
+    # a last-bit difference is within the 1e-12 relative tolerance
+    close = custom(lambda w: f(w), lambda W: np.abs(W).sum(axis=1) * (1.0 + 2.0**-52))
+    assert grid_min(close, 0.5, 1.0, 11).fstar == 1.0
+
+
 # ---------------------------------------------------------------------------
 # weighted_median
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -451,6 +452,87 @@ def test_layouts_agree_exactly_at_pinned_kinks(monkeypatch):
     tube, _ = both_layouts(monkeypatch, "eps_ins", data_r)
     # |r| = 0.5 sits on the tube boundary, which is inactive
     assert tube.objective(tie) == 0.0 and np.array_equal(tube.subgrad(tie), np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# batch objective: values(W) against one objective call per row
+
+
+def per_row(inst, W):
+    return np.array([inst.objective(w) for w in W])
+
+
+def assert_rows_agree(vals, ref, rel=1e-12):
+    assert vals.shape == ref.shape
+    assert np.all(np.abs(vals - ref) <= rel * np.abs(ref)), np.max(np.abs(vals - ref))
+
+
+# the zoo's hinge members differ from their per-point values in the last
+# bit (about 4e-16): a matrix product and a matrix-vector product round
+# their two-term dot products differently
+ZOO_NOT_BITWISE = {"hinge_sep_2d", "hinge_l1ball_2d"}
+
+
+def test_values_match_per_point_on_every_zoo_member():
+    rng = np.random.default_rng(12)
+    for name, inst in miniature_zoo().items():
+        W = rng.uniform(-4.0, 4.0, size=(300, inst.dim))
+        W[:3] = 0.0  # kinks: zero residuals, zero weights, margin 0
+        vals, ref = inst.values(W), per_row(inst, W)
+        if name in ZOO_NOT_BITWISE:
+            assert_rows_agree(vals, ref)
+        else:
+            assert np.array_equal(vals, ref), name
+
+
+VALUE_FAMILIES = dict(
+    FAMILIES,
+    hinge_linf=lambda data: piecewise_linear_erm(data, loss="hinge", reg="linf", lam=0.5),
+    absolute_l1=lambda data: piecewise_linear_erm(data, loss="absolute", reg="l1", lam=0.25),
+    eps_ins_l1=lambda data: piecewise_linear_erm(
+        data, loss="eps_insensitive", reg="l1", lam=0.1, eps_ins=0.5
+    ),
+)
+
+
+@pytest.mark.parametrize("score_block", [None, 100])
+@pytest.mark.parametrize("family", sorted(VALUE_FAMILIES))
+def test_values_match_per_point_in_both_layouts(monkeypatch, family, score_block):
+    rng = np.random.default_rng(32)
+    X = rng.normal(size=(40, 5)) * (rng.random((40, 5)) < 0.6)
+    data = Dataset(sp.csr_matrix(X), np.where(rng.random(40) < 0.5, -1.0, 1.0))
+    W = rng.normal(size=(7, 5))  # 100 // 40 = 2 rows per product: a partial last block
+    for threshold in (0.0, math.inf):
+        monkeypatch.setattr(problems, "_DENSE_MIN_DENSITY", threshold)
+        if score_block is not None:
+            monkeypatch.setattr(problems, "_SCORE_BLOCK", score_block)
+        inst = VALUE_FAMILIES[family](data)
+        assert_rows_agree(inst.values(W), per_row(inst, W))
+        assert inst.values(np.empty((0, 5))).shape == (0,)
+    monkeypatch.undo()
+
+
+def test_values_calls_a_swapped_objective_once_per_row():
+    inst = miniature_zoo()["hinge_sep_2d"]
+    assert inst.objective.batch is not None
+    seen = []
+
+    def wrapper(w):
+        seen.append(np.array(w))
+        return inst.objective(w)
+
+    swapped = replace(inst, objective=wrapper)
+    W = np.random.default_rng(3).normal(size=(5, 2))
+    assert np.array_equal(swapped.values(W), per_row(inst, W))
+    assert len(seen) == 5 and all(np.array_equal(s, w) for s, w in zip(seen, W))
+    with pytest.raises(ValueError, match="values"):
+        swapped.values(np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="values"):
+        swapped.values(np.zeros(2))
+    wrong = replace(inst, objective=lambda w: 0.0)
+    wrong.objective.batch = lambda W: np.zeros(W.shape[0] + 1)
+    with pytest.raises(ValueError, match="batch returned"):
+        wrong.values(W)
 
 
 def test_layout_follows_density_crossover():
