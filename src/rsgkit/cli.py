@@ -17,7 +17,6 @@ rows ordered by cum_iter; the wallclock column is written as 0 unless
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import csv
 import hashlib
@@ -93,125 +92,63 @@ def _parse_bool(s: str) -> bool:
 _KINDS = ("robust_regression", "pwl", "gflasso", "lovasz_cut")
 _ALGOS = ("sg", "rsg", "rsg_dap", "r2sg", "baseline_sg")
 
-# key -> python type ("str" values are validated further downstream)
-_SCHEMA: dict[str, type] = {
-    "problem.kind": str,
-    "problem.path": str,
-    "problem.dim": int,
-    "problem.positive_class": float,
-    "problem.scale_features": bool,
-    "problem.synth": str,
-    "problem.n": int,
-    "problem.d": int,
-    "problem.noise": float,
-    "problem.margin": float,
-    "problem.data_seed": int,
-    "problem.p_loss": float,
-    "problem.region_radius": float,
-    "problem.constrain_region": bool,
-    "problem.loss": str,
-    "problem.reg": str,
-    "problem.lam": float,
-    "problem.radius": float,
-    "problem.eps_ins": float,
-    "problem.edges": str,
-    "problem.corr_cutoff": float,
-    "solver.algo": str,
-    "solver.alpha": float,
-    "solver.stages": int,
-    "solver.t": int,
-    "solver.eps0": float,
-    "solver.target_eps": float,
-    "solver.norm_p": float,
-    "solver.lambda_mode": str,
-    "solver.eta_scale": float,
-    "solver.eta": float,
-    "solver.T": int,
-    "solver.eta0": float,
-    "solver.t1": int,
-    "solver.theta": float,
-    "solver.growth": float,
-    "solver.max_calls": int,
-    "solver.restart_every": int,
-    "solver.rel_tol": float,
-    "solver.recalibrate_eps0": bool,
-    "solver.theta_eb": float,
-    "solver.c_eb": float,
-    "solver.w0": str,
-    "solver.seed": int,
-    "output.dir": str,
-    "output.stride": int,
-    "output.timing": bool,
-    "output.oracle_report": bool,
-}
+_DATA_KINDS = ("robust_regression", "pwl", "gflasso")
+_SCHEDULED = ("rsg", "rsg_dap", "r2sg")
+_PNORM = ("rsg_dap", "r2sg")
 
-_DEFAULTS: dict[str, object] = {
-    "solver.alpha": 2.0,
-    "solver.norm_p": 2.0,
-    "solver.lambda_mode": "unit",
-    "solver.eta_scale": 1.0,
-    "solver.theta": 0.0,
-    "solver.max_calls": 1,
-    "solver.rel_tol": 1e-10,
-    "solver.recalibrate_eps0": False,
-    "solver.w0": "zeros",
-    "solver.seed": 0,
-    "output.dir": ".",
-    "output.timing": False,
-    "output.oracle_report": False,
-}
-
-_DATA_KEYS = (
-    "problem.path",
-    "problem.dim",
-    "problem.positive_class",
-    "problem.scale_features",
-    "problem.synth",
-    "problem.n",
-    "problem.d",
-    "problem.noise",
-    "problem.margin",
-    "problem.data_seed",
-)
-
-# Keys each problem kind accepts beyond problem.kind.
-_KIND_KEYS: dict[str, tuple[str, ...]] = {
-    "robust_regression": _DATA_KEYS
-    + ("problem.p_loss", "problem.region_radius", "problem.constrain_region"),
-    "pwl": _DATA_KEYS
-    + ("problem.loss", "problem.reg", "problem.lam", "problem.radius", "problem.eps_ins"),
-    "gflasso": _DATA_KEYS + ("problem.edges", "problem.corr_cutoff", "problem.lam"),
-    "lovasz_cut": ("problem.dim", "problem.edges"),
-}
-
-# Keys each algo accepts beyond solver.algo / solver.w0 / solver.seed.
-_SCHEDULE_KEYS = (
-    "solver.alpha",
-    "solver.stages",
-    "solver.t",
-    "solver.eps0",
-    "solver.target_eps",
-    "solver.eta_scale",
-    "solver.theta_eb",
-    "solver.c_eb",
-)
-_ALGO_KEYS: dict[str, tuple[str, ...]] = {
-    "sg": ("solver.eta", "solver.T"),
-    "baseline_sg": ("solver.eta0", "solver.T"),
-    "rsg": _SCHEDULE_KEYS,
-    "rsg_dap": _SCHEDULE_KEYS + ("solver.norm_p", "solver.lambda_mode"),
-    "r2sg": _SCHEDULE_KEYS
-    + (
-        "solver.norm_p",
-        "solver.lambda_mode",
-        "solver.t1",
-        "solver.theta",
-        "solver.growth",
-        "solver.max_calls",
-        "solver.restart_every",
-        "solver.rel_tol",
-        "solver.recalibrate_eps0",
-    ),
+# key -> (python type, default, the problem kinds / solver algos it applies
+# to).  "str" values are validated further downstream.  output.* keys apply
+# everywhere; echo() materializes only solver.* and output.* defaults.
+_KEYS: dict[str, tuple[type, object, tuple[str, ...]]] = {
+    "problem.kind": (str, None, _KINDS),
+    "problem.path": (str, None, _DATA_KINDS),
+    "problem.dim": (int, None, _KINDS),
+    "problem.positive_class": (float, None, _DATA_KINDS),
+    "problem.scale_features": (bool, False, _DATA_KINDS),
+    "problem.synth": (str, None, _DATA_KINDS),
+    "problem.n": (int, None, _DATA_KINDS),
+    "problem.d": (int, None, _DATA_KINDS),
+    "problem.noise": (float, 0.0, _DATA_KINDS),
+    "problem.margin": (float, 1.0, _DATA_KINDS),
+    "problem.data_seed": (int, 0, _DATA_KINDS),
+    "problem.p_loss": (float, None, ("robust_regression",)),
+    "problem.region_radius": (float, None, ("robust_regression",)),
+    "problem.constrain_region": (bool, False, ("robust_regression",)),
+    "problem.loss": (str, "hinge", ("pwl",)),
+    "problem.reg": (str, "none", ("pwl",)),
+    # no default: gflasso requires it, pwl falls back to 0.0
+    "problem.lam": (float, None, ("pwl", "gflasso")),
+    "problem.radius": (float, 1.0, ("pwl",)),
+    "problem.eps_ins": (float, 0.1, ("pwl",)),
+    "problem.edges": (str, None, ("gflasso", "lovasz_cut")),
+    "problem.corr_cutoff": (float, None, ("gflasso",)),
+    "solver.algo": (str, None, _ALGOS),
+    "solver.alpha": (float, 2.0, _SCHEDULED),
+    "solver.stages": (int, None, _SCHEDULED),
+    "solver.t": (int, None, _SCHEDULED),
+    "solver.eps0": (float, None, _SCHEDULED),
+    "solver.target_eps": (float, None, _SCHEDULED),
+    "solver.norm_p": (float, 2.0, _PNORM),
+    "solver.lambda_mode": (str, "unit", _PNORM),
+    "solver.eta_scale": (float, 1.0, _SCHEDULED),
+    "solver.eta": (float, None, ("sg",)),
+    "solver.T": (int, None, ("sg", "baseline_sg")),
+    "solver.eta0": (float, None, ("baseline_sg",)),
+    "solver.t1": (int, None, ("r2sg",)),
+    "solver.theta": (float, 0.0, ("r2sg",)),
+    "solver.growth": (float, None, ("r2sg",)),
+    "solver.max_calls": (int, 1, ("r2sg",)),
+    "solver.restart_every": (int, None, ("r2sg",)),
+    "solver.rel_tol": (float, 1e-10, ("r2sg",)),
+    "solver.recalibrate_eps0": (bool, False, ("r2sg",)),
+    "solver.theta_eb": (float, None, _SCHEDULED),
+    "solver.c_eb": (float, None, _SCHEDULED),
+    "solver.w0": (str, "zeros", _ALGOS),
+    "solver.seed": (int, 0, _ALGOS),
+    "output.dir": (str, ".", _ALGOS),
+    "output.stride": (int, None, _ALGOS),
+    "output.timing": (bool, False, _ALGOS),
+    "output.oracle_report": (bool, False, _ALGOS),
 }
 
 
@@ -243,11 +180,11 @@ class RunSpec:
                 raise ConfigError(f"{origin}:{lineno}: expected key = value, got {raw!r}")
             key = key.strip()
             value = value.strip()
-            if key not in _SCHEMA:
+            if key not in _KEYS:
                 raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
-            typ = _SCHEMA[key]
+            typ = _KEYS[key][0]
             try:
                 if typ is bool:
                     values[key] = _parse_bool(value)
@@ -278,7 +215,7 @@ class RunSpec:
         for key, val in overrides.items():
             if val is None:
                 continue
-            if key not in _SCHEMA:
+            if key not in _KEYS:
                 raise ConfigError(f"unknown override key {key!r}")
             values[key] = val
         spec = RunSpec(values)
@@ -286,11 +223,8 @@ class RunSpec:
         return spec
 
     def get(self, key: str, default=None):
-        if key in self.values:
-            return self.values[key]
-        if key in _DEFAULTS:
-            return _DEFAULTS[key]
-        return default
+        val = self.values.get(key, _KEYS[key][1])
+        return default if val is None else val
 
     def require(self, key: str):
         val = self.get(key)
@@ -302,16 +236,14 @@ class RunSpec:
         kind = self.require("problem.kind")
         if kind not in _KINDS:
             raise ConfigError(f"problem.kind must be one of {_KINDS}, got {kind!r}")
-        allowed = set(_KIND_KEYS[kind]) | {"problem.kind"}
         for key in self.values:
-            if key.startswith("problem.") and key not in allowed:
+            if key.startswith("problem.") and kind not in _KEYS[key][2]:
                 raise ConfigError(f"key {key!r} does not apply to problem.kind={kind}")
         algo = self.require("solver.algo")
         if algo not in _ALGOS:
             raise ConfigError(f"solver.algo must be one of {_ALGOS}, got {algo!r}")
-        allowed_s = set(_ALGO_KEYS[algo]) | {"solver.algo", "solver.w0", "solver.seed"}
         for key in self.values:
-            if key.startswith("solver.") and key not in allowed_s:
+            if key.startswith("solver.") and algo not in _KEYS[key][2]:
                 raise ConfigError(f"key {key!r} does not apply to solver.algo={algo}")
         if self.get("solver.w0") not in ("zeros", "gaussian"):
             raise ConfigError(
@@ -369,14 +301,10 @@ class RunSpec:
         run's identity, so the same config written to two directories
         yields the same run id and bitwise-identical artifacts."""
         algo = self.require("solver.algo")
-        allowed_solver = set(_ALGO_KEYS[algo]) | {"solver.algo", "solver.w0", "solver.seed"}
         out = {k: _canon(v) for k, v in self.values.items()}
-        for key, val in _DEFAULTS.items():
-            if key in out:
-                continue
-            section = key.split(".", 1)[0]
-            if section == "output" or (section == "solver" and key in allowed_solver):
-                out[key] = _canon(val)
+        for key, (_, default, applies) in _KEYS.items():
+            if default is not None and not key.startswith("problem.") and algo in applies:
+                out.setdefault(key, _canon(default))
         out.pop("output.dir", None)
         return dict(sorted(out.items()))
 
@@ -395,19 +323,17 @@ def _load_dataset(spec: RunSpec) -> Dataset:
             synth = spec.require("problem.synth")
             n = spec.require("problem.n")
             d = spec.require("problem.d")
-            seed = spec.get("problem.data_seed", 0)
+            seed = spec.get("problem.data_seed")
             if synth == "regression":
-                data = synth_regression(n, d, spec.get("problem.noise", 0.0), seed)
+                data = synth_regression(n, d, spec.get("problem.noise"), seed)
             else:
-                data = synth_classification(n, d, spec.get("problem.margin", 1.0), seed)
+                data = synth_classification(n, d, spec.get("problem.margin"), seed)
         if spec.get("problem.positive_class") is not None:
             data = binarize_labels(data, spec.get("problem.positive_class"))
-        if spec.get("problem.scale_features", False):
+        if spec.get("problem.scale_features"):
             data = scale_max_abs(data)
         return data
-    except (ParseError, OSError) as exc:
-        raise DataError(str(exc)) from exc
-    except ValueError as exc:
+    except (ParseError, OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
 
 
@@ -415,7 +341,7 @@ def build_problem(spec: RunSpec) -> ProblemInstance:
     """Construct the configured ProblemInstance (loading data as needed).
     Config mistakes raise ConfigError; bad or unusable data raises DataError."""
     kind = spec.require("problem.kind")
-    norm_p = float(spec.get("solver.norm_p", 2.0))
+    norm_p = float(spec.get("solver.norm_p"))
     norm_q = conjugate_exponent(norm_p) if norm_p != 2.0 else 2.0
     if kind == "lovasz_cut":
         dim = spec.require("problem.dim")
@@ -432,17 +358,17 @@ def build_problem(spec: RunSpec) -> ProblemInstance:
                 data,
                 p_loss=spec.require("problem.p_loss"),
                 region_radius=spec.get("problem.region_radius"),
-                constrain_to_region=spec.get("problem.constrain_region", False),
+                constrain_to_region=spec.get("problem.constrain_region"),
                 norm_q=norm_q,
             )
         if kind == "pwl":
             return piecewise_linear_erm(
                 data,
-                loss=spec.get("problem.loss", "hinge"),
-                reg=spec.get("problem.reg", "none"),
+                loss=spec.get("problem.loss"),
+                reg=spec.get("problem.reg"),
                 lam=spec.get("problem.lam", 0.0),
-                radius=spec.get("problem.radius", 1.0),
-                eps_ins=spec.get("problem.eps_ins", 0.1),
+                radius=spec.get("problem.radius"),
+                eps_ins=spec.get("problem.eps_ins"),
                 norm_q=norm_q,
             )
         # gflasso
@@ -451,9 +377,7 @@ def build_problem(spec: RunSpec) -> ProblemInstance:
         else:
             graph = graph_from_correlation(data, spec.require("problem.corr_cutoff"))
         return gflasso_svm(data, graph, lam=spec.require("problem.lam"), norm_q=norm_q)
-    except (ParseError, OSError) as exc:
-        raise DataError(str(exc)) from exc
-    except ValueError as exc:
+    except (ParseError, OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
 
 
@@ -469,29 +393,34 @@ def _initial_point(spec: RunSpec, problem: ProblemInstance) -> np.ndarray:
 
 def _execute(spec: RunSpec) -> tuple[SolveTrace, dict]:
     """Build and run; returns the trace plus summary extras.  Divergence
-    propagates as DivergenceError (its trace is partial)."""
+    propagates as DivergenceError (its trace is partial).  The solvers raise
+    ValueError only on their arguments, before the first step, so every
+    ValueError past the build (a step, budget, stride, seed or schedule out
+    of range, or p-norm stages on a constrained problem) is a ConfigError."""
     problem = build_problem(spec)
-    w0 = _initial_point(spec, problem)
     algo = spec.require("solver.algo")
     stride = spec.get("output.stride")
     extras: dict[str, object] = {"problem_name": problem.name, "dim": problem.dim}
-    if algo == "sg":
-        _, trace = sg_run(problem, w0, spec.require("solver.eta"), spec.require("solver.T"), stride)
-        return trace, extras
-    if algo == "baseline_sg":
-        trace = baseline_sg_decreasing(
-            problem, w0, spec.require("solver.eta0"), spec.require("solver.T"), stride
-        )
-        return trace, extras
-    alpha = float(spec.get("solver.alpha"))
-    eps0 = spec.get("solver.eps0")
-    if eps0 is None:
-        eps0 = problem.default_eps0(w0)
-    extras["eps0_effective"] = eps0
-    target = spec.get("solver.target_eps")
-    stages = spec.get("solver.stages")
-    t = spec.get("solver.t")
     try:
+        w0 = _initial_point(spec, problem)
+        if algo == "sg":
+            _, trace = sg_run(
+                problem, w0, spec.require("solver.eta"), spec.require("solver.T"), stride
+            )
+            return trace, extras
+        if algo == "baseline_sg":
+            trace = baseline_sg_decreasing(
+                problem, w0, spec.require("solver.eta0"), spec.require("solver.T"), stride
+            )
+            return trace, extras
+        alpha = float(spec.get("solver.alpha"))
+        eps0 = spec.get("solver.eps0")
+        if eps0 is None:
+            eps0 = problem.default_eps0(w0)
+        extras["eps0_effective"] = eps0
+        target = spec.get("solver.target_eps")
+        stages = spec.get("solver.stages")
+        t = spec.get("solver.t")
         if stages is None and algo in ("rsg", "rsg_dap"):
             stages = compute_stage_count(eps0, target, alpha)
             extras["stages_derived"] = stages
@@ -505,36 +434,30 @@ def _execute(spec: RunSpec) -> tuple[SolveTrace, dict]:
             inner_iters=int(t) if t is not None else 1,
             eps0=float(eps0),
             target_eps=target,
-            norm_p=float(spec.get("solver.norm_p", 2.0)),
-            lambda_mode=spec.get("solver.lambda_mode", "unit"),
-            eta_scale=float(spec.get("solver.eta_scale", 1.0)),
+            norm_p=float(spec.get("solver.norm_p")),
+            lambda_mode=spec.get("solver.lambda_mode"),
+            eta_scale=float(spec.get("solver.eta_scale")),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if algo == "rsg":
-        if cfg.norm_p != 2.0:
-            raise ConfigError("rsg runs Euclidean stages; use rsg_dap for norm_p != 2")
-        _, trace = rsg(problem, w0, cfg, stride)
-        return trace, extras
-    if algo == "rsg_dap":
-        _, trace = rsg_dap(problem, w0, cfg, stride)
-        return trace, extras
-    # r2sg
-    try:
+        if algo == "rsg":
+            _, trace = rsg(problem, w0, cfg, stride)
+            return trace, extras
+        if algo == "rsg_dap":
+            _, trace = rsg_dap(problem, w0, cfg, stride)
+            return trace, extras
         dcfg = DoublingConfig(
             t1=spec.require("solver.t1"),
             stages=int(spec.get("solver.stages") or spec.get("solver.restart_every")),
-            theta=float(spec.get("solver.theta", 0.0)),
+            theta=float(spec.get("solver.theta")),
             max_calls=int(spec.get("solver.max_calls")),
             restart_every=spec.get("solver.restart_every"),
             growth=spec.get("solver.growth"),
             rel_tol=float(spec.get("solver.rel_tol")),
             recalibrate_eps0=bool(spec.get("solver.recalibrate_eps0")),
         )
+        _, trace = r2sg(problem, w0, dcfg, cfg, stride)
+        return trace, extras
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _, trace = r2sg(problem, w0, dcfg, cfg, stride)
-    return trace, extras
 
 
 def _trace_csv_text(run_id: str, algo: str, trace: SolveTrace, timing: bool) -> str:
@@ -638,13 +561,12 @@ def cmd_run(spec: RunSpec, out_dir: Optional[str] = None) -> tuple[int, dict]:
 def cmd_compare(
     specs: Sequence[RunSpec],
     out_dir: Optional[str] = None,
-    threads: int = 1,
     thresholds: Sequence[float] = (),
 ) -> tuple[int, dict]:
     """Run several solver configs on one problem and merge the traces.
 
     All specs must share an identical problem block.  Member runs write
-    their usual artifacts (atomically, possibly in parallel); the merge
+    their usual artifacts (atomically); the merge
     aligns records by cumulative iteration, adds per-run objective and
     best-so-far columns, and tabulates iterations-to-threshold on the
     best-so-far values.  Returns the max member exit code.
@@ -659,17 +581,7 @@ def cmd_compare(
     ids = [s.run_id for s in specs]
     out = Path(out_dir if out_dir is not None else specs[0].get("output.dir"))
     out.mkdir(parents=True, exist_ok=True)
-    results: list[tuple[int, dict]] = [None] * len(specs)  # type: ignore[list-item]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(cmd_run, spec, str(out)): k for k, spec in enumerate(specs)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for k, spec in enumerate(specs):
-            results[k] = cmd_run(spec, str(out))
+    results = [cmd_run(spec, str(out)) for spec in specs]
     code = max(r[0] for r in results)
     traces = [r[1]["trace"] for r in results]
     algos = [s.require("solver.algo") for s in specs]
@@ -757,7 +669,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--out", help="output directory")
     cmp_p.add_argument("--seed", type=int, help="override solver.seed for every run")
     cmp_p.add_argument("--stride", type=int, help="override output.stride for every run")
-    cmp_p.add_argument("--threads", type=int, default=1, help="parallel member runs")
     cmp_p.add_argument("--timing", action="store_true", help="write real wallclock_ns")
     cmp_p.add_argument(
         "--thresholds",
@@ -807,7 +718,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     raise ConfigError(
                         f"--thresholds expects comma-separated numbers, got {args.thresholds!r}"
                     ) from None
-            code, _ = cmd_compare(specs, args.out, threads=args.threads, thresholds=thresholds)
+            code, _ = cmd_compare(specs, args.out, thresholds=thresholds)
             return code
         # verify
         return cmd_verify(args.suite)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -361,31 +361,6 @@ def sg_run(
     return avg, tb.finish(avg, obj)
 
 
-def rsg(
-    problem: ProblemInstance,
-    w0: Array,
-    cfg: RestartConfig,
-    stride: Optional[int] = None,
-) -> tuple[Array, SolveTrace]:
-    """Geometric-restart subgradient method.
-
-    Runs ``cfg.stages`` averaging stages of ``cfg.inner_iters`` steps each,
-    warm-starting every stage from the previous stage's average.  The step
-    starts at eta_scale * eps0 / (alpha * G**2) and shrinks by alpha per
-    stage, so the stage-k step is eps0 / (alpha**k G**2) at unit scale.
-    """
-    G = problem.lipschitz_bound
-    w = problem.feasible(w0)
-    tb = _TraceBuilder(problem, stride)
-    eta = cfg.eta_scale * cfg.eps0 / (cfg.alpha * G * G)
-    obj = math.nan
-    for k in range(1, cfg.stages + 1):
-        w = _sg_stage(problem, w, eta, cfg.inner_iters, tb, stage=k)
-        obj = tb.stage_done(k, eta, w)
-        eta /= cfg.alpha
-    return w, tb.finish(w, obj)
-
-
 def _dap_stage(
     problem: ProblemInstance,
     w1: Array,
@@ -467,14 +442,86 @@ def dap_run(
     return avg, tb.finish(avg, obj)
 
 
-def _initial_eta(cfg: RestartConfig, G: float) -> float:
-    """Stage-1 step size for the restart schedules in the cfg geometry."""
+def _initial_eta(cfg: RestartConfig, G: float, eps0: float) -> float:
+    """Stage-1 step size for the restart schedules in the cfg geometry,
+    given the current initial-gap estimate eps0."""
     if cfg.norm_p == 2.0:
-        return cfg.eta_scale * cfg.eps0 / (cfg.alpha * G * G)
+        return cfg.eta_scale * eps0 / (cfg.alpha * G * G)
     modulus = cfg.norm_p - 1.0
     if cfg.lambda_mode == "inv_grad_norm":
-        return cfg.eta_scale * cfg.eps0 * modulus / (cfg.alpha * G)
-    return cfg.eta_scale * cfg.eps0 * modulus / (cfg.alpha * G * G)
+        return cfg.eta_scale * eps0 * modulus / (cfg.alpha * G)
+    return cfg.eta_scale * eps0 * modulus / (cfg.alpha * G * G)
+
+
+def _restarts(
+    problem: ProblemInstance,
+    w0: Array,
+    cfg: RestartConfig,
+    stride: Optional[int],
+    dap: bool,
+    dcfg: Optional[DoublingConfig] = None,
+) -> tuple[Array, SolveTrace]:
+    """The restart loop behind rsg, rsg_dap and r2sg.
+
+    dap selects p-norm dual-averaging stages (unconstrained problems only)
+    over Euclidean projected steps.  Without dcfg this is one call of
+    cfg.stages stages of cfg.inner_iters steps; with dcfg it follows the
+    doubling schedule of :class:`DoublingConfig`.
+    """
+    if dap and problem.project is not None:
+        raise UnsupportedConstraintError(
+            "p-norm dual-averaging stages require an unconstrained problem (project is None)"
+        )
+    if not dap and cfg.norm_p != 2.0:
+        raise ValueError("rsg runs Euclidean stages; use rsg_dap for norm_p != 2")
+    space = PNormSpace(cfg.norm_p) if dap else None
+    w = problem.feasible(w0)
+    tb = _TraceBuilder(problem, stride)
+    if dcfg is None:
+        calls, stages, t = 1, cfg.stages, cfg.inner_iters
+    else:
+        calls, stages, t = dcfg.max_calls, dcfg.stages_per_call, dcfg.t1
+        # seed best-so-far with the start so call 1's plateau check compares
+        # against f(w0); the first logged record is this same point, so the
+        # best column of the trace is unaffected
+        tb.best = tb.checked_objective(w, "initial point")
+    eps0 = cfg.eps0
+    stage = 0
+    obj = math.nan
+    for _ in range(calls):
+        best_before = tb.best
+        eta = _initial_eta(cfg, problem.lipschitz_bound, eps0)
+        for _ in range(stages):
+            stage += 1
+            if space is None:
+                w = _sg_stage(problem, w, eta, t, tb, stage)
+            else:
+                w = _dap_stage(problem, w, eta, t, space, cfg.lambda_mode, tb, stage)
+            obj = tb.stage_done(stage, eta, w)
+            eta /= cfg.alpha
+        if dcfg is None or best_before - tb.best < dcfg.rel_tol * max(1.0, abs(best_before)):
+            break
+        t = math.ceil(t * dcfg.effective_growth)
+        if dcfg.recalibrate_eps0:
+            eps0 = eps0 / cfg.alpha**stages + (cfg.target_eps or 0.0)
+    return w, tb.finish(w, obj)
+
+
+def rsg(
+    problem: ProblemInstance,
+    w0: Array,
+    cfg: RestartConfig,
+    stride: Optional[int] = None,
+) -> tuple[Array, SolveTrace]:
+    """Geometric-restart subgradient method.
+
+    Runs ``cfg.stages`` averaging stages of ``cfg.inner_iters`` steps each,
+    warm-starting every stage from the previous stage's average.  The step
+    starts at eta_scale * eps0 / (alpha * G**2) and shrinks by alpha per
+    stage, so the stage-k step is eps0 / (alpha**k G**2) at unit scale.
+    Raises ValueError for cfg.norm_p != 2 (use rsg_dap).
+    """
+    return _restarts(problem, w0, cfg, stride, dap=False)
 
 
 def rsg_dap(
@@ -490,20 +537,7 @@ def rsg_dap(
     inv_grad_norm weights and eps0 (p-1) / (alpha G**2) for unit weights,
     each decaying by alpha per stage.
     """
-    if problem.project is not None:
-        raise UnsupportedConstraintError(
-            "rsg_dap requires an unconstrained problem (project is None)"
-        )
-    space = PNormSpace(cfg.norm_p)
-    w = np.asarray(w0, dtype=float).copy()
-    tb = _TraceBuilder(problem, stride)
-    eta = _initial_eta(cfg, problem.lipschitz_bound)
-    obj = math.nan
-    for k in range(1, cfg.stages + 1):
-        w = _dap_stage(problem, w, eta, cfg.inner_iters, space, cfg.lambda_mode, tb, k)
-        obj = tb.stage_done(k, eta, w)
-        eta /= cfg.alpha
-    return w, tb.finish(w, obj)
+    return _restarts(problem, w0, cfg, stride, dap=True)
 
 
 def r2sg(
@@ -521,43 +555,7 @@ def r2sg(
     dcfg.effective_growth between calls.  Stage indices in the trace run
     consecutively across calls.
     """
-    if cfg.norm_p != 2.0 and problem.project is not None:
-        raise UnsupportedConstraintError(
-            "r2sg with norm_p != 2 requires an unconstrained problem"
-        )
-    space = PNormSpace(cfg.norm_p) if cfg.norm_p != 2.0 else None
-    w = problem.feasible(w0)
-    tb = _TraceBuilder(problem, stride)
-    # seed best-so-far with the start so call 1's plateau check compares
-    # against f(w0); the first logged record is this same point, so the
-    # best column of the trace is unaffected
-    tb.best = tb.checked_objective(w, "initial point")
-    spc = dcfg.stages_per_call
-    growth = dcfg.effective_growth
-    t_s = dcfg.t1
-    eps0_s = cfg.eps0
-    stage_base = 0
-    obj = math.nan
-    for s in range(1, dcfg.max_calls + 1):
-        best_before = tb.best
-        call_cfg = replace(cfg, eps0=eps0_s, stages=spc, inner_iters=t_s)
-        eta = _initial_eta(call_cfg, problem.lipschitz_bound)
-        for k in range(1, spc + 1):
-            stage = stage_base + k
-            if space is None:
-                w = _sg_stage(problem, w, eta, t_s, tb, stage)
-            else:
-                w = _dap_stage(problem, w, eta, t_s, space, cfg.lambda_mode, tb, stage)
-            obj = tb.stage_done(stage, eta, w)
-            eta /= cfg.alpha
-        stage_base += spc
-        improvement = best_before - tb.best
-        if improvement < dcfg.rel_tol * max(1.0, abs(best_before)):
-            break
-        t_s = math.ceil(t_s * growth)
-        if dcfg.recalibrate_eps0:
-            eps0_s = eps0_s / cfg.alpha**spc + (cfg.target_eps or 0.0)
-    return w, tb.finish(w, obj)
+    return _restarts(problem, w0, cfg, stride, dap=cfg.norm_p != 2.0, dcfg=dcfg)
 
 
 def baseline_sg_decreasing(

@@ -107,6 +107,123 @@ def test_runspec_r2sg_requires_t1_and_schedule():
         RunSpec.from_text(ok.replace("solver.stages = 3\n", ""))
 
 
+# Which keys validate() accepts per problem.kind and per solver.algo, and
+# the defaults echo() materializes per algo: pinned literally so a change to
+# the key table cannot move a run id or widen what a config may say.
+_KIND_ACCEPTS = {
+    "robust_regression": {
+        "problem.constrain_region", "problem.d", "problem.data_seed", "problem.dim",
+        "problem.kind", "problem.margin", "problem.n", "problem.noise", "problem.p_loss",
+        "problem.path", "problem.positive_class", "problem.region_radius",
+        "problem.scale_features", "problem.synth",
+    },
+    "pwl": {
+        "problem.d", "problem.data_seed", "problem.dim", "problem.eps_ins", "problem.kind",
+        "problem.lam", "problem.loss", "problem.margin", "problem.n", "problem.noise",
+        "problem.path", "problem.positive_class", "problem.radius", "problem.reg",
+        "problem.scale_features", "problem.synth",
+    },
+    "gflasso": {
+        "problem.corr_cutoff", "problem.d", "problem.data_seed", "problem.dim",
+        "problem.edges", "problem.kind", "problem.lam", "problem.margin", "problem.n",
+        "problem.noise", "problem.path", "problem.positive_class", "problem.scale_features",
+        "problem.synth",
+    },
+    "lovasz_cut": {"problem.dim", "problem.edges", "problem.kind"},
+}
+_EVERY_ALGO = {
+    "output.dir", "output.oracle_report", "output.stride", "output.timing",
+    "solver.algo", "solver.seed", "solver.w0",
+}
+_SCHEDULE = {
+    "solver.alpha", "solver.c_eb", "solver.eps0", "solver.eta_scale", "solver.stages",
+    "solver.t", "solver.target_eps", "solver.theta_eb",
+}
+_ALGO_ACCEPTS = {
+    "sg": _EVERY_ALGO | {"solver.T", "solver.eta"},
+    "baseline_sg": _EVERY_ALGO | {"solver.T", "solver.eta0"},
+    "rsg": _EVERY_ALGO | _SCHEDULE,
+    "rsg_dap": _EVERY_ALGO | _SCHEDULE | {"solver.lambda_mode", "solver.norm_p"},
+    "r2sg": _EVERY_ALGO
+    | _SCHEDULE
+    | {
+        "solver.growth", "solver.lambda_mode", "solver.max_calls", "solver.norm_p",
+        "solver.recalibrate_eps0", "solver.rel_tol", "solver.restart_every", "solver.t1",
+        "solver.theta",
+    },
+}
+_ECHOED_EVERYWHERE = {
+    "output.oracle_report": "false", "output.timing": "false", "solver.seed": "0",
+    "solver.w0": "zeros",
+}
+_ECHOED_SCHEDULE = {**_ECHOED_EVERYWHERE, "solver.alpha": "2.0", "solver.eta_scale": "1.0"}
+_ECHOED_PNORM = {**_ECHOED_SCHEDULE, "solver.lambda_mode": "unit", "solver.norm_p": "2.0"}
+_ECHOED_DEFAULTS = {
+    "sg": _ECHOED_EVERYWHERE,
+    "baseline_sg": _ECHOED_EVERYWHERE,
+    "rsg": _ECHOED_SCHEDULE,
+    "rsg_dap": _ECHOED_PNORM,
+    "r2sg": {
+        **_ECHOED_PNORM, "solver.max_calls": "1", "solver.recalibrate_eps0": "false",
+        "solver.rel_tol": "1e-10", "solver.theta": "0.0",
+    },
+}
+_MINIMAL_PROBLEM = {
+    "robust_regression": "problem.kind = robust_regression\nproblem.synth = regression\n"
+    "problem.n = 5\nproblem.d = 2\nproblem.p_loss = 1.5\n",
+    "pwl": "problem.kind = pwl\nproblem.synth = regression\nproblem.n = 5\nproblem.d = 2\n",
+    "gflasso": "problem.kind = gflasso\nproblem.synth = classification\nproblem.n = 5\n"
+    "problem.d = 2\nproblem.lam = 0.1\nproblem.corr_cutoff = 0.5\n",
+    "lovasz_cut": "problem.kind = lovasz_cut\nproblem.dim = 3\nproblem.edges = g.txt\n",
+}
+_MINIMAL_SOLVER = {
+    "sg": "solver.algo = sg\nsolver.eta = 0.1\nsolver.T = 5\n",
+    "baseline_sg": "solver.algo = baseline_sg\nsolver.eta0 = 0.1\nsolver.T = 5\n",
+    "rsg": "solver.algo = rsg\nsolver.stages = 2\nsolver.t = 5\n",
+    "rsg_dap": "solver.algo = rsg_dap\nsolver.stages = 2\nsolver.t = 5\n",
+    "r2sg": "solver.algo = r2sg\nsolver.t1 = 5\nsolver.stages = 2\n",
+}
+# a value of the right type for every key, valid wherever the key applies
+_SAMPLE_VALUE = {
+    "problem.synth": "regression", "problem.loss": "hinge", "problem.reg": "none",
+    "problem.path": "x", "problem.edges": "x", "problem.constrain_region": "true",
+    "problem.scale_features": "true", "problem.dim": "3", "problem.n": "3", "problem.d": "3",
+    "problem.data_seed": "3", "solver.lambda_mode": "unit", "solver.w0": "gaussian",
+    "solver.recalibrate_eps0": "true",
+    "solver.stages": "3", "solver.t": "3", "solver.T": "3", "solver.t1": "3",
+    "solver.max_calls": "3", "solver.restart_every": "3", "solver.seed": "3",
+    "output.dir": "x", "output.stride": "3", "output.timing": "true",
+    "output.oracle_report": "true",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MINIMAL_PROBLEM))
+@pytest.mark.parametrize("algo", sorted(_MINIMAL_SOLVER))
+def test_runspec_key_applicability_matrix(kind, algo):
+    base = _MINIMAL_PROBLEM[kind] + _MINIMAL_SOLVER[algo]
+    expected = _KIND_ACCEPTS[kind] | _ALGO_ACCEPTS[algo]
+    every_key = set().union(*_KIND_ACCEPTS.values(), *_ALGO_ACCEPTS.values())
+    for key in sorted(every_key):
+        if f"{key} =" in base:
+            assert key in expected
+            continue
+        text = base + f"{key} = {_SAMPLE_VALUE.get(key, '0.5')}\n"
+        if key in expected:
+            RunSpec.from_text(text)
+        else:
+            with pytest.raises(ConfigError, match="does not apply"):
+                RunSpec.from_text(text)
+    with pytest.raises(ConfigError, match="unknown key"):
+        RunSpec.from_text(base + "solver.norm_q = 2.0\n")
+
+
+@pytest.mark.parametrize("algo", sorted(_MINIMAL_SOLVER))
+def test_runspec_echo_materializes_exact_defaults(algo):
+    spec = RunSpec.from_text(_MINIMAL_PROBLEM["pwl"] + _MINIMAL_SOLVER[algo])
+    added = {k: v for k, v in spec.echo().items() if k not in spec.values}
+    assert added == _ECHOED_DEFAULTS[algo]
+
+
 # ---------------------------------------------------------------------------
 # run command
 
@@ -328,6 +445,59 @@ def test_cli_exit_2_on_unreachable_margin(tmp_path, capsys):
     assert "margin" in capsys.readouterr().err
 
 
+SG_BASE = BASE.replace("solver.algo = rsg", "solver.algo = sg").replace(
+    "solver.stages = 3\nsolver.t = 40\nsolver.eps0 = 1.0\n", "solver.eta = 0.1\nsolver.T = 5\n"
+)
+BASELINE_BASE = SG_BASE.replace("solver.algo = sg", "solver.algo = baseline_sg").replace(
+    "solver.eta = 0.1", "solver.eta0 = 0.1"
+)
+
+
+@pytest.mark.parametrize(
+    "text,flags,match",
+    [
+        (SG_BASE, ["--stride", "0"], "stride"),
+        (SG_BASE + "output.stride = 0\n", [], "stride"),
+        (BASE + "output.stride = 0\n", [], "stride"),
+        (SG_BASE.replace("solver.T = 5", "solver.T = 0"), [], "T must be"),
+        (SG_BASE.replace("solver.eta = 0.1", "solver.eta = -1"), [], "eta must be"),
+        (BASELINE_BASE.replace("solver.T = 5", "solver.T = -3"), [], "T must be"),
+        (BASELINE_BASE.replace("solver.eta0 = 0.1", "solver.eta0 = inf"), [], "eta0"),
+        (BASELINE_BASE.replace("solver.eta0 = 0.1", "solver.eta0 = 0"), [], "eta0"),
+        (SG_BASE + "solver.w0 = gaussian\n", ["--seed", "-1"], "non-negative"),
+    ],
+    ids=[
+        "stride-flag", "stride-key", "stride-key-rsg", "sg-T", "sg-eta", "baseline-T",
+        "baseline-eta0-inf", "baseline-eta0-zero", "gaussian-seed",
+    ],
+)
+def test_cli_exit_1_on_bad_numeric_input(tmp_path, capsys, text, flags, match):
+    cfg = write_config(tmp_path, text, name="numeric.cfg")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "n"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and match in err
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        "solver.algo = rsg_dap\nsolver.norm_p = 1.5\nsolver.stages = 2\nsolver.t = 5\n",
+        "solver.algo = rsg_dap\nsolver.stages = 2\nsolver.t = 5\n",
+        "solver.algo = r2sg\nsolver.norm_p = 1.5\nsolver.t1 = 5\nsolver.stages = 2\n",
+    ],
+    ids=["rsg_dap-p1.5", "rsg_dap-p2", "r2sg-p1.5"],
+)
+def test_cli_exit_1_on_pnorm_stages_with_a_constraint(tmp_path, capsys, solver):
+    text = (
+        "problem.kind = pwl\nproblem.synth = regression\nproblem.n = 10\nproblem.d = 3\n"
+        "problem.loss = absolute\nproblem.reg = l1_ball\n" + solver
+    )
+    cfg = write_config(tmp_path, text, name="ball.cfg")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "unconstrained" in err
+
+
 def test_cli_verify_prox_exits_zero(capsys):
     assert main(["verify", "prox"]) == 0
     assert "prox" in capsys.readouterr().out
@@ -408,33 +578,6 @@ def test_cli_compare_rejects_mismatched_problems(tmp_path, capsys):
     cfg_b = write_config(tmp_path, other, name="p2.cfg")
     assert main(["compare", "--config", cfg_a, "--config", cfg_b]) == 1
     assert "same problem" in capsys.readouterr().err
-
-
-def test_cli_compare_threads_match_serial(tmp_path, capsys):
-    cfg_a = write_config(tmp_path, BASE, name="ta.cfg")
-    cfg_b = write_config(tmp_path, SG_VARIANT, name="tb.cfg")
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["compare", "--config", cfg_a, "--config", cfg_b, "--out", str(serial)]) == 0
-    assert (
-        main(
-            [
-                "compare",
-                "--config",
-                cfg_a,
-                "--config",
-                cfg_b,
-                "--out",
-                str(parallel),
-                "--threads",
-                "2",
-            ]
-        )
-        == 0
-    )
-    s = [p for p in serial.glob("compare_*.csv")][0]
-    p = [p for p in parallel.glob("compare_*.csv")][0]
-    assert s.read_bytes() == p.read_bytes()
-    capsys.readouterr()
 
 
 def test_cli_compare_bad_thresholds(tmp_path, capsys):

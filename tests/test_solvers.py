@@ -174,6 +174,28 @@ def test_rsg_stage_recursion_on_abs():
         assert stage.objective <= 2.0**-k + 2.0**-6 + 1e-15
 
 
+def test_rsg_rejects_pnorm_geometry():
+    # rsg runs Euclidean stages only; a p-norm config belongs to rsg_dap
+    cfg = RestartConfig(alpha=2.0, stages=2, inner_iters=4, eps0=1.0, norm_p=1.5)
+    with pytest.raises(ValueError, match="rsg_dap"):
+        rsg(abs_1d(), np.array([1.0]), cfg)
+
+
+def test_pnorm_restarts_reject_constrained():
+    prob = ProblemInstance(
+        dim=1,
+        objective=lambda w: float(np.abs(w).sum()),
+        subgrad=lambda w: np.sign(w),
+        lipschitz_bound=1.0,
+        project=lambda w: np.clip(w, -1, 1),
+    )
+    cfg = RestartConfig(alpha=2.0, stages=2, inner_iters=4, eps0=1.0, norm_p=1.5)
+    with pytest.raises(UnsupportedConstraintError):
+        rsg_dap(prob, np.array([0.5]), cfg)
+    with pytest.raises(UnsupportedConstraintError):
+        r2sg(prob, np.array([0.5]), DoublingConfig(t1=4, stages=2), cfg)
+
+
 def test_restart_config_validation():
     with pytest.raises(ValueError):
         RestartConfig(alpha=1.0, stages=1, inner_iters=1, eps0=1.0)
