@@ -28,7 +28,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -96,59 +96,89 @@ _DATA_KINDS = ("robust_regression", "pwl", "gflasso")
 _SCHEDULED = ("rsg", "rsg_dap", "r2sg")
 _PNORM = ("rsg_dap", "r2sg")
 
-# key -> (python type, default, the problem kinds / solver algos it applies
-# to).  "str" values are validated further downstream.  output.* keys apply
-# everywhere; echo() materializes only solver.* and output.* defaults.
-_KEYS: dict[str, tuple[type, object, tuple[str, ...]]] = {
-    "problem.kind": (str, None, _KINDS),
-    "problem.path": (str, None, _DATA_KINDS),
-    "problem.dim": (int, None, _KINDS),
-    "problem.positive_class": (float, None, _DATA_KINDS),
-    "problem.scale_features": (bool, False, _DATA_KINDS),
-    "problem.synth": (str, None, _DATA_KINDS),
-    "problem.n": (int, None, _DATA_KINDS),
-    "problem.d": (int, None, _DATA_KINDS),
-    "problem.noise": (float, 0.0, _DATA_KINDS),
-    "problem.margin": (float, 1.0, _DATA_KINDS),
-    "problem.data_seed": (int, 0, _DATA_KINDS),
-    "problem.p_loss": (float, None, ("robust_regression",)),
-    "problem.region_radius": (float, None, ("robust_regression",)),
-    "problem.constrain_region": (bool, False, ("robust_regression",)),
-    "problem.loss": (str, "hinge", ("pwl",)),
-    "problem.reg": (str, "none", ("pwl",)),
+
+class _Key(NamedTuple):
+    """A config key: its python type, default, the problem kinds / solver
+    algos it applies to, and the interval a numeric value must lie in
+    ("(0, inf)" is > 0 and finite).  "str" values are validated further
+    downstream."""
+
+    type: type
+    default: object
+    applies: tuple[str, ...]
+    bounds: Optional[str] = None
+
+
+def _check_bounds(key: str, value) -> None:
+    """Raise ConfigError when value lies outside the key's interval (nan
+    lies outside every interval)."""
+    bounds = _KEYS[key].bounds
+    if bounds is None:
+        return
+    lo, hi = (float(x) for x in bounds[1:-1].split(","))
+    above = value >= lo if bounds[0] == "[" else value > lo
+    below = value <= hi if bounds[-1] == "]" else value < hi
+    if above and below:
+        return
+    if math.isinf(hi):
+        finite = "finite and " if isinstance(value, float) else ""
+        rel = ">=" if bounds[0] == "[" else ">"
+        raise ConfigError(f"{key} must be {finite}{rel} {lo:g}, got {value!r}")
+    raise ConfigError(f"{key} must lie in {bounds}, got {value!r}")
+
+
+# output.* keys apply everywhere; echo() materializes only solver.* and
+# output.* defaults.
+_KEYS: dict[str, _Key] = {
+    "problem.kind": _Key(str, None, _KINDS),
+    "problem.path": _Key(str, None, _DATA_KINDS),
+    "problem.dim": _Key(int, None, _KINDS, "[1, inf)"),
+    "problem.positive_class": _Key(float, None, _DATA_KINDS),
+    "problem.scale_features": _Key(bool, False, _DATA_KINDS),
+    "problem.synth": _Key(str, None, _DATA_KINDS),
+    "problem.n": _Key(int, None, _DATA_KINDS, "[1, inf)"),
+    "problem.d": _Key(int, None, _DATA_KINDS, "[1, inf)"),
+    "problem.noise": _Key(float, 0.0, _DATA_KINDS, "[0, inf)"),
+    "problem.margin": _Key(float, 1.0, _DATA_KINDS, "[0, inf)"),
+    "problem.data_seed": _Key(int, 0, _DATA_KINDS, "[0, inf)"),
+    "problem.p_loss": _Key(float, None, ("robust_regression",), "(1, 2)"),
+    "problem.region_radius": _Key(float, None, ("robust_regression",), "(0, inf)"),
+    "problem.constrain_region": _Key(bool, False, ("robust_regression",)),
+    "problem.loss": _Key(str, "hinge", ("pwl",)),
+    "problem.reg": _Key(str, "none", ("pwl",)),
     # no default: gflasso requires it, pwl falls back to 0.0
-    "problem.lam": (float, None, ("pwl", "gflasso")),
-    "problem.radius": (float, 1.0, ("pwl",)),
-    "problem.eps_ins": (float, 0.1, ("pwl",)),
-    "problem.edges": (str, None, ("gflasso", "lovasz_cut")),
-    "problem.corr_cutoff": (float, None, ("gflasso",)),
-    "solver.algo": (str, None, _ALGOS),
-    "solver.alpha": (float, 2.0, _SCHEDULED),
-    "solver.stages": (int, None, _SCHEDULED),
-    "solver.t": (int, None, _SCHEDULED),
-    "solver.eps0": (float, None, _SCHEDULED),
-    "solver.target_eps": (float, None, _SCHEDULED),
-    "solver.norm_p": (float, 2.0, _PNORM),
-    "solver.lambda_mode": (str, "unit", _PNORM),
-    "solver.eta_scale": (float, 1.0, _SCHEDULED),
-    "solver.eta": (float, None, ("sg",)),
-    "solver.T": (int, None, ("sg", "baseline_sg")),
-    "solver.eta0": (float, None, ("baseline_sg",)),
-    "solver.t1": (int, None, ("r2sg",)),
-    "solver.theta": (float, 0.0, ("r2sg",)),
-    "solver.growth": (float, None, ("r2sg",)),
-    "solver.max_calls": (int, 1, ("r2sg",)),
-    "solver.restart_every": (int, None, ("r2sg",)),
-    "solver.rel_tol": (float, 1e-10, ("r2sg",)),
-    "solver.recalibrate_eps0": (bool, False, ("r2sg",)),
-    "solver.theta_eb": (float, None, _SCHEDULED),
-    "solver.c_eb": (float, None, _SCHEDULED),
-    "solver.w0": (str, "zeros", _ALGOS),
-    "solver.seed": (int, 0, _ALGOS),
-    "output.dir": (str, ".", _ALGOS),
-    "output.stride": (int, None, _ALGOS),
-    "output.timing": (bool, False, _ALGOS),
-    "output.oracle_report": (bool, False, _ALGOS),
+    "problem.lam": _Key(float, None, ("pwl", "gflasso"), "[0, inf)"),
+    "problem.radius": _Key(float, 1.0, ("pwl",), "(0, inf)"),
+    "problem.eps_ins": _Key(float, 0.1, ("pwl",), "[0, inf)"),
+    "problem.edges": _Key(str, None, ("gflasso", "lovasz_cut")),
+    "problem.corr_cutoff": _Key(float, None, ("gflasso",), "(0, 1]"),
+    "solver.algo": _Key(str, None, _ALGOS),
+    "solver.alpha": _Key(float, 2.0, _SCHEDULED),
+    "solver.stages": _Key(int, None, _SCHEDULED),
+    "solver.t": _Key(int, None, _SCHEDULED),
+    "solver.eps0": _Key(float, None, _SCHEDULED),
+    "solver.target_eps": _Key(float, None, _SCHEDULED),
+    "solver.norm_p": _Key(float, 2.0, _PNORM),
+    "solver.lambda_mode": _Key(str, "unit", _PNORM),
+    "solver.eta_scale": _Key(float, 1.0, _SCHEDULED),
+    "solver.eta": _Key(float, None, ("sg",), "(0, inf)"),
+    "solver.T": _Key(int, None, ("sg", "baseline_sg"), "[1, inf)"),
+    "solver.eta0": _Key(float, None, ("baseline_sg",), "(0, inf)"),
+    "solver.t1": _Key(int, None, ("r2sg",)),
+    "solver.theta": _Key(float, 0.0, ("r2sg",)),
+    "solver.growth": _Key(float, None, ("r2sg",)),
+    "solver.max_calls": _Key(int, 1, ("r2sg",)),
+    "solver.restart_every": _Key(int, None, ("r2sg",)),
+    "solver.rel_tol": _Key(float, 1e-10, ("r2sg",)),
+    "solver.recalibrate_eps0": _Key(bool, False, ("r2sg",)),
+    "solver.theta_eb": _Key(float, None, _SCHEDULED),
+    "solver.c_eb": _Key(float, None, _SCHEDULED),
+    "solver.w0": _Key(str, "zeros", _ALGOS),
+    "solver.seed": _Key(int, 0, _ALGOS),
+    "output.dir": _Key(str, ".", _ALGOS),
+    "output.stride": _Key(int, None, _ALGOS, "[1, inf)"),
+    "output.timing": _Key(bool, False, _ALGOS),
+    "output.oracle_report": _Key(bool, False, _ALGOS),
 }
 
 
@@ -184,7 +214,7 @@ class RunSpec:
                 raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
-            typ = _KEYS[key][0]
+            typ = _KEYS[key].type
             try:
                 if typ is bool:
                     values[key] = _parse_bool(value)
@@ -223,7 +253,7 @@ class RunSpec:
         return spec
 
     def get(self, key: str, default=None):
-        val = self.values.get(key, _KEYS[key][1])
+        val = self.values.get(key, _KEYS[key].default)
         return default if val is None else val
 
     def require(self, key: str):
@@ -237,14 +267,16 @@ class RunSpec:
         if kind not in _KINDS:
             raise ConfigError(f"problem.kind must be one of {_KINDS}, got {kind!r}")
         for key in self.values:
-            if key.startswith("problem.") and kind not in _KEYS[key][2]:
+            if key.startswith("problem.") and kind not in _KEYS[key].applies:
                 raise ConfigError(f"key {key!r} does not apply to problem.kind={kind}")
         algo = self.require("solver.algo")
         if algo not in _ALGOS:
             raise ConfigError(f"solver.algo must be one of {_ALGOS}, got {algo!r}")
         for key in self.values:
-            if key.startswith("solver.") and algo not in _KEYS[key][2]:
+            if key.startswith("solver.") and algo not in _KEYS[key].applies:
                 raise ConfigError(f"key {key!r} does not apply to solver.algo={algo}")
+        for key, value in self.values.items():
+            _check_bounds(key, value)
         if self.get("solver.w0") not in ("zeros", "gaussian"):
             raise ConfigError(
                 f"solver.w0 must be 'zeros' or 'gaussian', got {self.get('solver.w0')!r}"
@@ -302,7 +334,7 @@ class RunSpec:
         yields the same run id and bitwise-identical artifacts."""
         algo = self.require("solver.algo")
         out = {k: _canon(v) for k, v in self.values.items()}
-        for key, (_, default, applies) in _KEYS.items():
+        for key, (_, default, applies, _) in _KEYS.items():
             if default is not None and not key.startswith("problem.") and algo in applies:
                 out.setdefault(key, _canon(default))
         out.pop("output.dir", None)
@@ -391,28 +423,22 @@ def _initial_point(spec: RunSpec, problem: ProblemInstance) -> np.ndarray:
     return problem.feasible(w0)
 
 
-def _execute(spec: RunSpec) -> tuple[SolveTrace, dict]:
-    """Build and run; returns the trace plus summary extras.  Divergence
-    propagates as DivergenceError (its trace is partial).  The solvers raise
-    ValueError only on their arguments, before the first step, so every
-    ValueError past the build (a step, budget, stride, seed or schedule out
-    of range, or p-norm stages on a constrained problem) is a ConfigError."""
-    problem = build_problem(spec)
+def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTrace], dict]:
+    """Everything a run does short of iterating: the start point, eps0, the
+    derived budgets and the solver configs.  Returns the solve as a closure
+    plus the summary extras.  A bad value raises ConfigError here, before
+    any artifact exists."""
     algo = spec.require("solver.algo")
     stride = spec.get("output.stride")
     extras: dict[str, object] = {"problem_name": problem.name, "dim": problem.dim}
     try:
         w0 = _initial_point(spec, problem)
         if algo == "sg":
-            _, trace = sg_run(
-                problem, w0, spec.require("solver.eta"), spec.require("solver.T"), stride
-            )
-            return trace, extras
+            eta, T = spec.require("solver.eta"), spec.require("solver.T")
+            return (lambda: sg_run(problem, w0, eta, T, stride)[1]), extras
         if algo == "baseline_sg":
-            trace = baseline_sg_decreasing(
-                problem, w0, spec.require("solver.eta0"), spec.require("solver.T"), stride
-            )
-            return trace, extras
+            eta0, T = spec.require("solver.eta0"), spec.require("solver.T")
+            return (lambda: baseline_sg_decreasing(problem, w0, eta0, T, stride)), extras
         alpha = float(spec.get("solver.alpha"))
         eps0 = spec.get("solver.eps0")
         if eps0 is None:
@@ -438,12 +464,15 @@ def _execute(spec: RunSpec) -> tuple[SolveTrace, dict]:
             lambda_mode=spec.get("solver.lambda_mode"),
             eta_scale=float(spec.get("solver.eta_scale")),
         )
+        dap = algo == "rsg_dap" or (algo == "r2sg" and cfg.norm_p != 2.0)
+        if dap and problem.project is not None:
+            raise ConfigError(
+                "p-norm dual-averaging stages require an unconstrained problem (project is None)"
+            )
         if algo == "rsg":
-            _, trace = rsg(problem, w0, cfg, stride)
-            return trace, extras
+            return (lambda: rsg(problem, w0, cfg, stride)[1]), extras
         if algo == "rsg_dap":
-            _, trace = rsg_dap(problem, w0, cfg, stride)
-            return trace, extras
+            return (lambda: rsg_dap(problem, w0, cfg, stride)[1]), extras
         dcfg = DoublingConfig(
             t1=spec.require("solver.t1"),
             stages=int(spec.get("solver.stages") or spec.get("solver.restart_every")),
@@ -454,8 +483,7 @@ def _execute(spec: RunSpec) -> tuple[SolveTrace, dict]:
             rel_tol=float(spec.get("solver.rel_tol")),
             recalibrate_eps0=bool(spec.get("solver.recalibrate_eps0")),
         )
-        _, trace = r2sg(problem, w0, dcfg, cfg, stride)
-        return trace, extras
+        return (lambda: r2sg(problem, w0, dcfg, cfg, stride)[1]), extras
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -511,19 +539,36 @@ def cmd_run(spec: RunSpec, out_dir: Optional[str] = None) -> tuple[int, dict]:
     raise ConfigError / DataError instead (the caller maps them to exit
     codes 1 / 2 before any artifact exists).
     """
+    problem = build_problem(spec)
+    solve, extras = _plan(spec, problem)
     out = Path(out_dir if out_dir is not None else spec.get("output.dir"))
+    return _write_run(spec, problem, solve, extras, out)
+
+
+def _write_run(
+    spec: RunSpec,
+    problem: ProblemInstance,
+    solve: Callable[[], SolveTrace],
+    extras: dict,
+    out: Path,
+) -> tuple[int, dict]:
+    """Run a planned solve and write its artifacts into out."""
     out.mkdir(parents=True, exist_ok=True)
     run_id = spec.run_id
     algo = spec.require("solver.algo")
     code = 0
     error: Optional[str] = None
     try:
-        trace, extras = _execute(spec)
+        trace = solve()
     except DivergenceError as exc:
         trace = exc.trace
         extras = {}
         code = 3
         error = str(exc)
+    except ValueError as exc:
+        # the solvers raise ValueError only on their arguments, before the
+        # first step: one the plan let through is still a config mistake
+        raise ConfigError(str(exc)) from exc
     csv_path = out / f"{run_id}.csv"
     _atomic_write(csv_path, _trace_csv_text(run_id, algo, trace, bool(spec.get("output.timing"))))
     summary = {
@@ -547,7 +592,6 @@ def cmd_run(spec: RunSpec, out_dir: Optional[str] = None) -> tuple[int, dict]:
         **extras,
     }
     if code == 0 and spec.get("output.oracle_report") and trace.final_point is not None:
-        problem = build_problem(spec)
         report = long_run_min(problem, trace.final_point, total_iters=20_000, stages=20)
         summary["oracle"] = report.to_dict()
     json_path = out / f"{run_id}.json"
@@ -565,7 +609,9 @@ def cmd_compare(
 ) -> tuple[int, dict]:
     """Run several solver configs on one problem and merge the traces.
 
-    All specs must share an identical problem block.  Member runs write
+    All specs must share an identical problem block.  Every member is
+    planned (problem built, solver config checked) before the first one
+    runs, so a config or data error leaves no artifact.  Member runs write
     their usual artifacts (atomically); the merge
     aligns records by cumulative iteration, adds per-run objective and
     best-so-far columns, and tabulates iterations-to-threshold on the
@@ -578,10 +624,19 @@ def cmd_compare(
         block = {k: v for k, v in spec.echo().items() if k.startswith("problem.")}
         if block != base:
             raise ConfigError("cmd_compare: all configs must share the same problem block")
+    # plan every member before the first run writes: the problem block is
+    # shared, so it is built once per solver.norm_p (which sets the dual
+    # norm of its declared bound)
+    problems: dict[float, ProblemInstance] = {}
+    planned = []
+    for spec in specs:
+        norm_p = float(spec.get("solver.norm_p"))
+        if norm_p not in problems:
+            problems[norm_p] = build_problem(spec)
+        planned.append((spec, problems[norm_p], *_plan(spec, problems[norm_p])))
     ids = [s.run_id for s in specs]
     out = Path(out_dir if out_dir is not None else specs[0].get("output.dir"))
-    out.mkdir(parents=True, exist_ok=True)
-    results = [cmd_run(spec, str(out)) for spec in specs]
+    results = [_write_run(*member, out) for member in planned]
     code = max(r[0] for r in results)
     traces = [r[1]["trace"] for r in results]
     algos = [s.require("solver.algo") for s in specs]

@@ -178,6 +178,13 @@ class ProblemInstance:
     is always sound); eb_theta records the declared error-bound exponent
     when the problem class has one.  :meth:`values` evaluates the
     objective at many points at once.
+
+    subgrad may carry ``with_value``, a fused form returning
+    ``(objective(w), subgrad(w))`` from one pass (the linear-model builders
+    attach one, bitwise equal to the two calls).  The solvers use it on
+    logged iterations only while ``with_value.objective is objective``;
+    after ``dataclasses.replace`` swaps either callable they fall back to
+    separate calls.
     """
 
     dim: int

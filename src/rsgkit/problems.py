@@ -268,12 +268,17 @@ def _linear_model(
     :func:`_laid_out` X.  l1: lam * sum|w|, sign(0) = 0; linf: lam * max|w|
     on the largest-magnitude coordinate (lowest index wins ties, 0 at w = 0);
     fused: lam * sum|F w|, F laid out like X; any other reg adds nothing.
-    The objective carries a batch form with one product X W^T per block."""
+    The objective carries a batch form with one product X W^T per block.
+    The subgrad carries ``with_value``, the pair (objective(w), subgrad(w))
+    from one product X w (and one F w), bitwise equal to the two separate
+    calls; ``with_value.objective`` names the objective it matches, so a
+    solver can tell when a replaced objective has made it stale."""
     value, slope = _LOSS_FNS[loss]
     A, AT = layout
     n = y.shape[0]
     margin = loss == "hinge"
     pen = pen_sub = pen_rows = None
+    pen_both = lambda w: (pen(w), pen_sub(w))  # noqa: E731
     if reg == "l1":
         pen, pen_sub = (lambda w: lam * float(np.sum(np.abs(w)))), (lambda w: lam * np.sign(w))
         pen_rows = lambda W: lam * np.abs(W).sum(axis=1)  # noqa: E731
@@ -292,6 +297,10 @@ def _linear_model(
         pen = lambda w: lam * float(np.sum(np.abs(Fa.dot(w))))  # noqa: E731
         pen_sub = lambda w: lam * FT.dot(np.sign(Fa.dot(w)))  # noqa: E731
         pen_rows = lambda W: lam * np.abs(Fa.dot(W.T)).sum(axis=0)  # noqa: E731
+
+        def pen_both(w: Array) -> tuple:
+            u = Fa.dot(w)
+            return lam * float(np.sum(np.abs(u))), lam * FT.dot(np.sign(u))
 
     def objective(w: Array) -> float:
         z = A.dot(w)
@@ -317,7 +326,20 @@ def _linear_model(
         g = AT.dot(y * s if margin else s) / n
         return g if pen is None else g + pen_sub(w)
 
-    return _batched(objective, batch), subgrad
+    def with_value(w: Array) -> tuple:
+        z = A.dot(w)
+        t = y * z if margin else z - y
+        f = float(value(t, a).sum()) / n
+        s = slope(t, a)
+        g = AT.dot(y * s if margin else s) / n
+        if pen is None:
+            return f, g
+        pf, pg = pen_both(w)
+        return f + pf, g + pg
+
+    with_value.objective = objective = _batched(objective, batch)
+    subgrad.with_value = with_value
+    return objective, subgrad
 
 
 def robust_regression(

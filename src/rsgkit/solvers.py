@@ -263,6 +263,12 @@ class _TraceBuilder:
             raise ValueError(f"stride must be >= 1, got {stride}")
         self.problem = problem
         self.stride = stride
+        # the fused (f, g) form, only while problem.objective is the callable
+        # it was built with: a replaced objective or subgrad drops it
+        fused = getattr(problem.subgrad, "with_value", None)
+        if getattr(fused, "objective", None) is not problem.objective:
+            fused = None
+        self._fused = fused
         self.trace = SolveTrace()
         self.cum = 0
         self.best = math.inf
@@ -272,10 +278,22 @@ class _TraceBuilder:
         return self.stride if self.stride is not None else max(1, T // 1000)
 
     def checked_objective(self, w: Array, where: str) -> float:
-        val = float(self.problem.objective(w))
+        return self._finite(float(self.problem.objective(w)), where)
+
+    def _finite(self, val: float, where: str) -> float:
         if not math.isfinite(val):
             raise self.diverged(f"non-finite objective ({val}) at {where}")
         return val
+
+    def logged_subgrad(self, w: Array, stage: int, it: int, eta: float, where: str) -> Array:
+        """Subgradient at w on a logged iteration: logs the checked objective
+        at w first, from the same oracle pass when the fused form applies."""
+        if self._fused is None:
+            self.log(stage, it, self.checked_objective(w, where), eta)
+            return self.problem.subgrad(w)
+        val, g = self._fused(w)
+        self.log(stage, it, self._finite(val, where), eta)
+        return g
 
     def diverged(self, message: str) -> DivergenceError:
         self._close_partial()
@@ -328,9 +346,9 @@ def _sg_stage(
             acc += w
             tb.cum += 1
             if t == 1 or t == T or t % stride == 0:
-                obj = tb.checked_objective(w, f"stage {stage} iter {t}")
-                tb.log(stage, t, obj, eta)
-            g = subgrad(w)
+                g = tb.logged_subgrad(w, stage, t, eta, f"stage {stage} iter {t}")
+            else:
+                g = subgrad(w)
             w = w - eta * g
             if project is not None:
                 w = project(w)
@@ -388,9 +406,9 @@ def _dap_stage(
         for t in range(1, T + 1):
             tb.cum += 1
             if t == 1 or t == T or t % stride == 0:
-                obj = tb.checked_objective(w, f"stage {stage} iter {t}")
-                tb.log(stage, t, obj, eta)
-            g = subgrad(w)
+                g = tb.logged_subgrad(w, stage, t, eta, f"stage {stage} iter {t}")
+            else:
+                g = subgrad(w)
             # pnorm raises ValueError when an entry is non-finite, found by a
             # scalar test on the norm it computes: a blown-up subgradient or
             # step ends the run as a divergence with its partial trace
@@ -584,9 +602,10 @@ def baseline_sg_decreasing(
             eta = eta0 / math.sqrt(tau)
             tb.cum += 1
             if tau == 1 or tau == T or tau % stride_v == 0:
-                obj = tb.checked_objective(w, f"iter {tau}")
-                tb.log(1, tau, obj, eta)
-            w = w - eta * subgrad(w)
+                g = tb.logged_subgrad(w, 1, tau, eta, f"iter {tau}")
+            else:
+                g = subgrad(w)
+            w = w - eta * g
             if project is not None:
                 w = project(w)
     obj = tb.checked_objective(w, "final point")

@@ -598,3 +598,174 @@ def test_cmd_run_returns_trace_artifacts(tmp_path):
     assert artifacts["csv"].exists() and artifacts["summary"].exists()
     assert artifacts["trace"].total_iters == 120
     assert np.isfinite(artifacts["trace"].final_objective)
+
+
+# ---------------------------------------------------------------------------
+# config mistakes are caught before any data is read or artifact written
+
+
+RR_FILE = """\
+problem.kind = robust_regression
+problem.path = {path}
+problem.p_loss = 1.5
+solver.algo = sg
+solver.eta = 0.1
+solver.T = 5
+"""
+PWL_FILE = """\
+problem.kind = pwl
+problem.path = {path}
+problem.loss = absolute
+solver.algo = sg
+solver.eta = 0.1
+solver.T = 5
+"""
+GFL_FILE = """\
+problem.kind = gflasso
+problem.path = {path}
+problem.lam = 0.1
+problem.corr_cutoff = 0.5
+solver.algo = sg
+solver.eta = 0.1
+solver.T = 5
+"""
+
+SYNTH_BASE = PWL_FILE.replace(
+    "problem.path = {path}", "problem.synth = regression\nproblem.n = 5\nproblem.d = 2"
+)
+
+
+@pytest.mark.parametrize(
+    "text,line,match",
+    [
+        (RR_FILE, "problem.p_loss = 3", "problem.p_loss must lie in (1, 2), got 3.0"),
+        (RR_FILE, "problem.p_loss = 1", "problem.p_loss must lie in (1, 2)"),
+        (RR_FILE, "problem.p_loss = nan", "problem.p_loss must lie in (1, 2), got nan"),
+        (RR_FILE, "problem.region_radius = 0", "problem.region_radius must be finite and > 0"),
+        (RR_FILE, "problem.region_radius = inf", "region_radius must be finite and > 0"),
+        (PWL_FILE + "problem.reg = l1_ball\n", "problem.radius = -1", "radius must be"),
+        (PWL_FILE + "problem.reg = l1\n", "problem.lam = -0.5", "problem.lam must be"),
+        (PWL_FILE, "problem.eps_ins = -0.1", "problem.eps_ins must be finite and >= 0"),
+        (GFL_FILE, "problem.corr_cutoff = 0", "problem.corr_cutoff must lie in (0, 1]"),
+        (GFL_FILE, "problem.corr_cutoff = 1.5", "problem.corr_cutoff must lie in (0, 1]"),
+        (GFL_FILE, "problem.lam = -1", "problem.lam must be finite and >= 0"),
+        (SYNTH_BASE, "problem.n = 0", "problem.n must be >= 1, got 0"),
+        (SYNTH_BASE, "problem.d = 0", "problem.d must be >= 1, got 0"),
+        (SYNTH_BASE, "problem.noise = -1", "problem.noise must be finite and >= 0"),
+        (SYNTH_BASE.replace("regression", "classification").replace("absolute", "hinge"),
+         "problem.margin = -0.5", "problem.margin must be finite and >= 0"),
+        (SYNTH_BASE, "problem.data_seed = -1", "problem.data_seed must be >= 0"),
+    ],
+    ids=[
+        "p_loss-3", "p_loss-1", "p_loss-nan", "region_radius-0", "region_radius-inf",
+        "radius-neg", "lam-neg", "eps_ins-neg", "corr_cutoff-0", "corr_cutoff-1.5",
+        "gflasso-lam-neg", "n-0", "d-0", "noise-neg", "margin-neg", "data_seed-neg",
+    ],
+)
+def test_cli_out_of_range_problem_values_exit_1_before_reading_data(
+    tmp_path, capsys, text, line, match
+):
+    # a value checked only when the data is read (the file does not exist)
+    # or generated would exit 2 as a data error
+    key = line.split(" = ")[0]
+    lines = [ln for ln in text.splitlines() if not ln.startswith(key + " ")]
+    cfg = write_config(tmp_path, "\n".join(lines + [line]).format(path=tmp_path / "none.svm"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and match in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_range_bounds_accept_their_closed_ends(tmp_path):
+    synth = "problem.synth = regression\nproblem.n = 20\nproblem.d = 3\n"
+    text = PWL_FILE.replace("problem.path = {path}\n", synth)
+    spec = RunSpec.from_text(text + "problem.eps_ins = 0\nproblem.reg = l1\nproblem.lam = 0\n")
+    assert cmd_run(spec, str(tmp_path / "ok"))[0] == 0
+    RunSpec.from_text(GFL_FILE.format(path="x.svm").replace("= 0.5", "= 1"))
+
+
+def member_outputs(out):
+    return sorted(p.name for p in out.iterdir()) if out.exists() else []
+
+
+@pytest.mark.parametrize(
+    "first,second,match",
+    [
+        (BASE, SG_VARIANT.replace("solver.T = 100", "solver.T = 0"), "T must be"),
+        # eps0 defaults to f(w0) = 1 at the zero start, below the target
+        (BASE, BASE.replace("solver.stages = 3\nsolver.t = 40\nsolver.eps0 = 1.0\n",
+                            "solver.t = 40\nsolver.target_eps = 2.0\n"), "exceeds eps0"),
+    ],
+    ids=["sg-T0", "target-above-eps0"],
+)
+def test_cli_compare_checks_every_member_before_the_first_run(
+    tmp_path, capsys, first, second, match
+):
+    cfg_a = write_config(tmp_path, first, name="a.cfg")
+    cfg_b = write_config(tmp_path, second, name="b.cfg")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg_a, "--config", cfg_b, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and match in err
+    assert member_outputs(out) == []
+
+
+def test_cli_compare_rejects_pnorm_stages_on_a_constrained_member(tmp_path, capsys):
+    ball = (
+        "problem.kind = pwl\nproblem.synth = regression\nproblem.n = 10\nproblem.d = 3\n"
+        "problem.loss = absolute\nproblem.reg = l1_ball\n"
+    )
+    cfg_a = write_config(
+        tmp_path, ball + "solver.algo = rsg\nsolver.stages = 2\nsolver.t = 5\n", name="a.cfg"
+    )
+    cfg_b = write_config(
+        tmp_path, ball + "solver.algo = rsg_dap\nsolver.norm_p = 1.5\nsolver.stages = 2\n"
+        "solver.t = 5\n", name="b.cfg"
+    )
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg_a, "--config", cfg_b, "--out", str(out)]) == 1
+    assert "unconstrained" in capsys.readouterr().err
+    assert member_outputs(out) == []
+
+
+def counting_build(monkeypatch):
+    import rsgkit.cli as cli
+
+    built = []
+    real = cli.build_problem
+
+    def build(spec):
+        built.append(spec.run_id)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "build_problem", build)
+    return built
+
+
+def test_cli_compare_builds_the_shared_problem_once_per_norm(tmp_path, monkeypatch, capsys):
+    built = counting_build(monkeypatch)
+    dap = BASE.replace("solver.algo = rsg", "solver.algo = rsg_dap")
+    specs = [RunSpec.from_text(t) for t in (BASE, SG_VARIANT, dap)]
+    code, res = cmd_compare(specs, str(tmp_path / "one"))
+    assert code == 0 and len(built) == 1
+    pdap = RunSpec.from_text(dap + "solver.norm_p = 1.5\n")
+    built.clear()
+    code, res = cmd_compare(specs + [pdap], str(tmp_path / "two"))
+    assert code == 0 and len(built) == 2
+    # members sharing a problem write what their own runs write
+    alone, _ = cmd_run(specs[1], str(tmp_path / "alone"))
+    rid = specs[1].run_id
+    assert (tmp_path / "alone" / f"{rid}.csv").read_bytes() == (
+        tmp_path / "two" / f"{rid}.csv"
+    ).read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_oracle_report_reuses_the_built_problem(tmp_path, monkeypatch):
+    built = counting_build(monkeypatch)
+    spec = RunSpec.from_text(BASE + "output.oracle_report = true\n")
+    code, artifacts = cmd_run(spec, str(tmp_path / "orc"))
+    assert code == 0 and len(built) == 1
+    summary = json.loads(artifacts["summary"].read_text())
+    assert summary["oracle"]["fstar"] <= summary["best_objective"] + 1e-9

@@ -535,6 +535,39 @@ def test_values_calls_a_swapped_objective_once_per_row():
         wrong.values(W)
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(VALUE_FAMILIES))
+def test_fused_form_is_bitwise_the_separate_calls_in_both_layouts(monkeypatch, family):
+    rng = np.random.default_rng(33)
+    X = rng.normal(size=(40, 5)) * (rng.random((40, 5)) < 0.6)
+    data = Dataset(sp.csr_matrix(X), np.where(rng.random(40) < 0.5, -1.0, 1.0))
+    # random points plus w = 0, where every margin and weight sits on a kink
+    points = [rng.normal(size=5) for _ in range(20)] + [np.zeros(5)]
+    for threshold in (0.0, math.inf):
+        monkeypatch.setattr(problems, "_DENSE_MIN_DENSITY", threshold)
+        inst = VALUE_FAMILIES[family](data)
+        fused = inst.subgrad.with_value
+        assert fused.objective is inst.objective
+        for w in points:
+            f, g = fused(w)
+            assert type(f) is float and bits(f) == bits(inst.objective(w))
+            assert g.shape == (5,) and bits(g) == bits(inst.subgrad(w))
+    monkeypatch.undo()
+
+
+def test_fused_form_only_on_linear_models():
+    for name, inst in miniature_zoo().items():
+        fused = getattr(inst.subgrad, "with_value", None)
+        if name in ("square_1d", "l1_2d", "lovasz_path4"):
+            assert fused is None, name
+        else:
+            # replace() keeps both callables, so the guard still holds
+            assert fused.objective is inst.objective, name
+
+
 def test_layout_follows_density_crossover():
     rng = np.random.default_rng(4)
     sparse_X = sp.random(400, 60, density=0.02, format="csr", random_state=rng)

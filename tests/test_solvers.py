@@ -1,10 +1,19 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rsgkit.core import ErrorBoundParams, PNormSpace, ProblemInstance, pnorm
-from rsgkit.problems import miniature_zoo
+from rsgkit.data import synth_classification, synth_regression
+from rsgkit.problems import (
+    GFlassoGraph,
+    gflasso_svm,
+    miniature_zoo,
+    piecewise_linear_erm,
+    robust_regression,
+)
 from rsgkit.solvers import (
     DivergenceError,
     DoublingConfig,
@@ -487,3 +496,167 @@ def test_rsg_from_an_optimal_start_with_default_eps0():
     assert zoo_abs.default_eps0([0.0]) == 1e-12  # the gap is 0; eps0 must stay > 0
     w, trace = rsg(zoo_abs, [0.0], RestartConfig(eps0=zoo_abs.default_eps0([0.0])))
     assert w[0] == 0.0 and trace.final_objective == 0.0
+
+
+# ---------------------------------------------------------------- fused (f, g) oracle pass
+
+
+def linear_models():
+    """Small linear-model instances, one per kernel branch: power loss,
+    hinge with a fused penalty and with an l1 ball, absolute with l1 and
+    eps-insensitive with linf."""
+    reg = synth_regression(30, 4, noise=0.3, seed=2)
+    cls = synth_classification(30, 4, margin=0.3, seed=3)
+    graph = GFlassoGraph(4, ((0, 1, 1.0), (1, 2, 0.5), (0, 3, 2.0)))
+    return {
+        "robust": robust_regression(reg, p_loss=1.5),
+        "gflasso": gflasso_svm(cls, graph, lam=0.1),
+        "hinge_l1ball": piecewise_linear_erm(cls, loss="hinge", reg="l1_ball", radius=0.6),
+        "absolute_l1": piecewise_linear_erm(reg, loss="absolute", reg="l1", lam=0.05),
+        "eps_linf": piecewise_linear_erm(
+            reg, loss="eps_insensitive", reg="linf", lam=0.1, eps_ins=0.2
+        ),
+    }
+
+
+def unfused(problem):
+    """The same oracles behind a subgrad that carries no fused form."""
+    return replace(problem, subgrad=lambda w, g=problem.subgrad: g(w))
+
+
+def counted(problem):
+    """problem with counting oracles whose fused form still matches the
+    (counting) objective, so the solvers keep the one-pass path."""
+    calls = Counter()
+    f0, g0 = problem.objective, problem.subgrad
+    fg0 = g0.with_value
+
+    def objective(w):
+        calls["objective"] += 1
+        return f0(w)
+
+    def subgrad(w):
+        calls["subgrad"] += 1
+        return g0(w)
+
+    def with_value(w):
+        calls["with_value"] += 1
+        return fg0(w)
+
+    with_value.objective = objective
+    subgrad.with_value = with_value
+    return replace(problem, objective=objective, subgrad=subgrad), calls
+
+
+def same_trace(a, b):
+    """Every field of two traces bitwise equal, the timing fields aside."""
+    strip = lambda rs: [r._replace(wallclock_ns=0) for r in rs]  # noqa: E731
+    assert strip(a.records) == strip(b.records)
+    assert a.stage_results == b.stage_results
+    assert a.total_iters == b.total_iters
+    assert np.float64(a.final_objective).tobytes() == np.float64(b.final_objective).tobytes()
+    if a.final_point is None:
+        assert b.final_point is None
+    else:
+        assert a.final_point.tobytes() == b.final_point.tobytes()
+
+
+def solver_runs(problem, w0, stride):
+    """One run of each solver on problem, as (name, thunk returning a trace)."""
+    eps0 = problem.default_eps0(w0)
+    cfg = RestartConfig(alpha=2.0, stages=3, inner_iters=40, eps0=eps0)
+    runs = [
+        ("sg_run", lambda: sg_run(problem, w0, 0.05, 60, stride)[1]),
+        ("rsg", lambda: rsg(problem, w0, cfg, stride)[1]),
+        ("baseline", lambda: baseline_sg_decreasing(problem, w0, 0.1, 60, stride)),
+        (
+            "r2sg",
+            lambda: r2sg(problem, w0, DoublingConfig(t1=10, stages=2, max_calls=3), cfg, stride)[1],
+        ),
+    ]
+    if problem.project is None:
+        dcfg = RestartConfig(
+            alpha=2.0, stages=3, inner_iters=40, eps0=eps0, norm_p=1.5,
+            lambda_mode="inv_grad_norm",
+        )
+        space = PNormSpace(1.5)
+        runs += [
+            ("dap_run", lambda: dap_run(problem, w0, 0.05, 60, space, "unit", stride)[1]),
+            ("rsg_dap", lambda: rsg_dap(problem, w0, dcfg, stride)[1]),
+            (
+                "r2sg_dap",
+                lambda: r2sg(
+                    problem, w0, DoublingConfig(t1=10, stages=2, max_calls=3), dcfg, stride
+                )[1],
+            ),
+        ]
+    return runs
+
+
+@pytest.mark.parametrize("stride", [1, None, 7])
+@pytest.mark.parametrize("family", sorted(linear_models()))
+def test_fused_and_unfused_traces_are_bitwise_identical(family, stride):
+    problem = linear_models()[family]
+    assert problem.subgrad.with_value.objective is problem.objective
+    w0 = problem.feasible(0.5 * np.random.default_rng(4).standard_normal(problem.dim))
+    plain = unfused(problem)
+    for (name, fused_run), (_, plain_run) in zip(
+        solver_runs(problem, w0, stride), solver_runs(plain, w0, stride)
+    ):
+        same_trace(fused_run(), plain_run())
+
+
+def test_stride_one_rsg_calls_objective_only_for_stage_averages():
+    problem, calls = counted(linear_models()["absolute_l1"])
+    cfg = RestartConfig(alpha=2.0, stages=3, inner_iters=50, eps0=1.0)
+    rsg(problem, np.zeros(problem.dim), cfg, stride=1)
+    assert calls == {"with_value": 150, "objective": 3}
+
+
+def test_replaced_objective_or_subgrad_falls_back_to_separate_calls():
+    base, calls = counted(linear_models()["gflasso"])
+    cfg = RestartConfig(alpha=2.0, stages=2, inner_iters=30, eps0=1.0)
+    w0 = np.zeros(base.dim)
+    _, ref = rsg(base, w0, cfg, stride=1)
+
+    # a replaced objective leaves the fused form stale: it must not be used
+    seen = []
+    stale = replace(base, objective=lambda w: seen.append(1) or base.objective(w))
+    calls.clear()
+    _, tr = rsg(stale, w0, cfg, stride=1)
+    assert calls == {"subgrad": 60, "objective": 62} and len(seen) == 62
+    same_trace(tr, ref)
+
+    # a replaced subgrad carries no fused form
+    calls.clear()
+    _, tr = rsg(unfused(base), w0, cfg, stride=1)
+    assert calls == {"subgrad": 60, "objective": 62}
+    same_trace(tr, ref)
+
+
+def diverging_runs(problem, w0):
+    """Runs that blow up on a power loss: a huge step in every stage type."""
+    cfg = RestartConfig(alpha=2.0, stages=3, inner_iters=20, eps0=1e300, eta_scale=1e300)
+    dcfg = replace(cfg, norm_p=1.5)
+    return [
+        ("sg_run", lambda: sg_run(problem, w0, 1e200, 50, 1)),
+        ("rsg", lambda: rsg(problem, w0, cfg, 1)),
+        ("baseline", lambda: baseline_sg_decreasing(problem, w0, 1e200, 50, 1)),
+        ("rsg_dap", lambda: rsg_dap(problem, w0, dcfg, 1)),
+        ("r2sg", lambda: r2sg(problem, w0, DoublingConfig(t1=5, max_calls=3), cfg, 1)),
+    ]
+
+
+def test_fused_divergence_raises_with_the_same_partial_trace():
+    problem = robust_regression(synth_regression(5, 2, noise=0.0, seed=0), p_loss=1.5)
+    w0 = np.zeros(2)
+    for (name, fused_run), (_, plain_run) in zip(
+        diverging_runs(problem, w0), diverging_runs(unfused(problem), w0)
+    ):
+        with pytest.raises(DivergenceError) as fused_exc:
+            fused_run()
+        with pytest.raises(DivergenceError) as plain_exc:
+            plain_run()
+        assert str(fused_exc.value) == str(plain_exc.value), name
+        assert fused_exc.value.trace.records, name
+        same_trace(fused_exc.value.trace, plain_exc.value.trace)
