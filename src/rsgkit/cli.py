@@ -44,6 +44,8 @@ from .data import (
 )
 from .oracles import long_run_min
 from .problems import (
+    _LOSSES,
+    _REGS,
     Dataset,
     cut_function,
     gflasso_svm,
@@ -153,20 +155,20 @@ _KEYS: dict[str, _Key] = {
     "problem.edges": _Key(str, None, ("gflasso", "lovasz_cut")),
     "problem.corr_cutoff": _Key(float, None, ("gflasso",), "(0, 1]"),
     "solver.algo": _Key(str, None, _ALGOS),
-    "solver.alpha": _Key(float, 2.0, _SCHEDULED),
+    "solver.alpha": _Key(float, 2.0, _SCHEDULED, "(1, inf)"),
     "solver.stages": _Key(int, None, _SCHEDULED),
     "solver.t": _Key(int, None, _SCHEDULED),
     "solver.eps0": _Key(float, None, _SCHEDULED),
     "solver.target_eps": _Key(float, None, _SCHEDULED),
     "solver.norm_p": _Key(float, 2.0, _PNORM),
     "solver.lambda_mode": _Key(str, "unit", _PNORM),
-    "solver.eta_scale": _Key(float, 1.0, _SCHEDULED),
+    "solver.eta_scale": _Key(float, 1.0, _SCHEDULED, "(0, inf)"),
     "solver.eta": _Key(float, None, ("sg",), "(0, inf)"),
     "solver.T": _Key(int, None, ("sg", "baseline_sg"), "[1, inf)"),
     "solver.eta0": _Key(float, None, ("baseline_sg",), "(0, inf)"),
     "solver.t1": _Key(int, None, ("r2sg",)),
     "solver.theta": _Key(float, 0.0, ("r2sg",)),
-    "solver.growth": _Key(float, None, ("r2sg",)),
+    "solver.growth": _Key(float, None, ("r2sg",), "(1, inf)"),
     "solver.max_calls": _Key(int, 1, ("r2sg",)),
     "solver.restart_every": _Key(int, None, ("r2sg",)),
     "solver.rel_tol": _Key(float, 1e-10, ("r2sg",)),
@@ -277,18 +279,18 @@ class RunSpec:
                 raise ConfigError(f"key {key!r} does not apply to solver.algo={algo}")
         for key, value in self.values.items():
             _check_bounds(key, value)
-        if self.get("solver.w0") not in ("zeros", "gaussian"):
-            raise ConfigError(
-                f"solver.w0 must be 'zeros' or 'gaussian', got {self.get('solver.w0')!r}"
-            )
+        for key, choices in (
+            ("solver.w0", ("zeros", "gaussian")),
+            ("solver.lambda_mode", ("unit", "inv_grad_norm")),
+            ("problem.loss", _LOSSES),
+            ("problem.reg", _REGS),
+            ("problem.synth", (None, "regression", "classification")),
+        ):
+            if self.get(key) not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got {self.get(key)!r}")
         if kind != "lovasz_cut":
             if self.get("problem.path") is None and self.get("problem.synth") is None:
                 raise ConfigError("need problem.path or problem.synth")
-            if self.get("problem.synth") not in (None, "regression", "classification"):
-                raise ConfigError(
-                    f"problem.synth must be regression or classification, "
-                    f"got {self.get('problem.synth')!r}"
-                )
             if self.get("problem.synth") is not None:
                 for need in ("problem.n", "problem.d"):
                     self.require(need)
@@ -562,7 +564,6 @@ def _write_run(
         trace = solve()
     except DivergenceError as exc:
         trace = exc.trace
-        extras = {}
         code = 3
         error = str(exc)
     except ValueError as exc:

@@ -70,7 +70,8 @@ def project_l1_ball(w: Array, radius: float) -> Array:
 
     Sort-based exact pivot: sort |w| descending, find the largest k with
     u_k > (cumsum_k - radius)/k, and soft-threshold at that level.  Points
-    already inside the ball are returned unchanged.
+    already inside the ball are returned unchanged, and a non-finite entry
+    gives all NaN.
 
     Soft-thresholding composes ((a - m - t)+ == ((a - m)+ - t)+ for m, t >= 0),
     so magnitudes are first reduced by m = max|w| - radius - 1: the pivot then
@@ -81,8 +82,12 @@ def project_l1_ball(w: Array, radius: float) -> Array:
         raise ValueError(f"project_l1_ball: radius must be > 0, got {radius}")
     w = np.asarray(w, dtype=float)
     a = np.abs(w)
-    if a.sum() <= radius:
+    total = float(a.sum())
+    if total <= radius:
         return w.copy()
+    # a non-finite entry makes the sum non-finite, so only then is w scanned
+    if not math.isfinite(total) and not np.all(np.isfinite(w)):
+        return np.full_like(w, math.nan)
     shift = max(float(a.max()) - radius - 1.0, 0.0)
     b = np.maximum(a - shift, 0.0)
     # at magnitudes where ulp(max) > radius + 1 the shift itself rounds up to

@@ -219,15 +219,21 @@ def compute_stage_count(eps0: float, eps: float, alpha: float) -> int:
 
 
 def compute_inner_iters(G: float, eb: ErrorBoundParams, eps: float, alpha: float) -> int:
-    """Per-stage iteration budget ceil(alpha**2 G**2 c**2 / eps**(2(1-theta)))."""
+    """Per-stage iteration budget ceil(alpha**2 G**2 c**2 / eps**(2(1-theta))).
+    A budget too large for a float raises ValueError."""
     if not G > 0:
         raise ValueError(f"compute_inner_iters: G must be > 0, got {G}")
     if not eps > 0:
         raise ValueError(f"compute_inner_iters: eps must be > 0, got {eps}")
     if not alpha > 1.0:
         raise ValueError(f"compute_inner_iters: alpha must be > 1, got {alpha}")
-    raw = (alpha * G * eb.c) ** 2 / eps ** (2.0 * (1.0 - eb.theta))
-    return max(1, math.ceil(raw))
+    try:
+        return max(1, math.ceil((alpha * G * eb.c) ** 2 / eps ** (2.0 * (1.0 - eb.theta))))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"compute_inner_iters: the budget overflows (G={G}, c={eb.c}, "
+            f"theta={eb.theta}, eps={eps}, alpha={alpha})"
+        ) from None
 
 
 def pnorm_prox(w: Array, g: Array, p: float) -> Array:
@@ -308,13 +314,6 @@ class _TraceBuilder:
             )
         )
 
-    def stage_done(self, stage: int, eta: float, w_avg: Array) -> float:
-        obj = self.checked_objective(w_avg, f"stage {stage} average")
-        if obj < self.best:
-            self.best = obj
-        self.trace.stage_results.append(StageResult(stage, self.cum, eta, obj))
-        return obj
-
     def finish(self, w: Array, obj: float) -> SolveTrace:
         self.trace.final_point = np.array(w, dtype=float, copy=True)
         self.trace.final_objective = obj
@@ -326,33 +325,94 @@ class _TraceBuilder:
         self.trace.wallclock_ns_total = time.monotonic_ns() - self._t0
 
 
-def _sg_stage(
-    problem: ProblemInstance,
-    w1: Array,
-    eta: float,
-    T: int,
-    tb: _TraceBuilder,
-    stage: int,
-) -> Array:
-    """One averaging stage: T projected subgradient steps at fixed eta,
-    returning the average of the T pre-update iterates."""
-    project = problem.project
+def _stage(
+    problem: ProblemInstance, w: Array, T: int, tb: _TraceBuilder, stage: int, rule: tuple
+) -> tuple[Array, float]:
+    """The one iteration loop behind every solver: T steps of rule from w.
+
+    rule is (eta, step, average): the step size at iteration t, the update
+    w_{t+1} = step(t, w_t, g_t), and the stage's averaged point, or None
+    for a whole run (the baseline) that returns its last iterate as the
+    final point.  That point is checked under the loop's error state, so a
+    blown-up run diverges with no numpy warning.  Returns it and its objective.
+    """
     subgrad = problem.subgrad
-    w = np.array(w1, dtype=float, copy=True)
-    acc = np.zeros_like(w)
+    eta, step, average = rule
+    where = "" if average is None else f"stage {stage} "
     stride = tb.stride_for(T)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for t in range(1, T + 1):
-            acc += w
             tb.cum += 1
             if t == 1 or t == T or t % stride == 0:
-                g = tb.logged_subgrad(w, stage, t, eta, f"stage {stage} iter {t}")
+                g = tb.logged_subgrad(w, stage, t, eta(t), f"{where}iter {t}")
             else:
                 g = subgrad(w)
+            w = step(t, w, g)
+        if average is None:
+            obj = tb.checked_objective(w, "final point")
+        else:
+            w = average()
+            obj = tb.checked_objective(w, f"stage {stage} average")
+            tb.trace.stage_results.append(StageResult(stage, tb.cum, eta(T), obj))
+    if obj < tb.best:
+        tb.best = obj
+    return w, obj
+
+
+def _projected(
+    problem: ProblemInstance, w1: Array, eta: float, T: int, decreasing: bool = False
+) -> tuple:
+    """Projected step w <- project(w - eta_t g).  With a fixed eta_t = eta
+    the stage returns the average of its T pre-update iterates (an sg
+    stage); decreasing steps eta_t = eta / sqrt(t) return the last iterate
+    (the baseline)."""
+    project = problem.project
+    acc = np.zeros_like(w1)
+    eta_t = (lambda t: eta / math.sqrt(t)) if decreasing else (lambda t: eta)
+
+    def step(t: int, w: Array, g: Array) -> Array:
+        nonlocal acc
+        if decreasing:
+            w = w - eta_t(t) * g
+        else:
+            acc += w
             w = w - eta * g
-            if project is not None:
-                w = project(w)
-    return acc / T
+        return w if project is None else project(w)
+
+    return eta_t, step, None if decreasing else lambda: acc / T
+
+
+def _dual_averaging(
+    w1: Array, eta: float, space: PNormSpace, lambda_mode: str, tb: _TraceBuilder, stage: int
+) -> tuple:
+    """Dual averaging in the p-norm geometry: w_{t+1} is the p-norm prox
+    around the stage's start w1 of the weighted subgradient sum, and the
+    stage returns the weight-averaged iterate.  Unconstrained problems only."""
+    g_hat = np.zeros_like(w1)
+    acc = np.zeros_like(w1)
+    lam_sum = 0.0
+
+    def step(t: int, w: Array, g: Array) -> Array:
+        nonlocal g_hat, acc, lam_sum
+        # pnorm raises ValueError when an entry is non-finite, found by a
+        # scalar test on the norm it computes: a blown-up subgradient or
+        # step ends the run as a divergence with its partial trace
+        try:
+            if lambda_mode == "unit":
+                lam = 1.0
+            else:
+                gq = pnorm(g, space.q)
+                # A zero subgradient certifies optimality; any positive
+                # weight keeps the average well defined.
+                lam = 1.0 / gq if gq > 0.0 else 1.0
+            acc += lam * w
+            lam_sum += lam
+            g_hat = g_hat + lam * g
+            return pnorm_prox(w1, eta * g_hat, space.p)
+        except ValueError as exc:
+            raise tb.diverged(f"non-finite q-norm ({exc}) at stage {stage} iter {t}") from None
+
+    return (lambda t: eta), step, lambda: acc / lam_sum
 
 
 def sg_run(
@@ -374,59 +434,8 @@ def sg_run(
         raise ValueError(f"sg_run: T must be >= 1, got {T}")
     w1 = problem.feasible(w1)
     tb = _TraceBuilder(problem, stride)
-    avg = _sg_stage(problem, w1, eta, T, tb, stage=1)
-    obj = tb.stage_done(1, eta, avg)
+    avg, obj = _stage(problem, w1, T, tb, 1, _projected(problem, w1, eta, T))
     return avg, tb.finish(avg, obj)
-
-
-def _dap_stage(
-    problem: ProblemInstance,
-    w1: Array,
-    eta: float,
-    T: int,
-    space: PNormSpace,
-    lambda_mode: str,
-    tb: _TraceBuilder,
-    stage: int,
-) -> Array:
-    """One dual-averaging stage in the p-norm geometry.
-
-    Accumulates weighted subgradients and maps them back through the
-    p-norm prox centered at the stage's starting point; returns the
-    weight-averaged iterate.  Unconstrained problems only.
-    """
-    subgrad = problem.subgrad
-    center = np.array(w1, dtype=float, copy=True)
-    w = center.copy()
-    g_hat = np.zeros_like(w)
-    acc = np.zeros_like(w)
-    lam_sum = 0.0
-    stride = tb.stride_for(T)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for t in range(1, T + 1):
-            tb.cum += 1
-            if t == 1 or t == T or t % stride == 0:
-                g = tb.logged_subgrad(w, stage, t, eta, f"stage {stage} iter {t}")
-            else:
-                g = subgrad(w)
-            # pnorm raises ValueError when an entry is non-finite, found by a
-            # scalar test on the norm it computes: a blown-up subgradient or
-            # step ends the run as a divergence with its partial trace
-            try:
-                if lambda_mode == "unit":
-                    lam = 1.0
-                else:
-                    gq = pnorm(g, space.q)
-                    # A zero subgradient certifies optimality; any positive
-                    # weight keeps the average well defined.
-                    lam = 1.0 / gq if gq > 0.0 else 1.0
-                acc += lam * w
-                lam_sum += lam
-                g_hat = g_hat + lam * g
-                w = pnorm_prox(center, eta * g_hat, space.p)
-            except ValueError as exc:
-                raise tb.diverged(f"non-finite q-norm ({exc}) at stage {stage} iter {t}") from None
-    return acc / lam_sum
 
 
 def dap_run(
@@ -454,9 +463,9 @@ def dap_run(
         raise ValueError(f"dap_run: T must be >= 1, got {T}")
     if lambda_mode not in ("unit", "inv_grad_norm"):
         raise ValueError(f"dap_run: unknown lambda_mode {lambda_mode!r}")
+    w1 = np.asarray(w1, dtype=float)
     tb = _TraceBuilder(problem, stride)
-    avg = _dap_stage(problem, np.asarray(w1, dtype=float), eta, T, space, lambda_mode, tb, 1)
-    obj = tb.stage_done(1, eta, avg)
+    avg, obj = _stage(problem, w1, T, tb, 1, _dual_averaging(w1, eta, space, lambda_mode, tb, 1))
     return avg, tb.finish(avg, obj)
 
 
@@ -512,10 +521,10 @@ def _restarts(
         for _ in range(stages):
             stage += 1
             if space is None:
-                w = _sg_stage(problem, w, eta, t, tb, stage)
+                rule = _projected(problem, w, eta, t)
             else:
-                w = _dap_stage(problem, w, eta, t, space, cfg.lambda_mode, tb, stage)
-            obj = tb.stage_done(stage, eta, w)
+                rule = _dual_averaging(w, eta, space, cfg.lambda_mode, tb, stage)
+            w, obj = _stage(problem, w, t, tb, stage, rule)
             eta /= cfg.alpha
         if dcfg is None or best_before - tb.best < dcfg.rel_tol * max(1.0, abs(best_before)):
             break
@@ -592,23 +601,7 @@ def baseline_sg_decreasing(
         raise ValueError(f"baseline_sg_decreasing: eta0 must be > 0, got {eta0}")
     if T < 1:
         raise ValueError(f"baseline_sg_decreasing: T must be >= 1, got {T}")
-    project = problem.project
-    subgrad = problem.subgrad
     w = problem.feasible(w0)
     tb = _TraceBuilder(problem, stride)
-    stride_v = tb.stride_for(T)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for tau in range(1, T + 1):
-            eta = eta0 / math.sqrt(tau)
-            tb.cum += 1
-            if tau == 1 or tau == T or tau % stride_v == 0:
-                g = tb.logged_subgrad(w, 1, tau, eta, f"iter {tau}")
-            else:
-                g = subgrad(w)
-            w = w - eta * g
-            if project is not None:
-                w = project(w)
-    obj = tb.checked_objective(w, "final point")
-    if obj < tb.best:
-        tb.best = obj
+    w, obj = _stage(problem, w, T, tb, 1, _projected(problem, w, eta0, T, decreasing=True))
     return tb.finish(w, obj)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ _SAMPLE_VALUE = {
     "problem.path": "x", "problem.edges": "x", "problem.constrain_region": "true",
     "problem.scale_features": "true", "problem.dim": "3", "problem.n": "3", "problem.d": "3",
     "problem.data_seed": "3", "solver.lambda_mode": "unit", "solver.w0": "gaussian",
-    "solver.recalibrate_eps0": "true",
+    "solver.recalibrate_eps0": "true", "solver.alpha": "2.0", "solver.growth": "2.0",
     "solver.stages": "3", "solver.t": "3", "solver.T": "3", "solver.t1": "3",
     "solver.max_calls": "3", "solver.restart_every": "3", "solver.seed": "3",
     "output.dir": "x", "output.stride": "3", "output.timing": "true",
@@ -769,3 +770,153 @@ def test_cli_oracle_report_reuses_the_built_problem(tmp_path, monkeypatch):
     assert code == 0 and len(built) == 1
     summary = json.loads(artifacts["summary"].read_text())
     assert summary["oracle"]["fstar"] <= summary["best_objective"] + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# diverged runs explain themselves, and no numpy warning leaks from them
+
+
+RR_DIVERGE = """\
+problem.kind = robust_regression
+problem.synth = regression
+problem.n = 5
+problem.d = 2
+problem.noise = 0.0
+problem.data_seed = 0
+problem.p_loss = 1.5
+solver.algo = rsg
+solver.target_eps = 1e-3
+solver.theta_eb = 0.5
+solver.c_eb = 0.1
+"""
+PLAN_FIELDS = ("problem_name", "dim", "eps0_effective", "stages_derived", "t_derived")
+
+
+@pytest.mark.parametrize(
+    "healthy,diverging",
+    [
+        (SG_BASE, SG_BASE.replace("solver.eta = 0.1", "solver.eta = 1e308")),
+        (RR_DIVERGE, RR_DIVERGE + "solver.eta_scale = 1e300\n"),
+    ],
+    ids=["sg", "rsg-derived"],
+)
+def test_cli_exit_3_summary_keeps_the_plan_fields(tmp_path, healthy, diverging):
+    summaries = []
+    for name, text in (("ok", healthy), ("bad", diverging)):
+        code, artifacts = cmd_run(RunSpec.from_text(text), str(tmp_path / name))
+        summaries.append((code, json.loads(artifacts["summary"].read_text())))
+    (ok_code, ok), (bad_code, bad) = summaries
+    assert (ok_code, bad_code) == (0, 3)
+    fields = [k for k in PLAN_FIELDS if k in ok]
+    assert "dim" in fields
+    assert {k: bad.get(k) for k in fields} == {k: ok[k] for k in fields}
+
+
+BASELINE_OVERFLOW = BASELINE_BASE.replace("solver.eta0 = 0.1", "solver.eta0 = 1e308")
+
+
+@pytest.mark.parametrize(
+    "text,code",
+    [(SG_BASE.replace("solver.eta = 0.1", "solver.eta = 1e308"), 3), (BASELINE_OVERFLOW, 0)],
+    ids=["sg-average", "baseline-final-point"],
+)
+def test_cli_blown_up_points_leak_no_numpy_warning(tmp_path, capsys, text, code):
+    # the sg stage average and the baseline's last iterate overflow; both
+    # are evaluated under the solver loop's error state
+    cfg = write_config(tmp_path, text, name="blowup.cfg")
+    out = tmp_path / "w"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == code
+    rid = RunSpec.from_text(text).run_id
+    assert len(read_rows(out / f"{rid}.csv")) == 6
+    assert json.loads((out / f"{rid}.json").read_text())["exit_code"] == code
+    assert capsys.readouterr().err == ""
+
+
+# features of about 50: a step of 1e308 overflows to inf before the projection
+BIG_FEATURES_SVM = """\
+-1 1:-52.739 2:-45.396 3:-40.819
+1 1:58.255 2:52.133 3:54.590
+-1 1:-58.701 2:56.317 3:40.055
+1 1:-54.593 2:-43.513 3:57.264
+-1 1:-45.994 2:-48.454 3:-40.566
+1 1:52.944 2:-52.308 3:47.674
+-1 1:59.617 2:53.711 3:53.009
+1 1:-42.702 2:-54.430 3:-50.507
+"""
+
+
+@pytest.mark.parametrize(
+    "solver,where",
+    [
+        ("solver.algo = sg\nsolver.eta = 1e308\n", "stage 1 iter 2"),
+        ("solver.algo = baseline_sg\nsolver.eta0 = 1e308\n", "at iter 2"),
+    ],
+    ids=["sg", "baseline_sg"],
+)
+def test_cli_overflowing_step_on_the_l1_ball_diverges(tmp_path, capsys, solver, where):
+    data = tmp_path / "big.svm"
+    data.write_text(BIG_FEATURES_SVM)
+    text = (
+        f"problem.kind = pwl\nproblem.path = {data}\nproblem.loss = hinge\n"
+        f"problem.reg = l1_ball\n{solver}solver.T = 5\n"
+    )
+    cfg = write_config(tmp_path, text, name="ball.cfg")
+    out = tmp_path / "ball"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    rid = RunSpec.from_text(text).run_id
+    assert len(read_rows(out / f"{rid}.csv")) == 2  # the start point only
+    summary = json.loads((out / f"{rid}.json").read_text())
+    assert summary["error"].startswith("non-finite objective (nan)") and where in summary["error"]
+    assert "diverged" in capsys.readouterr().out
+
+
+RSG_FILE = PWL_FILE.replace(
+    "solver.algo = sg\nsolver.eta = 0.1\nsolver.T = 5\n",
+    "solver.algo = rsg\nsolver.stages = 2\nsolver.t = 5\n",
+)
+R2SG_FILE = RSG_FILE.replace("solver.algo = rsg", "solver.algo = r2sg").replace(
+    "solver.t = 5", "solver.t1 = 5\nsolver.max_calls = 3"
+)
+
+
+@pytest.mark.parametrize(
+    "text,line,match",
+    [
+        (PWL_FILE, "problem.loss = foo", "problem.loss must be one of"),
+        (PWL_FILE, "problem.reg = foo", "problem.reg must be one of"),
+        (RSG_FILE, "solver.alpha = inf", "solver.alpha must be finite and > 1, got inf"),
+        (RSG_FILE, "solver.eta_scale = inf", "solver.eta_scale must be finite and > 0"),
+        (R2SG_FILE, "solver.growth = inf", "solver.growth must be finite and > 1, got inf"),
+    ],
+    ids=["loss", "reg", "alpha-inf", "eta_scale-inf", "growth-inf"],
+)
+def test_cli_bad_choices_and_infinite_schedules_exit_1_before_reading_data(
+    tmp_path, capsys, text, line, match
+):
+    key = line.split(" = ")[0]
+    lines = [ln for ln in text.splitlines() if not ln.startswith(key + " ")]
+    cfg = write_config(tmp_path, "\n".join(lines + [line]).format(path=tmp_path / "none.svm"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and match in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        "solver.target_eps = 1e-300\nsolver.theta_eb = 0.5\nsolver.c_eb = 1e300\n",
+        "solver.target_eps = 1e-300\nsolver.theta_eb = 0\nsolver.c_eb = 1\n",
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_cli_derived_budget_that_overflows_exits_1(tmp_path, capsys, schedule):
+    cfg = write_config(tmp_path, BASE.replace("solver.t = 40\n", schedule))
+    out = tmp_path / "b"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "budget overflows" in err
+    assert not out.exists()

@@ -96,6 +96,16 @@ def test_project_l1_ball_far_points_stay_exact():
     np.testing.assert_allclose(out, [-1.0, 0.0, 0.0], atol=1e-9)
 
 
+def test_project_l1_ball_non_finite_entry_gives_nan():
+    for bad in (np.nan, np.inf, -np.inf):
+        out = project_l1_ball(np.array([0.5, bad, 0.0]), 1.0)
+        assert out.shape == (3,) and np.isnan(out).all()
+    # finite entries whose l1 norm overflows still take the pivot path
+    with np.errstate(over="ignore"):
+        out = project_l1_ball(np.array([1.7e308, 1e308, 0.25]), 1.0)
+    assert np.isfinite(out).all() and np.abs(out).sum() <= 1.0
+
+
 def test_project_l1_ball_against_grid():
     # coarse quadratic-program check for one awkward point
     w = np.array([0.9, -0.7])

@@ -660,3 +660,79 @@ def test_fused_divergence_raises_with_the_same_partial_trace():
         assert str(fused_exc.value) == str(plain_exc.value), name
         assert fused_exc.value.trace.records, name
         same_trace(fused_exc.value.trace, plain_exc.value.trace)
+
+
+# ---------------------------------------------------------------- plain reference loops
+
+
+def logged_rows(rows, t, T, stride, objective, w, eta):
+    """Append the record of iteration t when the stride logs it."""
+    if t == 1 or t == T or t % stride == 0:
+        f = float(objective(w))
+        best = min(f, rows[-1][-1]) if rows else f
+        rows.append((1, t, t, f, eta, best))
+
+
+def ref_fixed_step(problem, w, eta, T, stride):
+    """T projected steps of size eta; returns the average of the T
+    pre-update iterates."""
+    rows, acc = [], np.zeros_like(w)
+    for t in range(1, T + 1):
+        logged_rows(rows, t, T, stride, problem.objective, w, eta)
+        acc += w
+        w = w - eta * problem.subgrad(w)
+        if problem.project is not None:
+            w = problem.project(w)
+    return rows, acc / T
+
+
+def ref_dual_averaging(problem, w1, eta, T, stride, p, lambda_mode):
+    """T dual-averaging steps around w1 with unit or 1/||g||_q weights;
+    returns the weight-averaged iterate."""
+    q = p / (p - 1.0)
+    rows, acc, g_sum, lam_sum, w = [], np.zeros_like(w1), np.zeros_like(w1), 0.0, w1
+    for t in range(1, T + 1):
+        logged_rows(rows, t, T, stride, problem.objective, w, eta)
+        g = problem.subgrad(w)
+        gq = pnorm(g, q)
+        lam = 1.0 / gq if lambda_mode == "inv_grad_norm" and gq > 0.0 else 1.0
+        acc += lam * w
+        lam_sum += lam
+        g_sum = g_sum + lam * g
+        w = pnorm_prox(w1, eta * g_sum, p)
+    return rows, acc / lam_sum
+
+
+def ref_decreasing(problem, w, eta0, T, stride):
+    """T projected steps of size eta0/sqrt(t); returns the last iterate."""
+    rows = []
+    for t in range(1, T + 1):
+        eta = eta0 / math.sqrt(t)
+        logged_rows(rows, t, T, stride, problem.objective, w, eta)
+        w = w - eta * problem.subgrad(w)
+        if problem.project is not None:
+            w = problem.project(w)
+    return rows, w
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("family", ["absolute_l1", "hinge_l1ball"])
+def test_solvers_match_plain_reference_loops(family, stride):
+    problem = linear_models()[family]
+    w0 = problem.feasible(0.5 * np.random.default_rng(6).standard_normal(problem.dim))
+    runs = [
+        (sg_run(problem, w0, 0.05, 60, stride)[1], ref_fixed_step(problem, w0, 0.05, 60, stride)),
+        (
+            baseline_sg_decreasing(problem, w0, 0.2, 60, stride),
+            ref_decreasing(problem, w0, 0.2, 60, stride),
+        ),
+    ]
+    if problem.project is None:
+        for mode in ("unit", "inv_grad_norm"):
+            trace = dap_run(problem, w0, 0.05, 60, PNormSpace(1.5), mode, stride)[1]
+            runs.append((trace, ref_dual_averaging(problem, w0, 0.05, 60, stride, 1.5, mode)))
+    for trace, (rows, point) in runs:
+        got = [(r.stage, r.iter, r.cum_iter, r.objective, r.eta, r.best) for r in trace.records]
+        assert np.array(got).tobytes() == np.array(rows).tobytes()
+        assert trace.final_point.tobytes() == point.tobytes()
+        assert trace.final_objective == float(problem.objective(point))
