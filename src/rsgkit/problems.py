@@ -4,8 +4,11 @@ has one) a declared error-bound exponent.
 
 All builders return :class:`rsgkit.core.ProblemInstance`; objective/subgrad
 closures take dense vectors.  ``Dataset.X`` is scipy CSR; the linear-model
-builders lay it out once: dense when at least ``_DENSE_MIN_DENSITY`` of its
-entries are stored, otherwise CSR with a CSR transpose built once.
+builders lay it out once (the fused-difference matrix too): dense when its
+stored entries plus ``_CSR_CALL_NNZ`` reach ``_DENSE_MIN_DENSITY`` of its
+entries, otherwise CSR with a CSR transpose built once.  So a matrix of up to
+``_CSR_CALL_NNZ / _DENSE_MIN_DENSITY`` = 20 000 entries is dense at any
+density, and a large one is dense from density 0.4 on.
 """
 
 from __future__ import annotations
@@ -85,10 +88,18 @@ def _require_binary_labels(data: Dataset, who: str) -> None:
         raise ValueError(f"{who}: labels must be in {{-1, +1}}, got {labels[:8]}")
 
 
-# X w plus X^T v on one BLAS thread: CSR with a prebuilt transpose beats dense
-# below this density at 2000 x 500.  At 506 x 13 dense wins at any density,
-# but a density rule is what keeps large sparse files from being densified.
+# X w plus X^T v on one BLAS thread costs about c_d0 + c_d * rows * cols dense
+# and c_s0 + c_s * nnz in CSR, so dense wins when
+#     nnz + (c_s0 - c_d0) / c_s >= (c_d / c_s) * rows * cols.
+# _DENSE_MIN_DENSITY is c_d / c_s: CSR with a prebuilt transpose beats dense
+# below it at 2000 x 500.  _CSR_CALL_NNZ is scipy's fixed per-call cost counted
+# in stored entries, (c_s0 - c_d0) / c_s: 6 600 to 8 800 measured
+# (BENCH_small_operands.json), so small matrices such as the 30 x 20 fused
+# C8 F go dense at any density while a 400 x 60 file at density 0.02 stays CSR.
+# The term is added to nnz, not scaled by the density, so patching
+# _DENSE_MIN_DENSITY to 0 or inf still forces either layout.
 _DENSE_MIN_DENSITY = 0.4
+_CSR_CALL_NNZ = 8000
 
 
 def _laid_out(M: sp.spmatrix) -> tuple:
@@ -96,7 +107,7 @@ def _laid_out(M: sp.spmatrix) -> tuple:
     crossover, views of one dense buffer holding M in Fortran order (so both
     products stream contiguous memory); below it, CSR and a CSR transpose."""
     M = M.tocsr()
-    if M.nnz >= _DENSE_MIN_DENSITY * M.shape[0] * M.shape[1]:
+    if M.nnz + _CSR_CALL_NNZ >= _DENSE_MIN_DENSITY * M.shape[0] * M.shape[1]:
         A = np.asfortranarray(M.toarray())
         return A, A.T
     return M, M.T.tocsr()

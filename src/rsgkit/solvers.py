@@ -11,6 +11,7 @@ reproducibility claim).
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -124,8 +125,8 @@ class RestartConfig:
     eta_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.alpha > 1.0:
-            raise ValueError(f"RestartConfig: alpha must be > 1, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 1.0):
+            raise ValueError(f"RestartConfig: alpha must be finite and > 1, got {self.alpha}")
         if self.stages < 1:
             raise ValueError(f"RestartConfig: stages must be >= 1, got {self.stages}")
         if self.inner_iters < 1:
@@ -145,8 +146,10 @@ class RestartConfig:
                 f"RestartConfig: lambda_mode must be 'unit' or 'inv_grad_norm', "
                 f"got {self.lambda_mode!r}"
             )
-        if not self.eta_scale > 0.0:
-            raise ValueError(f"RestartConfig: eta_scale must be > 0, got {self.eta_scale}")
+        if not (math.isfinite(self.eta_scale) and self.eta_scale > 0.0):
+            raise ValueError(
+                f"RestartConfig: eta_scale must be finite and > 0, got {self.eta_scale}"
+            )
 
 
 @dataclass(frozen=True)
@@ -184,10 +187,15 @@ class DoublingConfig:
             raise ValueError(
                 f"DoublingConfig: restart_every must be >= 1, got {self.restart_every}"
             )
-        if self.growth is not None and not self.growth > 1.0:
-            raise ValueError(f"DoublingConfig: growth must be > 1, got {self.growth}")
+        if self.growth is not None and not (math.isfinite(self.growth) and self.growth > 1.0):
+            raise ValueError(f"DoublingConfig: growth must be finite and > 1, got {self.growth}")
         if not self.rel_tol >= 0.0:
             raise ValueError(f"DoublingConfig: rel_tol must be >= 0, got {self.rel_tol}")
+        if _last_budget_overflows(self.t1, self.effective_growth, self.max_calls):
+            raise ValueError(
+                f"DoublingConfig: the budget of call {self.max_calls} overflows a float "
+                f"(t1={self.t1}, growth={self.effective_growth})"
+            )
 
     @property
     def stages_per_call(self) -> int:
@@ -196,6 +204,39 @@ class DoublingConfig:
     @property
     def effective_growth(self) -> float:
         return self.growth if self.growth is not None else 2.0 ** (2.0 * (1.0 - self.theta))
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# exact steps _last_budget_overflows takes before it settles on its bound
+_BUDGET_EXACT_STEPS = 1 << 16
+
+
+def _last_budget_overflows(t1: int, growth: float, calls: int) -> bool:
+    """Whether r2sg's budget overflows a float on the way to call ``calls``:
+    t_1 = t1 and t_{k+1} = ceil(t_k * growth), as :func:`_restarts` grows it.
+
+    Decided in log space: with k steps left, log t_calls lies within
+    [log t + k log g, log(t + c) + k log g] with c = 1/(g - 1), since the ceiling
+    adds less than 1 and so t + c grows by at most g per step, widened by
+    2**-52 per step for the rounding of each product.  Only while that
+    interval straddles log(float max) is one exact step taken; the gap shrinks
+    geometrically, so this agrees with iterating the ceiling.  Within a hair
+    of the boundary, after _BUDGET_EXACT_STEPS undecided steps, it answers
+    True (the budget may overflow).
+    """
+    if growth <= 1.0:
+        return False
+    lg, c, t = math.log(growth), 1.0 / (growth - 1.0), t1
+    for step, k in enumerate(range(calls - 1, 0, -1)):
+        slack = k * 2.0**-52 + 1e-12
+        if math.log(t) + k * lg - slack > _LOG_FLOAT_MAX:
+            return True
+        if math.log(t + c) + k * lg + slack < _LOG_FLOAT_MAX:
+            return False
+        if step == _BUDGET_EXACT_STEPS or math.isinf(t * growth):
+            return True
+        t = math.ceil(t * growth)
+    return False
 
 
 def compute_stage_count(eps0: float, eps: float, alpha: float) -> int:
@@ -515,7 +556,11 @@ def _restarts(
     eps0 = cfg.eps0
     stage = 0
     obj = math.nan
-    for _ in range(calls):
+    for call in range(calls):
+        if call:
+            t = math.ceil(t * dcfg.effective_growth)
+            if dcfg.recalibrate_eps0:
+                eps0 = eps0 / cfg.alpha**stages + (cfg.target_eps or 0.0)
         best_before = tb.best
         eta = _initial_eta(cfg, problem.lipschitz_bound, eps0)
         for _ in range(stages):
@@ -528,9 +573,6 @@ def _restarts(
             eta /= cfg.alpha
         if dcfg is None or best_before - tb.best < dcfg.rel_tol * max(1.0, abs(best_before)):
             break
-        t = math.ceil(t * dcfg.effective_growth)
-        if dcfg.recalibrate_eps0:
-            eps0 = eps0 / cfg.alpha**stages + (cfg.target_eps or 0.0)
     return w, tb.finish(w, obj)
 
 

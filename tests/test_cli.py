@@ -905,6 +905,18 @@ def test_cli_bad_choices_and_infinite_schedules_exit_1_before_reading_data(
     assert not out.exists()
 
 
+def test_cli_r2sg_budget_that_overflows_exits_1_before_any_artifact(tmp_path, capsys):
+    text = BASE.replace("solver.algo = rsg", "solver.algo = r2sg").replace(
+        "solver.t = 40\n",
+        "solver.t1 = 5\nsolver.max_calls = 3\nsolver.growth = 1e308\nsolver.rel_tol = -0.0\n",
+    )
+    out = tmp_path / "g"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "budget of call 3 overflows" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "schedule",
     [

@@ -1,8 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from rsgkit import core
 from rsgkit.core import (
     ErrorBoundParams,
     PNormSpace,
@@ -104,6 +108,129 @@ def test_project_l1_ball_non_finite_entry_gives_nan():
     with np.errstate(over="ignore"):
         out = project_l1_ball(np.array([1.7e308, 1e308, 0.25]), 1.0)
     assert np.isfinite(out).all() and np.abs(out).sum() <= 1.0
+
+
+def test_project_l1_ball_huge_entries_land_on_the_boundary():
+    # ulp(max|w|) > radius + 1: the shift to O(radius) numbers rounds up to
+    # max|w| itself, and the projection used to collapse to the origin
+    assert np.array_equal(project_l1_ball(np.array([1e40, 3.0]), 1.0), [1.0, 0.0])
+    assert np.array_equal(project_l1_ball(np.array([1e300, 1e300]), 1.0), [0.5, 0.5])
+    assert np.array_equal(project_l1_ball(np.array([-1e300, 1e300, 2.0]), 1.0), [-0.5, 0.5, 0.0])
+
+
+def _exact_gap_projection(w, radius):
+    """The projection of a point far outside the ball in exact rationals:
+    u_i = sign(w_i) (tau - gap_i)+ with gap_i = max|w| - |w_i| and
+    sum (tau - gap_i)+ = radius, by the same sort-based pivot."""
+    a = [Fraction(abs(float(x))) for x in w]
+    top = max(a)
+    gaps = sorted(top - x for x in a)
+    r = Fraction(radius)
+    tau = r
+    for k in range(1, len(gaps) + 1):
+        t = (r + sum(gaps[:k])) / k
+        if t > gaps[k - 1]:
+            tau = t
+    return [max(tau - (top - x), Fraction(0)) for x in a]
+
+
+def test_project_l1_ball_magnitude_sweep_keeps_the_mass():
+    rng = np.random.default_rng(40)
+    for e in np.linspace(16.0, 300.0, 143):
+        top = 10.0**e
+        ulp = np.spacing(top)
+        radius = float(rng.uniform(0.1, 10.0))
+        # ties at the max, near-ties a few ulps below it, and small entries
+        mags = np.concatenate(
+            [
+                np.full(rng.integers(1, 4), top),
+                top - ulp * rng.integers(1, 4, size=3),
+                rng.uniform(0.0, 5.0, size=3),
+            ]
+        )
+        w = mags * rng.choice([-1.0, 1.0], size=mags.size)
+        u = project_l1_ball(w, radius)
+        assert np.all(np.isfinite(u)) and np.all(u * w >= 0.0)
+        assert abs(np.abs(u).sum() - radius) <= 4 * np.spacing(radius), e
+        gaps = [Fraction(float(top)) - Fraction(float(m)) for m in mags]
+        for ui, gap in zip(u, gaps):
+            if gap >= Fraction(radius):
+                assert ui == 0.0, (e, gap)
+        ref = _exact_gap_projection(w, radius)
+        assert np.allclose(np.abs(u), [float(x) for x in ref], rtol=0, atol=4 * np.spacing(radius))
+
+
+def _reference_project_l1_ball(w, radius):
+    """The numpy pivot as it stood before the list form and the gap fallback,
+    kept as the bitwise reference for every input that never reached its
+    back-off loop."""
+    w = np.asarray(w, dtype=float)
+    a = np.abs(w)
+    total = float(a.sum())
+    if total <= radius:
+        return w.copy()
+    if not math.isfinite(total) and not np.all(np.isfinite(w)):
+        return np.full_like(w, math.nan)
+    shift = max(float(a.max()) - radius - 1.0, 0.0)
+    b = np.maximum(a - shift, 0.0)
+    while shift > 0.0 and float(b.max()) <= radius:
+        shift = float(np.nextafter(shift, 0.0))
+        b = np.maximum(a - shift, 0.0)
+    u = np.sort(b)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, u.size + 1)
+    k = int(np.nonzero(css - ks * u < radius)[0][-1]) + 1
+    theta = (css[k - 1] - radius) / k
+    return np.sign(w) * np.maximum(b - theta, 0.0)
+
+
+@st.composite
+def l1_cases(draw):
+    """Points of 1 to twice the list-pivot cut coordinates around balls of
+    radius 1e-6 to 1e6: ties, zeros of both signs, magnitudes from well
+    inside the ball to 1e3 radii out, and points exactly on the boundary."""
+    d = draw(st.integers(1, 2 * core._SCALAR_PIVOT_MAX_DIM))
+    radius = 10.0 ** draw(st.floats(-6.0, 6.0))
+    entry = st.one_of(
+        st.floats(-1.0, 1.0),
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25, 1.0]),
+    )
+    x = np.array(draw(st.lists(entry, min_size=d, max_size=d)))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 2.0, 30.0, 1e3]))
+    w = x * (scale * radius)
+    total = float(np.abs(w).sum())
+    edge = draw(st.sampled_from(["none", "on", "just_out"]))
+    if edge != "none" and total > 0.0:
+        radius = total if edge == "on" else float(np.nextafter(total, 0.0))
+    return w, radius
+
+
+def _bisect_threshold(a, radius):
+    lo, hi = 0.0, float(a.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(a - mid, 0.0).sum() > radius:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@given(l1_cases())
+def test_project_l1_ball_is_bitwise_the_numpy_pivot(case):
+    w, radius = case
+    u = project_l1_ball(w, radius)
+    assert u.tobytes() == _reference_project_l1_ball(w, radius).tobytes()
+    a = np.abs(w)
+    if a.sum() <= radius:
+        assert np.array_equal(u, w)
+        return
+    # KKT: u soft-thresholds |w| at the level where the mass is the radius
+    theta = _bisect_threshold(a, radius)
+    scale = radius + float(a.max())
+    assert np.all(np.abs(np.abs(u) - np.maximum(a - theta, 0.0)) <= 1e-9 * scale)
+    assert abs(np.abs(u).sum() - radius) <= 1e-9 * scale
+    assert np.all(u * w >= 0.0)
 
 
 def test_project_l1_ball_against_grid():

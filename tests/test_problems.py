@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from rsgkit import problems
+from rsgkit.data import synth_classification
 from rsgkit.problems import (
     Dataset,
     GFlassoGraph,
@@ -577,6 +578,66 @@ def test_layout_follows_density_crossover():
     A, AT = problems._laid_out(dense_X)
     assert isinstance(A, np.ndarray) and AT.flags.c_contiguous
     assert np.array_equal(A, dense_X.toarray()) and np.array_equal(AT, A.T)
+
+
+def c8_problem_data():
+    """The C8 acceptance data: 100 x 20 features and 30 unit-weight edges."""
+    data = synth_classification(100, 20, margin=0.3, seed=5)
+    pairs = [(i, j) for i in range(20) for j in range(i + 1, 20)]
+    sel = sorted(np.random.default_rng(8).choice(len(pairs), size=30, replace=False).tolist())
+    return data, GFlassoGraph(20, tuple((pairs[k][0], pairs[k][1], 1.0) for k in sel))
+
+
+def test_layout_size_term_densifies_small_matrices_only():
+    _, graph = c8_problem_data()
+    assert graph.F.shape == (30, 20) and graph.F.nnz == 60  # density 0.1
+    A, AT = problems._laid_out(graph.F)
+    assert isinstance(A, np.ndarray) and np.array_equal(A, graph.F.toarray())
+    rng = np.random.default_rng(5)
+    for shape, density in (((400, 60), 0.02), ((2000, 500), 0.01)):
+        M = sp.random(*shape, density=density, format="csr", random_state=rng)
+        A, AT = problems._laid_out(M)
+        assert sp.issparse(A) and sp.issparse(AT), shape
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_both_layouts_forces_a_dense_and_a_sparse_layout(monkeypatch, family):
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(40, 5)) * (rng.random((40, 5)) < 0.6)
+    data = Dataset(sp.csr_matrix(X), np.where(rng.random(40) < 0.5, -1.0, 1.0))
+    seen = []
+    laid_out = problems._laid_out
+
+    def spy(M):
+        out = laid_out(M)
+        seen.append((problems._DENSE_MIN_DENSITY, type(out[0])))
+        return out
+
+    monkeypatch.setattr(problems, "_laid_out", spy)
+    both_layouts(monkeypatch, family, data)
+    assert {t for _, t in seen} == {np.ndarray, sp.csr_matrix}
+    assert all((t is np.ndarray) == (threshold == 0.0) for threshold, t in seen)
+
+
+def test_c8_oracles_are_bitwise_equal_with_the_fused_matrix_in_either_layout(monkeypatch):
+    data, graph = c8_problem_data()
+    built = []
+    for overhead in (problems._CSR_CALL_NNZ, 0):  # F dense, then F in CSR as by density alone
+        monkeypatch.setattr(problems, "_CSR_CALL_NNZ", overhead)
+        built.append(gflasso_svm(data, graph, lam=0.1))
+    monkeypatch.undo()
+    dense_F, csr_F = built
+    assert dense_F.lipschitz_bound == csr_F.lipschitz_bound
+    rng = np.random.default_rng(83)
+    points = [rng.standard_normal(20) for _ in range(30)] + [np.zeros(20)]
+    W = np.array(points)
+    assert bits(dense_F.values(W)) == bits(csr_F.values(W))
+    for w in points:
+        assert bits(dense_F.objective(w)) == bits(csr_F.objective(w))
+        assert bits(dense_F.subgrad(w)) == bits(csr_F.subgrad(w))
+        f, g = dense_F.subgrad.with_value(w)
+        f_ref, g_ref = csr_F.subgrad.with_value(w)
+        assert bits(f) == bits(f_ref) and bits(g) == bits(g_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rsgkit import solvers
 from rsgkit.core import ErrorBoundParams, PNormSpace, ProblemInstance, pnorm
 from rsgkit.data import synth_classification, synth_regression
 from rsgkit.problems import (
@@ -220,6 +221,76 @@ def test_restart_config_validation():
         RestartConfig(alpha=2.0, stages=1, inner_iters=1, eps0=1.0, norm_p=1.0)
     with pytest.raises(ValueError):
         RestartConfig(alpha=2.0, stages=1, inner_iters=1, eps0=1.0, lambda_mode="nope")
+
+
+def test_restart_config_rejects_infinite_schedules():
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        RestartConfig(alpha=math.inf, stages=2, inner_iters=5, eps0=1.0)
+    with pytest.raises(ValueError, match="eta_scale must be finite"):
+        RestartConfig(alpha=2.0, stages=2, inner_iters=5, eps0=1.0, eta_scale=math.inf)
+    with pytest.raises(ValueError, match="growth must be finite"):
+        DoublingConfig(t1=5, max_calls=3, growth=math.inf, rel_tol=-0.0)
+
+
+def _budget_overflows_by_iteration(t1, growth, calls):
+    t = t1
+    for _ in range(calls - 1):
+        if math.isinf(t * growth):
+            return True
+        t = math.ceil(t * growth)
+    return False
+
+
+def test_doubling_config_rejects_a_last_budget_that_overflows():
+    with pytest.raises(ValueError, match="budget of call 3 overflows"):
+        DoublingConfig(t1=5, max_calls=3, growth=1e308, rel_tol=-0.0)
+    with pytest.raises(ValueError, match="budget of call 2 overflows"):
+        DoublingConfig(t1=5, max_calls=2, growth=1e308)
+    assert DoublingConfig(t1=1, max_calls=2, growth=1e308).max_calls == 2
+    # default growth 4 at theta = 0: the budget of call 512 is 3 * 4**511 =
+    # 0.75 * 2**1024, which fits; the next product does not
+    assert DoublingConfig(t1=3, max_calls=512).effective_growth == 4.0
+    with pytest.raises(ValueError, match="budget of call 513 overflows"):
+        DoublingConfig(t1=3, max_calls=513)
+    # decided in log space, without walking a billion calls
+    with pytest.raises(ValueError, match="overflows"):
+        DoublingConfig(t1=1, max_calls=10**9, growth=1.5)
+    assert DoublingConfig(t1=1, max_calls=10**9, growth=1.0 + 1e-12).max_calls == 10**9
+
+
+@pytest.mark.parametrize("growth", [1e308, 3.7e100, 4.0, 2.0, 1.5, 1.15, 1.01, 1.001])
+@pytest.mark.parametrize("t1", [1, 5, 7, 1000])
+def test_budget_overflow_check_agrees_with_iterating_the_ceiling(growth, t1):
+    # the last call whose budget still fits, found by walking the schedule
+    t, last = t1, 1
+    while not math.isinf(t * growth):
+        t, last = math.ceil(t * growth), last + 1
+    for calls in (1, 2, last - 1, last, last + 1, last + 2):
+        if calls >= 1:
+            expect = _budget_overflows_by_iteration(t1, growth, calls)
+            assert expect == (calls > last)
+            assert solvers._last_budget_overflows(t1, growth, calls) == expect, calls
+
+
+def test_library_schedules_that_used_to_run_or_overflow_are_rejected():
+    prob = l1_nd(1)
+    with pytest.raises(ValueError):
+        rsg(prob, np.array([1.0]), RestartConfig(alpha=math.inf, stages=2, inner_iters=5))
+    with pytest.raises(ValueError):
+        r2sg(
+            prob,
+            np.array([1.0]),
+            DoublingConfig(t1=5, max_calls=3, growth=math.inf, rel_tol=-0.0),
+            RestartConfig(alpha=2.0, stages=1, inner_iters=1),
+        )
+
+
+def test_r2sg_computes_no_budget_after_its_last_call():
+    # t1 * growth overflows, but with one call that budget is never needed
+    prob = l1_nd(1)
+    dcfg = DoublingConfig(t1=5, max_calls=1, growth=1e308, rel_tol=-0.0)
+    _, trace = r2sg(prob, np.array([1.0]), dcfg, RestartConfig(alpha=2.0, stages=1, inner_iters=1))
+    assert trace.total_iters == 5
 
 
 # ---------------------------------------------------------------- pnorm prox
