@@ -8,19 +8,23 @@ selected problem kind / solver algo are rejected.  Exit codes: 0 success,
 written), 4 verification failure.
 
 Outputs per run: ``<run_id>.csv`` — the iteration trace with header
-``run_id,algo,stage,iter,cum_iter,objective,eta,wallclock_ns`` (RFC 4180,
-rows ordered by cum_iter; the wallclock column is written as 0 unless
---timing is passed, keeping default outputs bitwise reproducible) — and
+``run_id,algo,stage,iter,cum_iter,objective,eta,wallclock_ns`` (rows
+ordered by cum_iter; the wallclock column is written as 0 unless --timing
+is passed, keeping default outputs bitwise reproducible) — and
 ``<run_id>.json``, a summary whose echoed config reproduces the run.
+
+Every CSV is RFC 4180 with CRLF row ends and no quoting: its fields are hex
+run ids, fixed algo names, ints, floats as Python ``repr`` and empty cells,
+none of which holds a comma, quote or line break.  The run and merged CSVs
+are formatted row by row as they stream to disk, so neither is held whole
+in memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -28,7 +32,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -371,8 +375,9 @@ def _load_dataset(spec: RunSpec) -> Dataset:
         raise DataError(str(exc)) from exc
 
 
-def build_problem(spec: RunSpec) -> ProblemInstance:
-    """Construct the configured ProblemInstance (loading data as needed).
+def build_problem(spec: RunSpec, data: Optional[Dataset] = None) -> ProblemInstance:
+    """Construct the configured ProblemInstance.  Its data is loaded here
+    unless given as data, which must be what the spec's problem block loads.
     Config mistakes raise ConfigError; bad or unusable data raises DataError."""
     kind = spec.require("problem.kind")
     norm_p = float(spec.get("solver.norm_p"))
@@ -385,7 +390,8 @@ def build_problem(spec: RunSpec) -> ProblemInstance:
             return lovasz_problem(setfn, norm_q=norm_q, fstar_lower_bound=0.0)
         except (ParseError, OSError, ValueError) as exc:
             raise DataError(str(exc)) from exc
-    data = _load_dataset(spec)
+    if data is None:
+        data = _load_dataset(spec)
     try:
         if kind == "robust_regression":
             return robust_regression(
@@ -490,31 +496,74 @@ def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTr
         raise ConfigError(str(exc)) from exc
 
 
-def _trace_csv_text(run_id: str, algo: str, trace: SolveTrace, timing: bool) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_HEADER)
+class _ReprCache:
+    """repr of a float, formatted again only when a different object comes:
+    a stage logs one eta object on every row, and the best-so-far object
+    stays the same while the objective does not improve."""
+
+    __slots__ = ("obj", "text")
+
+    def __init__(self) -> None:
+        self.obj, self.text = None, "None"
+
+    def __call__(self, x: float) -> str:
+        if x is not self.obj:
+            self.obj, self.text = x, repr(x)
+        return self.text
+
+
+def _trace_csv_rows(run_id: str, algo: str, trace: SolveTrace, timing: bool) -> Iterator[str]:
+    """The run CSV, one CRLF-terminated row at a time."""
+    yield ",".join(CSV_HEADER) + "\r\n"
+    head = f"{run_id},{algo},"
+    eta = _ReprCache()
     for r in trace.records:
-        writer.writerow(
-            [
-                run_id,
-                algo,
-                r.stage,
-                r.iter,
-                r.cum_iter,
-                repr(r.objective),
-                repr(r.eta),
-                int(r.wallclock_ns) if timing else 0,
-            ]
+        yield (
+            f"{head}{r.stage},{r.iter},{r.cum_iter},{r.objective!r},{eta(r.eta)},"
+            f"{int(r.wallclock_ns) if timing else 0}\r\n"
         )
-    return buf.getvalue()
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _merged_csv_rows(ids: Sequence[str], traces: Sequence[SolveTrace]) -> Iterator[str]:
+    """The compare CSV: one row per cum_iter any member logged, with each
+    member's objective and best-so-far, or two empty cells where it logged
+    nothing."""
+    yield "cum_iter" + "".join(f",objective_{rid},best_{rid}" for rid in ids) + "\r\n"
+    per_run = [{r.cum_iter: r for r in tr.records} for tr in traces]
+    members = [(m.get, _ReprCache()) for m in per_run]
+    for cum in sorted(set().union(*per_run)):
+        cells = []
+        for rec_at, best in members:
+            rec = rec_at(cum)
+            cells.append(",," if rec is None else f",{rec.objective!r},{best(rec.best)}")
+        yield f"{cum}{''.join(cells)}\r\n"
+
+
+def _crossings(trace: SolveTrace, thresholds: Sequence[float]) -> list[Optional[int]]:
+    """cum_iter of the first record whose best-so-far reaches each threshold
+    (None if none does).  best never rises along a trace, so one walk over
+    the records serves the thresholds in descending order; a NaN threshold
+    is never reached."""
+    reachable = [i for i, thr in enumerate(thresholds) if thr == thr]
+    order = sorted(reachable, key=lambda i: -thresholds[i])
+    hits: list[Optional[int]] = [None] * len(thresholds)
+    k = 0
+    for r in trace.records:
+        while k < len(order) and r.best <= thresholds[order[k]]:
+            hits[order[k]] = r.cum_iter
+            k += 1
+        if k == len(order):
+            break
+    return hits
+
+
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary file next to path, then move it into
+    place: a failure, in the chunks' producer too, leaves neither behind."""
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -571,7 +620,7 @@ def _write_run(
         # first step: one the plan let through is still a config mistake
         raise ConfigError(str(exc)) from exc
     csv_path = out / f"{run_id}.csv"
-    _atomic_write(csv_path, _trace_csv_text(run_id, algo, trace, bool(spec.get("output.timing"))))
+    _atomic_write(csv_path, _trace_csv_rows(run_id, algo, trace, bool(spec.get("output.timing"))))
     summary = {
         "run_id": run_id,
         "algo": algo,
@@ -598,7 +647,7 @@ def _write_run(
     json_path = out / f"{run_id}.json"
     _atomic_write(
         json_path,
-        json.dumps(_json_safe(summary), sort_keys=True, indent=2, allow_nan=False) + "\n",
+        [json.dumps(_json_safe(summary), sort_keys=True, indent=2, allow_nan=False), "\n"],
     )
     return code, {"csv": csv_path, "summary": json_path, "trace": trace, "run_id": run_id}
 
@@ -626,14 +675,17 @@ def cmd_compare(
         if block != base:
             raise ConfigError("cmd_compare: all configs must share the same problem block")
     # plan every member before the first run writes: the problem block is
-    # shared, so it is built once per solver.norm_p (which sets the dual
-    # norm of its declared bound)
+    # shared, so its data is loaded once and the problem built from it once
+    # per solver.norm_p (which sets the dual norm of its declared bound)
+    data: Optional[Dataset] = None
     problems: dict[float, ProblemInstance] = {}
     planned = []
     for spec in specs:
         norm_p = float(spec.get("solver.norm_p"))
         if norm_p not in problems:
-            problems[norm_p] = build_problem(spec)
+            if data is None and spec.require("problem.kind") in _DATA_KINDS:
+                data = _load_dataset(spec)
+            problems[norm_p] = build_problem(spec, data)
         planned.append((spec, problems[norm_p], *_plan(spec, problems[norm_p])))
     ids = [s.run_id for s in specs]
     out = Path(out_dir if out_dir is not None else specs[0].get("output.dir"))
@@ -643,22 +695,8 @@ def cmd_compare(
     algos = [s.require("solver.algo") for s in specs]
 
     merged_id = hashlib.sha256("|".join(ids).encode()).hexdigest()[:12]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    header = ["cum_iter"]
-    for rid in ids:
-        header += [f"objective_{rid}", f"best_{rid}"]
-    writer.writerow(header)
-    per_run = [{r.cum_iter: r for r in tr.records} for tr in traces]
-    all_cums = sorted(set().union(*[set(m) for m in per_run]))
-    for cum in all_cums:
-        row: list[object] = [cum]
-        for m in per_run:
-            rec = m.get(cum)
-            row += ["", ""] if rec is None else [repr(rec.objective), repr(rec.best)]
-        writer.writerow(row)
     merged_path = out / f"compare_{merged_id}.csv"
-    _atomic_write(merged_path, buf.getvalue())
+    _atomic_write(merged_path, _merged_csv_rows(ids, traces))
 
     lines = [f"compare {merged_id}: {len(specs)} runs"]
     for rid, algo, tr in zip(ids, algos, traces):
@@ -668,26 +706,17 @@ def cmd_compare(
         )
     thresholds_path = None
     if thresholds:
-        tbuf = io.StringIO()
-        twriter = csv.writer(tbuf)
-        twriter.writerow(["threshold"] + ids)
-        for thr in thresholds:
-            row = [repr(float(thr))]
-            for tr in traces:
-                hit = next((r.cum_iter for r in tr.records if r.best <= thr), "")
-                row.append(hit)
-            twriter.writerow(row)
+        thr_text = [repr(float(thr)) for thr in thresholds]
+        hits = [_crossings(tr, thresholds) for tr in traces]
+        table = [",".join(["threshold", *ids]) + "\r\n"]
+        for i, thr in enumerate(thr_text):
+            table.append(thr + "".join("," if h[i] is None else f",{h[i]}" for h in hits) + "\r\n")
             lines.append(
-                "  threshold "
-                + repr(float(thr))
-                + ": "
-                + ", ".join(
-                    f"{rid}@{next((r.cum_iter for r in tr.records if r.best <= thr), '-')}"
-                    for rid, tr in zip(ids, traces)
-                )
+                f"  threshold {thr}: "
+                + ", ".join(f"{rid}@{'-' if h[i] is None else h[i]}" for rid, h in zip(ids, hits))
             )
         thresholds_path = out / f"compare_{merged_id}_thresholds.csv"
-        _atomic_write(thresholds_path, tbuf.getvalue())
+        _atomic_write(thresholds_path, table)
     print("\n".join(lines))
     return code, {
         "merged": merged_path,

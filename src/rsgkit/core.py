@@ -28,33 +28,50 @@ __all__ = [
 ]
 
 
+_add = np.add.reduce
+_max = np.maximum.reduce
+
+
+def _qnorm(a: Array, q: float) -> float:
+    """||v||_q from a = |v| (flat, non-empty), q >= 1 with math.inf meaning max.
+
+    The one q-norm kernel behind :func:`pnorm`, the p-norm prox and the dual
+    averaging weights.  It checks nothing: a non-finite entry gives a
+    non-finite result, which the callers tell apart from overflow.
+    """
+    if q == 2.0:
+        return math.sqrt(np.dot(a, a))
+    if q == 1.0:
+        return float(_add(a))
+    amax = float(_max(a))
+    if q == math.inf or not 0.0 < amax < math.inf:
+        return amax
+    # factor out the max so a**q cannot overflow at large q; the scaled
+    # entries lie in [0, 1] (underflow of tiny ratios only sharpens zero)
+    return amax * float(_add((a / amax) ** q) ** (1.0 / q))
+
+
+def _check_finite(w: Array, r: float) -> float:
+    """r, unless it is non-finite because w has a non-finite entry: a
+    non-finite entry always makes the norm non-finite, so only a non-finite
+    result pays for the scan that tells it apart from overflow."""
+    if not math.isfinite(r) and not np.all(np.isfinite(w)):
+        raise ValueError("pnorm: input has a non-finite entry")
+    return r
+
+
 def pnorm(w: Array, p: float) -> float:
     """(sum_i |w_i|**p)**(1/p) for p >= 1, with math.inf meaning max|w_i|.
 
-    Raises ValueError for p < 1 or non-finite entries.  A non-finite entry
-    always makes the norm non-finite, so only a non-finite result pays for
-    the scan that tells it apart from overflow.
+    Raises ValueError for p < 1 or non-finite entries; finite entries whose
+    norm overflows give inf.
     """
     w = np.asarray(w, dtype=float)
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"pnorm: order must be >= 1, got {p}")
     if w.size == 0:
         return 0.0
-    a = np.abs(w)
-    if math.isinf(p):
-        r = float(a.max())
-    elif p == 1.0:
-        r = float(a.sum())
-    elif p == 2.0:
-        r = float(np.sqrt(np.dot(a, a)))
-    else:
-        # factor out the max so a**p cannot overflow at large p; the scaled
-        # entries lie in [0, 1] (underflow of tiny ratios only sharpens zero)
-        amax = float(a.max())
-        r = amax * float(np.sum((a / amax) ** p) ** (1.0 / p)) if 0.0 < amax < math.inf else amax
-    if not math.isfinite(r) and not np.all(np.isfinite(w)):
-        raise ValueError("pnorm: input has a non-finite entry")
-    return r
+    return _check_finite(w, _qnorm(np.abs(w).ravel(), p))
 
 
 def conjugate_exponent(p: float) -> float:

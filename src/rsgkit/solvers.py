@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Array, ErrorBoundParams, PNormSpace, ProblemInstance, pnorm
+from .core import Array, ErrorBoundParams, PNormSpace, ProblemInstance, _check_finite, _qnorm
 
 __all__ = [
     "TraceRecord",
@@ -291,13 +291,14 @@ def pnorm_prox(w: Array, g: Array, p: float) -> Array:
     if p == 2.0:
         return w - g
     q = p / (p - 1.0)
-    gq = pnorm(g, q)
+    a = np.abs(g)
+    gq = _check_finite(g, _qnorm(a.ravel(), q)) if a.size else 0.0
     if gq == 0.0:
         return w.copy()
     # ||g||_q**((p-q)/p) * |g_i|**(q-1) == ||g||_q * (|g_i|/||g||_q)**(q-1)
     # since (p-q)/p + (q-1) = 1; the normalized ratios stay in [0, 1], so
     # the q-1 power cannot overflow even as p -> 1 drives q huge.
-    ratio = np.abs(g) / gq
+    ratio = a / gq
     return w - gq * np.sign(g) * ratio ** (q - 1.0)
 
 
@@ -325,22 +326,25 @@ class _TraceBuilder:
         return self.stride if self.stride is not None else max(1, T // 1000)
 
     def checked_objective(self, w: Array, where: str) -> float:
-        return self._finite(float(self.problem.objective(w)), where)
-
-    def _finite(self, val: float, where: str) -> float:
+        val = float(self.problem.objective(w))
         if not math.isfinite(val):
             raise self.diverged(f"non-finite objective ({val}) at {where}")
         return val
 
-    def logged_subgrad(self, w: Array, stage: int, it: int, eta: float, where: str) -> Array:
+    def logged_subgrad(self, w: Array, stage: int, it: int, eta: float, staged: bool) -> Array:
         """Subgradient at w on a logged iteration: logs the checked objective
-        at w first, from the same oracle pass when the fused form applies."""
+        at w first, from the same oracle pass when the fused form applies.
+        A divergence is located at "stage {stage} iter {it}", or at
+        "iter {it}" for a run that is not staged."""
         if self._fused is None:
-            self.log(stage, it, self.checked_objective(w, where), eta)
-            return self.problem.subgrad(w)
-        val, g = self._fused(w)
-        self.log(stage, it, self._finite(val, where), eta)
-        return g
+            val, g = float(self.problem.objective(w)), None
+        else:
+            val, g = self._fused(w)
+        if not math.isfinite(val):
+            where = f"stage {stage} iter {it}" if staged else f"iter {it}"
+            raise self.diverged(f"non-finite objective ({val}) at {where}")
+        self.log(stage, it, val, eta)
+        return self.problem.subgrad(w) if g is None else g
 
     def diverged(self, message: str) -> DivergenceError:
         self._close_partial()
@@ -379,17 +383,17 @@ def _stage(
     """
     subgrad = problem.subgrad
     eta, step, average = rule
-    where = "" if average is None else f"stage {stage} "
+    staged = average is not None
     stride = tb.stride_for(T)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for t in range(1, T + 1):
             tb.cum += 1
             if t == 1 or t == T or t % stride == 0:
-                g = tb.logged_subgrad(w, stage, t, eta(t), f"{where}iter {t}")
+                g = tb.logged_subgrad(w, stage, t, eta(t), staged)
             else:
                 g = subgrad(w)
             w = step(t, w, g)
-        if average is None:
+        if not staged:
             obj = tb.checked_objective(w, "final point")
         else:
             w = average()
@@ -428,28 +432,31 @@ def _dual_averaging(
 ) -> tuple:
     """Dual averaging in the p-norm geometry: w_{t+1} is the p-norm prox
     around the stage's start w1 of the weighted subgradient sum, and the
-    stage returns the weight-averaged iterate.  Unconstrained problems only."""
+    stage returns the weight-averaged iterate.  Unconstrained problems only.
+    The prox goes through the module's ``pnorm_prox``, so a wrapper bound
+    to that name sees every step."""
     g_hat = np.zeros_like(w1)
     acc = np.zeros_like(w1)
     lam_sum = 0.0
+    p, q = space.p, space.q
 
     def step(t: int, w: Array, g: Array) -> Array:
-        nonlocal g_hat, acc, lam_sum
-        # pnorm raises ValueError when an entry is non-finite, found by a
-        # scalar test on the norm it computes: a blown-up subgradient or
-        # step ends the run as a divergence with its partial trace
+        nonlocal acc, g_hat, lam_sum
+        # a non-finite entry makes a q-norm non-finite, so a scalar test on
+        # the norm finds it: a blown-up subgradient or step ends the run as
+        # a divergence with its partial trace
         try:
             if lambda_mode == "unit":
                 lam = 1.0
             else:
-                gq = pnorm(g, space.q)
+                gq = _check_finite(g, _qnorm(np.abs(g), q))
                 # A zero subgradient certifies optimality; any positive
                 # weight keeps the average well defined.
                 lam = 1.0 / gq if gq > 0.0 else 1.0
             acc += lam * w
             lam_sum += lam
-            g_hat = g_hat + lam * g
-            return pnorm_prox(w1, eta * g_hat, space.p)
+            g_hat += lam * g
+            return pnorm_prox(w1, eta * g_hat, p)
         except ValueError as exc:
             raise tb.diverged(f"non-finite q-norm ({exc}) at stage {stage} iter {t}") from None
 
@@ -549,6 +556,14 @@ def _restarts(
         calls, stages, t = 1, cfg.stages, cfg.inner_iters
     else:
         calls, stages, t = dcfg.max_calls, dcfg.stages_per_call, dcfg.t1
+        if dcfg.recalibrate_eps0 and calls > 1:
+            try:
+                shrink = cfg.alpha**stages
+            except OverflowError:
+                raise ValueError(
+                    f"r2sg: recalibrate_eps0 divides eps0 by alpha**stages, which "
+                    f"overflows a float (alpha={cfg.alpha}, stages={stages})"
+                ) from None
         # seed best-so-far with the start so call 1's plateau check compares
         # against f(w0); the first logged record is this same point, so the
         # best column of the trace is unaffected
@@ -560,7 +575,7 @@ def _restarts(
         if call:
             t = math.ceil(t * dcfg.effective_growth)
             if dcfg.recalibrate_eps0:
-                eps0 = eps0 / cfg.alpha**stages + (cfg.target_eps or 0.0)
+                eps0 = eps0 / shrink + (cfg.target_eps or 0.0)
         best_before = tb.best
         eta = _initial_eta(cfg, problem.lipschitz_bound, eps0)
         for _ in range(stages):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from rsgkit import cli
 from rsgkit.cli import CSV_HEADER, ConfigError, RunSpec, cmd_compare, cmd_run, main
-from rsgkit.solvers import compute_inner_iters, compute_stage_count
+from rsgkit.data import dump_libsvm, synth_regression
+from rsgkit.solvers import SolveTrace, TraceRecord, compute_inner_iters, compute_stage_count
 from rsgkit.core import ErrorBoundParams
 
 BASE = """\
@@ -731,14 +736,12 @@ def test_cli_compare_rejects_pnorm_stages_on_a_constrained_member(tmp_path, caps
 
 
 def counting_build(monkeypatch):
-    import rsgkit.cli as cli
-
     built = []
     real = cli.build_problem
 
-    def build(spec):
+    def build(spec, *data):
         built.append(spec.run_id)
-        return real(spec)
+        return real(spec, *data)
 
     monkeypatch.setattr(cli, "build_problem", build)
     return built
@@ -760,6 +763,31 @@ def test_cli_compare_builds_the_shared_problem_once_per_norm(tmp_path, monkeypat
     assert (tmp_path / "alone" / f"{rid}.csv").read_bytes() == (
         tmp_path / "two" / f"{rid}.csv"
     ).read_bytes()
+    # two norm_p values over one data file: two problems, one parse
+    parsed = []
+    real_parse = cli.parse_libsvm
+    monkeypatch.setattr(
+        cli, "parse_libsvm", lambda *a, **k: parsed.append(a[0]) or real_parse(*a, **k)
+    )
+    data = tmp_path / "reg.svm"
+    data.write_text(dump_libsvm(synth_regression(30, 3, noise=0.1, seed=2)))
+    on_file = (
+        f"problem.kind = pwl\nproblem.path = {data}\nproblem.loss = absolute\n"
+        "solver.stages = 2\nsolver.t = 10\n"
+    )
+    pair = [
+        RunSpec.from_text(on_file + "solver.algo = rsg\n"),
+        RunSpec.from_text(on_file + "solver.algo = rsg_dap\nsolver.norm_p = 1.5\n"),
+    ]
+    built.clear()
+    code, res = cmd_compare(pair, str(tmp_path / "file"))
+    assert code == 0 and len(built) == 2 and parsed == [str(data)]
+    for spec in pair:
+        rid = spec.run_id
+        cmd_run(spec, str(tmp_path / "file_alone"))
+        assert (tmp_path / "file_alone" / f"{rid}.csv").read_bytes() == (
+            tmp_path / "file" / f"{rid}.csv"
+        ).read_bytes()
     capsys.readouterr()
 
 
@@ -932,3 +960,184 @@ def test_cli_derived_budget_that_overflows_exits_1(tmp_path, capsys, schedule):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "budget overflows" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the CSV artifacts are byte-identical to what csv.writer wrote for them
+
+
+def ref_trace_csv_text(run_id, algo, trace, timing):
+    """The run CSV as csv.writer serialized it before the rows were
+    formatted directly; kept as the reference for those bytes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for r in trace.records:
+        writer.writerow(
+            [
+                run_id,
+                algo,
+                r.stage,
+                r.iter,
+                r.cum_iter,
+                repr(r.objective),
+                repr(r.eta),
+                int(r.wallclock_ns) if timing else 0,
+            ]
+        )
+    return buf.getvalue()
+
+
+def ref_merged_csv_text(ids, traces):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    header = ["cum_iter"]
+    for rid in ids:
+        header += [f"objective_{rid}", f"best_{rid}"]
+    writer.writerow(header)
+    per_run = [{r.cum_iter: r for r in tr.records} for tr in traces]
+    all_cums = sorted(set().union(*[set(m) for m in per_run]))
+    for cum in all_cums:
+        row = [cum]
+        for m in per_run:
+            rec = m.get(cum)
+            row += ["", ""] if rec is None else [repr(rec.objective), repr(rec.best)]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def ref_thresholds(ids, traces, thresholds):
+    """The thresholds CSV and the stdout lines that report it."""
+    tbuf = io.StringIO()
+    twriter = csv.writer(tbuf)
+    twriter.writerow(["threshold"] + ids)
+    lines = []
+    for thr in thresholds:
+        row = [repr(float(thr))]
+        for tr in traces:
+            hit = next((r.cum_iter for r in tr.records if r.best <= thr), "")
+            row.append(hit)
+        twriter.writerow(row)
+        lines.append(
+            "  threshold "
+            + repr(float(thr))
+            + ": "
+            + ", ".join(
+                f"{rid}@{next((r.cum_iter for r in tr.records if r.best <= thr), '-')}"
+                for rid, tr in zip(ids, traces)
+            )
+        )
+    return tbuf.getvalue(), lines
+
+
+DAP_FILE_RUN = """\
+problem.kind = pwl
+problem.synth = regression
+problem.n = 40
+problem.d = 4
+problem.noise = 0.3
+problem.loss = absolute
+solver.algo = rsg_dap
+solver.norm_p = 1.5
+solver.lambda_mode = inv_grad_norm
+solver.stages = 3
+solver.t = 30
+output.stride = 1
+"""
+
+
+@pytest.mark.parametrize("timing", [False, True])
+@pytest.mark.parametrize(
+    "text,code",
+    [
+        (DAP_FILE_RUN, 0),
+        (BASE.replace("solver.t = 40", "solver.t = 40\nsolver.w0 = gaussian"), 0),
+        (RR_DIVERGE + "solver.eta_scale = 1e300\n", 3),
+    ],
+    ids=["rsg_dap", "rsg", "exit-3"],
+)
+def test_run_csv_is_what_csv_writer_wrote(tmp_path, text, code, timing):
+    spec = RunSpec.from_text(text + ("output.timing = true\n" if timing else ""))
+    got, artifacts = cmd_run(spec, str(tmp_path))
+    assert got == code
+    trace = artifacts["trace"]
+    assert trace.records
+    if timing:
+        assert any(r.wallclock_ns for r in trace.records)
+    expect = ref_trace_csv_text(spec.run_id, spec.require("solver.algo"), trace, timing)
+    assert artifacts["csv"].read_bytes() == expect.encode()
+
+
+def _record(cum, obj, best):
+    return TraceRecord(1, cum, cum, obj, 0.5, 0, best)
+
+
+def test_merged_csv_is_what_csv_writer_wrote():
+    # members of different lengths whose cum_iter sets are disjoint or
+    # partly shared, an empty member, signed zeros, and non-finite values
+    short = SolveTrace(records=[_record(c, 1.0 / c, 1.0 / c) for c in (2, 4, 6)])
+    long = SolveTrace(records=[_record(c, -0.0 + c, 0.1 * c) for c in (1, 3, 5, 7, 9, 11)])
+    mixed = SolveTrace(
+        records=[_record(1, math.inf, 1e300), _record(4, -0.0, -0.0), _record(8, 5e-324, -1.5)]
+    )
+    ids = ["0123456789ab", "ba9876543210", "00ff00ff00ff", "fedcba987654"]
+    traces = [short, long, mixed, SolveTrace()]
+    for k in range(1, len(traces) + 1):
+        got = "".join(cli._merged_csv_rows(ids[:k], traces[:k]))
+        assert got == ref_merged_csv_text(ids[:k], traces[:k])
+
+
+@pytest.mark.parametrize(
+    "thresholds",
+    [
+        [-1.0, -2.5],
+        [1e9, 10.0, 1e300],
+        [0.5, -1.0, 1e9, 0.05, 0.5, math.nan, 0.2, math.inf, -math.inf, 0.0, -0.0],
+    ],
+    ids=["none-crossed", "all-crossed", "mixed"],
+)
+def test_compare_artifacts_are_what_csv_writer_wrote(tmp_path, capsys, thresholds):
+    short = SG_VARIANT.replace("solver.T = 100", "solver.T = 30") + "output.stride = 3\n"
+    specs = [RunSpec.from_text(t) for t in (BASE + "output.stride = 2\n", short, SG_VARIANT)]
+    code, res = cmd_compare(specs, str(tmp_path), thresholds=thresholds)
+    assert code == 0
+    ids = [s.run_id for s in specs]
+    traces = [art["trace"] for _, art in res["runs"]]
+    assert res["merged"].read_bytes() == ref_merged_csv_text(ids, traces).encode()
+    table, lines = ref_thresholds(ids, traces, thresholds)
+    assert res["thresholds"].read_bytes() == table.encode()
+    assert capsys.readouterr().out.splitlines()[-len(thresholds):] == lines
+    if thresholds[0] == -1.0:
+        assert all(line.endswith("@-") for line in lines)
+    if thresholds[0] == 1e9:
+        assert "@-" not in "".join(lines)
+
+
+def test_a_row_stream_that_fails_midway_leaves_no_file(tmp_path):
+    def rows():
+        yield "a,b\r\n"
+        yield "1,2\r\n"
+        raise RuntimeError("formatting failed")
+
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli._atomic_write(target, rows())
+    assert list(tmp_path.iterdir()) == []
+    cli._atomic_write(target, iter(["a,b\r\n", "1,2\r\n"]))
+    assert target.read_bytes() == b"a,b\r\n1,2\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_cli_recalibration_that_overflows_exits_1_with_no_artifact(tmp_path, capsys):
+    text = (
+        PWL_FILE.format(path=tmp_path / "abs.svm")
+        .replace("solver.algo = sg\nsolver.eta = 0.1\nsolver.T = 5\n", "")
+        + "solver.algo = r2sg\nsolver.alpha = 1e300\nsolver.t1 = 2\nsolver.stages = 2\n"
+        "solver.max_calls = 2\nsolver.rel_tol = -0.0\nsolver.recalibrate_eps0 = true\n"
+    )
+    (tmp_path / "abs.svm").write_text(dump_libsvm(synth_regression(10, 2, noise=0.1, seed=1)))
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "alpha**stages, which overflows" in err
+    assert member_outputs(out) == []

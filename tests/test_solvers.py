@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pnorm_reference
 from rsgkit import solvers
 from rsgkit.core import ErrorBoundParams, PNormSpace, ProblemInstance, pnorm
 from rsgkit.data import synth_classification, synth_regression
@@ -291,6 +292,26 @@ def test_r2sg_computes_no_budget_after_its_last_call():
     dcfg = DoublingConfig(t1=5, max_calls=1, growth=1e308, rel_tol=-0.0)
     _, trace = r2sg(prob, np.array([1.0]), dcfg, RestartConfig(alpha=2.0, stages=1, inner_iters=1))
     assert trace.total_iters == 5
+
+
+def test_r2sg_rejects_a_recalibration_whose_shrink_factor_overflows():
+    # eps0 is divided by alpha**stages between calls; at alpha = 1e300 and
+    # two stages that factor overflows, so the schedule is refused before
+    # the first step instead of failing after the first call
+    zoo = miniature_zoo()
+    dcfg = DoublingConfig(t1=2, stages=2, max_calls=2, rel_tol=-0.0, recalibrate_eps0=True)
+    calls = []
+    prob = replace(
+        zoo["abs_median_1d"], subgrad=lambda w: calls.append(1) or zoo["abs_median_1d"].subgrad(w)
+    )
+    with pytest.raises(ValueError, match=r"alpha\*\*stages, which overflows a float"):
+        r2sg(prob, [0.0], dcfg, RestartConfig(alpha=1e300, eps0=1.0))
+    assert calls == []
+    # one call never recalibrates, and a factor that fits is used as before
+    _, one = r2sg(prob, [0.0], replace(dcfg, max_calls=1), RestartConfig(alpha=1e300, eps0=1.0))
+    assert one.total_iters == 4
+    _, two = r2sg(prob, [0.0], dcfg, RestartConfig(alpha=1e150, eps0=1.0))
+    assert two.total_iters == 4 + 2 * math.ceil(2 * dcfg.effective_growth)
 
 
 # ---------------------------------------------------------------- pnorm prox
@@ -759,18 +780,19 @@ def ref_fixed_step(problem, w, eta, T, stride):
 
 def ref_dual_averaging(problem, w1, eta, T, stride, p, lambda_mode):
     """T dual-averaging steps around w1 with unit or 1/||g||_q weights;
-    returns the weight-averaged iterate."""
+    returns the weight-averaged iterate.  The norms and the prox are the
+    frozen copies in ``pnorm_reference``, not the library's."""
     q = p / (p - 1.0)
     rows, acc, g_sum, lam_sum, w = [], np.zeros_like(w1), np.zeros_like(w1), 0.0, w1
     for t in range(1, T + 1):
         logged_rows(rows, t, T, stride, problem.objective, w, eta)
         g = problem.subgrad(w)
-        gq = pnorm(g, q)
+        gq = pnorm_reference.pnorm(g, q)
         lam = 1.0 / gq if lambda_mode == "inv_grad_norm" and gq > 0.0 else 1.0
         acc += lam * w
         lam_sum += lam
         g_sum = g_sum + lam * g
-        w = pnorm_prox(w1, eta * g_sum, p)
+        w = pnorm_reference.pnorm_prox(w1, eta * g_sum, p)
     return rows, acc / lam_sum
 
 
