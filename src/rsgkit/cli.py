@@ -64,6 +64,7 @@ from .solvers import (
     RestartConfig,
     SolveTrace,
     baseline_sg_decreasing,
+    check_restarts,
     compute_inner_iters,
     compute_stage_count,
     r2sg,
@@ -164,7 +165,7 @@ _KEYS: dict[str, _Key] = {
     "solver.t": _Key(int, None, _SCHEDULED),
     "solver.eps0": _Key(float, None, _SCHEDULED),
     "solver.target_eps": _Key(float, None, _SCHEDULED),
-    "solver.norm_p": _Key(float, 2.0, _PNORM),
+    "solver.norm_p": _Key(float, 2.0, _PNORM, "(1, 2]"),
     "solver.lambda_mode": _Key(str, "unit", _PNORM),
     "solver.eta_scale": _Key(float, 1.0, _SCHEDULED, "(0, inf)"),
     "solver.eta": _Key(float, None, ("sg",), "(0, inf)"),
@@ -380,8 +381,7 @@ def build_problem(spec: RunSpec, data: Optional[Dataset] = None) -> ProblemInsta
     unless given as data, which must be what the spec's problem block loads.
     Config mistakes raise ConfigError; bad or unusable data raises DataError."""
     kind = spec.require("problem.kind")
-    norm_p = float(spec.get("solver.norm_p"))
-    norm_q = conjugate_exponent(norm_p) if norm_p != 2.0 else 2.0
+    norm_q = conjugate_exponent(float(spec.get("solver.norm_p")))
     if kind == "lovasz_cut":
         dim = spec.require("problem.dim")
         try:
@@ -472,15 +472,10 @@ def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTr
             lambda_mode=spec.get("solver.lambda_mode"),
             eta_scale=float(spec.get("solver.eta_scale")),
         )
-        dap = algo == "rsg_dap" or (algo == "r2sg" and cfg.norm_p != 2.0)
-        if dap and problem.project is not None:
-            raise ConfigError(
-                "p-norm dual-averaging stages require an unconstrained problem (project is None)"
-            )
-        if algo == "rsg":
-            return (lambda: rsg(problem, w0, cfg, stride)[1]), extras
-        if algo == "rsg_dap":
-            return (lambda: rsg_dap(problem, w0, cfg, stride)[1]), extras
+        if algo in ("rsg", "rsg_dap"):
+            check_restarts(problem, cfg, dap=algo == "rsg_dap")
+            solver = rsg if algo == "rsg" else rsg_dap
+            return (lambda: solver(problem, w0, cfg, stride)[1]), extras
         dcfg = DoublingConfig(
             t1=spec.require("solver.t1"),
             stages=int(spec.get("solver.stages") or spec.get("solver.restart_every")),
@@ -491,6 +486,7 @@ def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTr
             rel_tol=float(spec.get("solver.rel_tol")),
             recalibrate_eps0=bool(spec.get("solver.recalibrate_eps0")),
         )
+        check_restarts(problem, cfg, dap=cfg.norm_p != 2.0, dcfg=dcfg)
         return (lambda: r2sg(problem, w0, dcfg, cfg, stride)[1]), extras
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

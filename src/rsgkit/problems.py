@@ -272,81 +272,75 @@ def _batched(objective: Callable[[Array], float], batch: Callable[[Array], Array
     return objective
 
 
+def _linf_sub(u: Array) -> Array:
+    """sign(u_j) at the largest |u_j| of u or of each column of u, 0 elsewhere."""
+    top = (np.abs(u).argmax(axis=0), *np.indices(u.shape[1:]))  # lowest index wins ties
+    s = np.zeros_like(u)
+    s[top] = np.sign(u[top])
+    return s
+
+
+# penalties before the factor lam, in u = w (u = F w for fused): (value
+# along axis 0, subgradient in u).  sign(0) = 0.
+_PENALTIES = {
+    "l1": (lambda u: np.abs(u).sum(axis=0), np.sign),
+    "linf": (lambda u: np.abs(u).max(axis=0), _linf_sub),
+}
+
+
 def _linear_model(
     layout: tuple, y: Array, loss: str, a: float = 0.0, reg: str = "none", lam: float = 0.0, F=None
 ) -> tuple:
     """objective and subgrad of mean_i loss(t_i) + penalty(w), z = X w on a
     :func:`_laid_out` X.  l1: lam * sum|w|, sign(0) = 0; linf: lam * max|w|
     on the largest-magnitude coordinate (lowest index wins ties, 0 at w = 0);
-    fused: lam * sum|F w|, F laid out like X; any other reg adds nothing.
-    The objective carries a batch form with one product X W^T per block.
-    The subgrad carries ``with_value``, the pair (objective(w), subgrad(w))
-    from one product X w (and one F w), bitwise equal to the two separate
-    calls; ``with_value.objective`` names the objective it matches, so a
-    solver can tell when a replaced objective has made it stale."""
+    fused: l1 of F w mapped back through F^T, F laid out like X; any other
+    reg adds nothing.  Every form is one pass over the scores t: the value,
+    the gradient, or both for ``subgrad.with_value`` from one X w (and one
+    F w), so that pair is bitwise the two calls; ``with_value.objective``
+    names the objective it matches, so a solver can tell when a replaced one
+    has made it stale.  ``objective.batch`` is the value pass on W^T blocks."""
     value, slope = _LOSS_FNS[loss]
     A, AT = layout
     n = y.shape[0]
     margin = loss == "hinge"
-    pen = pen_sub = pen_rows = None
-    pen_both = lambda w: (pen(w), pen_sub(w))  # noqa: E731
-    if reg == "l1":
-        pen, pen_sub = (lambda w: lam * float(np.sum(np.abs(w)))), (lambda w: lam * np.sign(w))
-        pen_rows = lambda W: lam * np.abs(W).sum(axis=1)  # noqa: E731
-    elif reg == "linf":
-        pen = lambda w: lam * float(np.max(np.abs(w)))  # noqa: E731
-        pen_rows = lambda W: lam * np.abs(W).max(axis=1)  # noqa: E731
+    yc = y[:, None]
+    pen_f, pen_g = _PENALTIES.get("l1" if reg == "fused" else reg, (None, None))
+    Fa, FT = _laid_out(F) if reg == "fused" else (None, None)
 
-        def pen_sub(w: Array) -> Array:
-            s = np.zeros_like(w)
-            j = int(np.argmax(np.abs(w)))
-            s[j] = lam * np.sign(w[j])
-            return s
-
-    elif reg == "fused":
-        Fa, FT = _laid_out(F)
-        pen = lambda w: lam * float(np.sum(np.abs(Fa.dot(w))))  # noqa: E731
-        pen_sub = lambda w: lam * FT.dot(np.sign(Fa.dot(w)))  # noqa: E731
-        pen_rows = lambda W: lam * np.abs(Fa.dot(W.T)).sum(axis=0)  # noqa: E731
-
-        def pen_both(w: Array) -> tuple:
-            u = Fa.dot(w)
-            return lam * float(np.sum(np.abs(u))), lam * FT.dot(np.sign(u))
+    def oracle(W: Array, want_f: bool, want_g: bool) -> tuple:
+        """(f, g) at w, or at each column of W; an output not wanted is None."""
+        yy = y if W.ndim == 1 else yc
+        Z = A.dot(W)
+        t = yy * Z if margin else Z - yy
+        f = value(t, a).sum(axis=0) / n if want_f else None
+        s = slope(t, a) if want_g else None
+        g = AT.dot(yy * s if margin else s) / n if want_g else None
+        if pen_f is not None:
+            u = W if Fa is None else Fa.dot(W)
+            if want_f:
+                f = f + lam * pen_f(u)
+            if want_g:
+                g = g + lam * (pen_g(u) if FT is None else FT.dot(pen_g(u)))
+        return f, g
 
     def objective(w: Array) -> float:
-        z = A.dot(w)
-        f = float(value(y * z if margin else z - y, a).sum()) / n
-        return f if pen is None else f + pen(w)
+        return float(oracle(w, True, False)[0])
 
     rows = max(1, _SCORE_BLOCK // n)
-    yc = y[:, None]
 
     def batch(W: Array) -> Array:
         f = np.empty(W.shape[0])
         for s in range(0, W.shape[0], rows):
-            Ws = W[s : s + rows]
-            Z = A.dot(Ws.T)
-            f[s : s + rows] = value(yc * Z if margin else Z - yc, a).sum(axis=0) / n
-            if pen_rows is not None:
-                f[s : s + rows] += pen_rows(Ws)
+            f[s : s + rows] = oracle(W[s : s + rows].T, True, False)[0]
         return f
 
     def subgrad(w: Array) -> Array:
-        z = A.dot(w)
-        s = slope(y * z if margin else z - y, a)
-        g = AT.dot(y * s if margin else s) / n
-        return g if pen is None else g + pen_sub(w)
+        return oracle(w, False, True)[1]
 
     def with_value(w: Array) -> tuple:
-        z = A.dot(w)
-        t = y * z if margin else z - y
-        f = float(value(t, a).sum()) / n
-        s = slope(t, a)
-        g = AT.dot(y * s if margin else s) / n
-        if pen is None:
-            return f, g
-        pf, pg = pen_both(w)
-        return f + pf, g + pg
+        f, g = oracle(w, True, True)
+        return float(f), g
 
     with_value.objective = objective = _batched(objective, batch)
     subgrad.with_value = with_value

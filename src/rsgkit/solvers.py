@@ -31,6 +31,7 @@ __all__ = [
     "UnsupportedConstraintError",
     "compute_stage_count",
     "compute_inner_iters",
+    "check_restarts",
     "pnorm_prox",
     "sg_run",
     "rsg",
@@ -528,6 +529,28 @@ def _initial_eta(cfg: RestartConfig, G: float, eps0: float) -> float:
     return cfg.eta_scale * eps0 * modulus / (cfg.alpha * G * G)
 
 
+def check_restarts(
+    problem: ProblemInstance, cfg: RestartConfig, dap: bool, dcfg: Optional[DoublingConfig] = None
+) -> float:
+    """Raise what :func:`_restarts` raises before its first step; return the
+    alpha**stages by which recalibrate_eps0 divides eps0 between calls."""
+    if dap and problem.project is not None:
+        raise UnsupportedConstraintError(
+            "p-norm dual-averaging stages require an unconstrained problem (project is None)"
+        )
+    if not dap and cfg.norm_p != 2.0:
+        raise ValueError("rsg runs Euclidean stages; use rsg_dap for norm_p != 2")
+    if dcfg is None or not dcfg.recalibrate_eps0 or dcfg.max_calls == 1:
+        return 1.0
+    try:
+        return cfg.alpha**dcfg.stages_per_call
+    except OverflowError:
+        raise ValueError(
+            f"r2sg: recalibrate_eps0 divides eps0 by alpha**stages, which "
+            f"overflows a float (alpha={cfg.alpha}, stages={dcfg.stages_per_call})"
+        ) from None
+
+
 def _restarts(
     problem: ProblemInstance,
     w0: Array,
@@ -543,12 +566,7 @@ def _restarts(
     cfg.stages stages of cfg.inner_iters steps; with dcfg it follows the
     doubling schedule of :class:`DoublingConfig`.
     """
-    if dap and problem.project is not None:
-        raise UnsupportedConstraintError(
-            "p-norm dual-averaging stages require an unconstrained problem (project is None)"
-        )
-    if not dap and cfg.norm_p != 2.0:
-        raise ValueError("rsg runs Euclidean stages; use rsg_dap for norm_p != 2")
+    shrink = check_restarts(problem, cfg, dap, dcfg)
     space = PNormSpace(cfg.norm_p) if dap else None
     w = problem.feasible(w0)
     tb = _TraceBuilder(problem, stride)
@@ -556,21 +574,11 @@ def _restarts(
         calls, stages, t = 1, cfg.stages, cfg.inner_iters
     else:
         calls, stages, t = dcfg.max_calls, dcfg.stages_per_call, dcfg.t1
-        if dcfg.recalibrate_eps0 and calls > 1:
-            try:
-                shrink = cfg.alpha**stages
-            except OverflowError:
-                raise ValueError(
-                    f"r2sg: recalibrate_eps0 divides eps0 by alpha**stages, which "
-                    f"overflows a float (alpha={cfg.alpha}, stages={stages})"
-                ) from None
         # seed best-so-far with the start so call 1's plateau check compares
         # against f(w0); the first logged record is this same point, so the
         # best column of the trace is unaffected
         tb.best = tb.checked_objective(w, "initial point")
-    eps0 = cfg.eps0
-    stage = 0
-    obj = math.nan
+    eps0, stage, obj = cfg.eps0, 0, math.nan
     for call in range(calls):
         if call:
             t = math.ceil(t * dcfg.effective_growth)

@@ -196,8 +196,8 @@ _SAMPLE_VALUE = {
     "problem.scale_features": "true", "problem.dim": "3", "problem.n": "3", "problem.d": "3",
     "problem.data_seed": "3", "solver.lambda_mode": "unit", "solver.w0": "gaussian",
     "solver.recalibrate_eps0": "true", "solver.alpha": "2.0", "solver.growth": "2.0",
-    "solver.stages": "3", "solver.t": "3", "solver.T": "3", "solver.t1": "3",
-    "solver.max_calls": "3", "solver.restart_every": "3", "solver.seed": "3",
+    "solver.norm_p": "1.5", "solver.stages": "3", "solver.t": "3", "solver.T": "3",
+    "solver.t1": "3", "solver.max_calls": "3", "solver.restart_every": "3", "solver.seed": "3",
     "output.dir": "x", "output.stride": "3", "output.timing": "true",
     "output.oracle_report": "true",
 }
@@ -689,6 +689,8 @@ def test_cli_range_bounds_accept_their_closed_ends(tmp_path):
     spec = RunSpec.from_text(text + "problem.eps_ins = 0\nproblem.reg = l1\nproblem.lam = 0\n")
     assert cmd_run(spec, str(tmp_path / "ok"))[0] == 0
     RunSpec.from_text(GFL_FILE.format(path="x.svm").replace("= 0.5", "= 1"))
+    dap = DAP_FILE.replace("problem.path = {path}\n", synth) + "solver.norm_p = 2\n"
+    assert cmd_run(RunSpec.from_text(dap), str(tmp_path / "dap"))[0] == 0
 
 
 def member_outputs(out):
@@ -702,8 +704,12 @@ def member_outputs(out):
         # eps0 defaults to f(w0) = 1 at the zero start, below the target
         (BASE, BASE.replace("solver.stages = 3\nsolver.t = 40\nsolver.eps0 = 1.0\n",
                             "solver.t = 40\nsolver.target_eps = 2.0\n"), "exceeds eps0"),
+        # r2sg would divide eps0 by 1e300**3 between its two calls
+        (BASE, BASE.replace("solver.algo = rsg", "solver.algo = r2sg").replace(
+            "solver.t = 40\n", "solver.t1 = 2\nsolver.max_calls = 2\nsolver.alpha = 1e300\n"
+            "solver.recalibrate_eps0 = true\n"), "alpha**stages, which overflows"),
     ],
-    ids=["sg-T0", "target-above-eps0"],
+    ids=["sg-T0", "target-above-eps0", "recalibration-overflow"],
 )
 def test_cli_compare_checks_every_member_before_the_first_run(
     tmp_path, capsys, first, second, match
@@ -907,6 +913,7 @@ RSG_FILE = PWL_FILE.replace(
 R2SG_FILE = RSG_FILE.replace("solver.algo = rsg", "solver.algo = r2sg").replace(
     "solver.t = 5", "solver.t1 = 5\nsolver.max_calls = 3"
 )
+DAP_FILE = RSG_FILE.replace("solver.algo = rsg", "solver.algo = rsg_dap")
 
 
 @pytest.mark.parametrize(
@@ -917,8 +924,15 @@ R2SG_FILE = RSG_FILE.replace("solver.algo = rsg", "solver.algo = r2sg").replace(
         (RSG_FILE, "solver.alpha = inf", "solver.alpha must be finite and > 1, got inf"),
         (RSG_FILE, "solver.eta_scale = inf", "solver.eta_scale must be finite and > 0"),
         (R2SG_FILE, "solver.growth = inf", "solver.growth must be finite and > 1, got inf"),
+        (DAP_FILE, "solver.norm_p = 0.5", "solver.norm_p must lie in (1, 2], got 0.5"),
+        (R2SG_FILE, "solver.norm_p = 1", "solver.norm_p must lie in (1, 2], got 1.0"),
+        (DAP_FILE, "solver.norm_p = 3", "solver.norm_p must lie in (1, 2], got 3.0"),
+        (R2SG_FILE, "solver.norm_p = nan", "solver.norm_p must lie in (1, 2], got nan"),
     ],
-    ids=["loss", "reg", "alpha-inf", "eta_scale-inf", "growth-inf"],
+    ids=[
+        "loss", "reg", "alpha-inf", "eta_scale-inf", "growth-inf",
+        "norm_p-0.5", "norm_p-1", "norm_p-3", "norm_p-nan",
+    ],
 )
 def test_cli_bad_choices_and_infinite_schedules_exit_1_before_reading_data(
     tmp_path, capsys, text, line, match
@@ -1141,3 +1155,4 @@ def test_cli_recalibration_that_overflows_exits_1_with_no_artifact(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "alpha**stages, which overflows" in err
     assert member_outputs(out) == []
+

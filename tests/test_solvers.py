@@ -22,6 +22,7 @@ from rsgkit.solvers import (
     RestartConfig,
     UnsupportedConstraintError,
     baseline_sg_decreasing,
+    check_restarts,
     compute_inner_iters,
     compute_stage_count,
     dap_run,
@@ -312,6 +313,22 @@ def test_r2sg_rejects_a_recalibration_whose_shrink_factor_overflows():
     assert one.total_iters == 4
     _, two = r2sg(prob, [0.0], dcfg, RestartConfig(alpha=1e150, eps0=1.0))
     assert two.total_iters == 4 + 2 * math.ceil(2 * dcfg.effective_growth)
+
+
+def test_check_restarts_raises_what_the_restart_loop_raises_first():
+    zoo = miniature_zoo()
+    ball, free = zoo["hinge_l1ball_2d"], zoo["abs_median_1d"]
+    dcfg = DoublingConfig(t1=2, stages=2, max_calls=2, rel_tol=-0.0, recalibrate_eps0=True)
+    with pytest.raises(UnsupportedConstraintError, match="require an unconstrained problem"):
+        check_restarts(ball, RestartConfig(norm_p=1.5), dap=True)
+    with pytest.raises(ValueError, match="use rsg_dap for norm_p != 2"):
+        check_restarts(free, RestartConfig(norm_p=1.5), dap=False)
+    with pytest.raises(ValueError, match=r"alpha\*\*stages, which overflows a float"):
+        check_restarts(free, RestartConfig(alpha=1e300), dap=False, dcfg=dcfg)
+    # the factor recalibrate_eps0 divides eps0 by, 1.0 where no call recalibrates
+    assert check_restarts(free, RestartConfig(alpha=3.0), dap=False, dcfg=dcfg) == 9.0
+    for unused in (None, replace(dcfg, max_calls=1), replace(dcfg, recalibrate_eps0=False)):
+        assert check_restarts(free, RestartConfig(alpha=1e300), dap=False, dcfg=unused) == 1.0
 
 
 # ---------------------------------------------------------------- pnorm prox
