@@ -101,6 +101,7 @@ _ALGOS = ("sg", "rsg", "rsg_dap", "r2sg", "baseline_sg")
 
 _DATA_KINDS = ("robust_regression", "pwl", "gflasso")
 _SCHEDULED = ("rsg", "rsg_dap", "r2sg")
+_FIXED_BUDGET = ("rsg", "rsg_dap")
 _PNORM = ("rsg_dap", "r2sg")
 
 
@@ -162,7 +163,7 @@ _KEYS: dict[str, _Key] = {
     "solver.algo": _Key(str, None, _ALGOS),
     "solver.alpha": _Key(float, 2.0, _SCHEDULED, "(1, inf)"),
     "solver.stages": _Key(int, None, _SCHEDULED),
-    "solver.t": _Key(int, None, _SCHEDULED),
+    "solver.t": _Key(int, None, _FIXED_BUDGET),
     "solver.eps0": _Key(float, None, _SCHEDULED),
     "solver.target_eps": _Key(float, None, _SCHEDULED),
     "solver.norm_p": _Key(float, 2.0, _PNORM, "(1, 2]"),
@@ -175,11 +176,10 @@ _KEYS: dict[str, _Key] = {
     "solver.theta": _Key(float, 0.0, ("r2sg",)),
     "solver.growth": _Key(float, None, ("r2sg",), "(1, inf)"),
     "solver.max_calls": _Key(int, 1, ("r2sg",)),
-    "solver.restart_every": _Key(int, None, ("r2sg",)),
     "solver.rel_tol": _Key(float, 1e-10, ("r2sg",)),
     "solver.recalibrate_eps0": _Key(bool, False, ("r2sg",)),
-    "solver.theta_eb": _Key(float, None, _SCHEDULED),
-    "solver.c_eb": _Key(float, None, _SCHEDULED),
+    "solver.theta_eb": _Key(float, None, _FIXED_BUDGET),
+    "solver.c_eb": _Key(float, None, _FIXED_BUDGET),
     "solver.w0": _Key(str, "zeros", _ALGOS),
     "solver.seed": _Key(int, 0, _ALGOS),
     "output.dir": _Key(str, ".", _ALGOS),
@@ -314,7 +314,7 @@ class RunSpec:
         if algo == "baseline_sg":
             self.require("solver.eta0")
             self.require("solver.T")
-        if algo in ("rsg", "rsg_dap"):
+        if algo in _FIXED_BUDGET:
             if self.get("solver.stages") is None and self.get("solver.target_eps") is None:
                 raise ConfigError(f"{algo} needs solver.stages or solver.target_eps")
             if self.get("solver.t") is None and (
@@ -328,8 +328,7 @@ class RunSpec:
                 )
         if algo == "r2sg":
             self.require("solver.t1")
-            if self.get("solver.stages") is None and self.get("solver.restart_every") is None:
-                raise ConfigError("r2sg needs solver.stages or solver.restart_every")
+            self.require("solver.stages")
 
     def echo(self) -> dict[str, str]:
         """Canonical config: every set key plus materialized defaults.
@@ -455,16 +454,16 @@ def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTr
         target = spec.get("solver.target_eps")
         stages = spec.get("solver.stages")
         t = spec.get("solver.t")
-        if stages is None and algo in ("rsg", "rsg_dap"):
+        if stages is None:
             stages = compute_stage_count(eps0, target, alpha)
             extras["stages_derived"] = stages
-        if t is None and algo in ("rsg", "rsg_dap"):
+        if t is None and algo in _FIXED_BUDGET:
             eb = ErrorBoundParams(spec.require("solver.theta_eb"), spec.require("solver.c_eb"))
             t = compute_inner_iters(problem.lipschitz_bound, eb, target, alpha)
             extras["t_derived"] = t
         cfg = RestartConfig(
             alpha=alpha,
-            stages=int(stages) if stages is not None else 1,
+            stages=int(stages),
             inner_iters=int(t) if t is not None else 1,
             eps0=float(eps0),
             target_eps=target,
@@ -472,16 +471,15 @@ def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTr
             lambda_mode=spec.get("solver.lambda_mode"),
             eta_scale=float(spec.get("solver.eta_scale")),
         )
-        if algo in ("rsg", "rsg_dap"):
+        if algo in _FIXED_BUDGET:
             check_restarts(problem, cfg, dap=algo == "rsg_dap")
             solver = rsg if algo == "rsg" else rsg_dap
             return (lambda: solver(problem, w0, cfg, stride)[1]), extras
         dcfg = DoublingConfig(
             t1=spec.require("solver.t1"),
-            stages=int(spec.get("solver.stages") or spec.get("solver.restart_every")),
+            restart_every=int(stages),
             theta=float(spec.get("solver.theta")),
             max_calls=int(spec.get("solver.max_calls")),
-            restart_every=spec.get("solver.restart_every"),
             growth=spec.get("solver.growth"),
             rel_tol=float(spec.get("solver.rel_tol")),
             recalibrate_eps0=bool(spec.get("solver.recalibrate_eps0")),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -82,13 +82,35 @@ class OracleReport:
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _box(d: int, box_lo, box_hi, who: str) -> tuple[Array, Array]:
-    """Box bounds broadcast to length d; non-finite bounds are refused."""
-    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,)).copy()
-    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,)).copy()
+def _grid(d: int, box_lo, box_hi, points_per_dim: int, budget: int, who: str) -> tuple:
+    """The checked grid of points_per_dim points per axis over a box in R^d:
+    its bounds, its cell diagonal ||h||_2 and its points in C order, in
+    (m, d) blocks of at most _BLOCK_ENTRIES entries."""
+    if points_per_dim < 2:
+        raise ValueError(f"{who}: points_per_dim must be >= 2, got {points_per_dim}")
+    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,))
+    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,))
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError(f"{who}: box bounds must be finite, got {lo.tolist()} to {hi.tolist()}")
-    return lo, hi
+    if np.any(lo >= hi):
+        raise ValueError(f"{who}: box_lo must be strictly below box_hi")
+    total = points_per_dim**d
+    if total > budget:
+        raise BudgetError(
+            f"{who}: {points_per_dim}**{d} = {total} evaluations exceed the "
+            f"budget of {budget}; raise the budget or coarsen the grid",
+            required=total,
+        )
+    axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
+    shape = (points_per_dim,) * d
+    block = max(1, _BLOCK_ENTRIES // d)
+
+    def blocks() -> Iterator[Array]:
+        for start in range(0, total, block):
+            idx = np.unravel_index(np.arange(start, min(start + block, total)), shape)
+            yield np.column_stack([axes[i][idx[i]] for i in range(d)])
+
+    return lo, hi, float(np.linalg.norm((hi - lo) / (points_per_dim - 1))), blocks()
 
 
 def grid_min(
@@ -114,28 +136,10 @@ def grid_min(
     batch value there that differs from it by more than
     1e-12 * max(1, |fstar|) raises InconsistentOracleError.
     """
-    d = problem.dim
-    if points_per_dim < 2:
-        raise ValueError(f"grid_min: points_per_dim must be >= 2, got {points_per_dim}")
-    lo, hi = _box(d, box_lo, box_hi, "grid_min")
-    if np.any(lo >= hi):
-        raise ValueError("grid_min: box_lo must be strictly below box_hi")
-    total = points_per_dim**d
-    if total > budget:
-        raise BudgetError(
-            f"grid_min: {points_per_dim}**{d} = {total} evaluations exceed the "
-            f"budget of {budget}; raise the budget or coarsen the grid",
-            required=total,
-        )
-    axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
-    h = (hi - lo) / (points_per_dim - 1)
-    shape = (points_per_dim,) * d
-    block = max(1, _BLOCK_ENTRIES // d)
+    lo, hi, diag, blocks = _grid(problem.dim, box_lo, box_hi, points_per_dim, budget, "grid_min")
     best_v = math.inf
     best_w: Optional[Array] = None
-    for start in range(0, total, block):
-        idx = np.unravel_index(np.arange(start, min(start + block, total)), shape)
-        W = np.column_stack([axes[i][idx[i]] for i in range(d)])
+    for W in blocks:
         vals = problem.values(W)
         vals = np.where(np.isnan(vals), math.inf, vals)
         k = int(np.argmin(vals))
@@ -150,12 +154,11 @@ def grid_min(
                 f"grid_min: batch value {best_v!r} at {best_w.tolist()} but "
                 f"objective there = {fstar!r}"
             )
-    tol = 0.5 * problem.lipschitz_bound * float(np.linalg.norm(h))
     return OracleReport(
         fstar=fstar,
         argmin=best_w,
         method="grid",
-        certified_tol=tol,
+        certified_tol=0.5 * problem.lipschitz_bound * diag,
         certified=True,
         params={
             "points_per_dim": points_per_dim,
@@ -263,7 +266,9 @@ class SublevelGrid:
 
     Builds the level subset once; project() then answers nearest-sublevel-
     point queries with a vectorized distance scan.  Intended for the 1- and
-    2-dimensional miniatures.
+    2-dimensional miniatures.  The grid and its checks are grid_min's, and
+    the objective is evaluated at every grid point, infeasible ones too;
+    only the points at or below the level are tested for feasibility.
     """
 
     def __init__(
@@ -278,35 +283,25 @@ class SublevelGrid:
     ):
         if not eps > 0:
             raise ValueError(f"SublevelGrid: eps must be > 0, got {eps}")
-        d = problem.dim
-        lo, hi = _box(d, box_lo, box_hi, "SublevelGrid")
-        total = points_per_dim**d
-        if total > budget:
-            raise BudgetError(
-                f"SublevelGrid: {total} grid evaluations exceed budget {budget}",
-                required=total,
-            )
+        _, _, self.cell_diag, blocks = _grid(
+            problem.dim, box_lo, box_hi, points_per_dim, budget, "SublevelGrid"
+        )
         _check_report(problem, oracle)
         self.level = oracle.fstar + eps
-        axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        if problem.project is not None:
-            keep = [
-                k
-                for k in range(pts.shape[0])
-                if np.max(np.abs(problem.project(pts[k]) - pts[k])) <= 1e-12
-            ]
-            pts = pts[keep]
-        vals = problem.values(pts)
-        inside = vals <= self.level
-        if not np.any(inside):
+        project = problem.project
+        kept = []
+        for W in blocks:
+            W = W[problem.values(W) <= self.level]
+            if project is not None:
+                feasible = [np.max(np.abs(project(w) - w)) <= 1e-12 for w in W]
+                W = W[np.array(feasible, dtype=bool)]
+            kept.append(W)
+        self.points = np.concatenate(kept)
+        if not len(self.points):
             raise InconsistentOracleError(
                 "SublevelGrid: no grid point reaches the level; the box misses "
                 "the sublevel set or the grid is too coarse"
             )
-        self.points = pts[inside]
-        self.cell_diag = float(np.linalg.norm((hi - lo) / (points_per_dim - 1)))
 
     def project(self, w: Array) -> Array:
         w = np.asarray(w, dtype=float)

@@ -82,6 +82,13 @@ def _require_rows(data: Dataset, who: str) -> None:
         raise ValueError(f"{who}: dataset has no features")
 
 
+def _data_bound(G: float, data: Dataset, who: str) -> float:
+    """The builder's bound G, refused with its cause if all-zero features make it 0."""
+    if not G > 0.0 and data.X.count_nonzero() == 0:
+        raise ValueError(f"{who}: every feature value is zero, so the objective is constant")
+    return G
+
+
 def _require_binary_labels(data: Dataset, who: str) -> None:
     labels = np.unique(data.y)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -382,7 +389,7 @@ def robust_regression(
         dim=data.d,
         objective=objective,
         subgrad=subgrad,
-        lipschitz_bound=G,
+        lipschitz_bound=_data_bound(G, data, "robust_regression"),
         project=project,
         lipschitz_norm_q=norm_q,
         eb_theta=0.5,
@@ -465,7 +472,9 @@ def piecewise_linear_erm(
         dim=data.d,
         objective=objective,
         subgrad=subgrad,
-        lipschitz_bound=_erm_bound(layout[0], reg, lam, norm_q),
+        lipschitz_bound=_data_bound(
+            _erm_bound(layout[0], reg, lam, norm_q), data, "piecewise_linear_erm"
+        ),
         project=projections.get(reg),
         lipschitz_norm_q=norm_q,
         eb_theta=1.0,
@@ -498,7 +507,7 @@ def gflasso_svm(
         dim=data.d,
         objective=objective,
         subgrad=subgrad,
-        lipschitz_bound=G,
+        lipschitz_bound=_data_bound(G, data, "gflasso_svm"),
         lipschitz_norm_q=norm_q,
         eb_theta=1.0,
         name=f"gflasso_lam{lam:g}",

@@ -157,20 +157,21 @@ class RestartConfig:
 class DoublingConfig:
     """Schedule for the restart-doubling driver.
 
-    Each call runs ``stages`` geometric-restart stages (``restart_every``
-    overrides that count when emulating protocol runs) with the current
-    per-stage budget, then multiplies the budget by ``growth`` (default
-    2**(2*(1-theta))) and calls again, warm-started.  Stops after
-    ``max_calls`` calls or when the best objective improves by less than
-    rel_tol (relative) across a full call.  recalibrate_eps0 shrinks the
-    initial-gap estimate between calls by the accuracy already achieved.
+    Each call runs ``restart_every`` geometric-restart stages with the
+    current per-stage budget (``t1`` in the first call), then multiplies the
+    budget by ``growth`` (default 2**(2*(1-theta))) and calls again,
+    warm-started.  Stops after ``max_calls`` calls or when the best
+    objective improves by less than rel_tol (relative) across a full call.
+    recalibrate_eps0 shrinks the initial-gap estimate between calls by the
+    accuracy already achieved.  The RestartConfig handed to :func:`r2sg`
+    supplies alpha, eps0 and the geometry; its stages and inner_iters are
+    not read.
     """
 
     t1: int
-    stages: int = 1
+    restart_every: int = 1
     theta: float = 0.0
     max_calls: int = 1
-    restart_every: Optional[int] = None
     growth: Optional[float] = None
     rel_tol: float = 1e-10
     recalibrate_eps0: bool = False
@@ -178,16 +179,14 @@ class DoublingConfig:
     def __post_init__(self) -> None:
         if self.t1 < 1:
             raise ValueError(f"DoublingConfig: t1 must be >= 1, got {self.t1}")
-        if self.stages < 1:
-            raise ValueError(f"DoublingConfig: stages must be >= 1, got {self.stages}")
+        if self.restart_every < 1:
+            raise ValueError(
+                f"DoublingConfig: restart_every must be >= 1, got {self.restart_every}"
+            )
         if not (0.0 <= self.theta < 1.0):
             raise ValueError(f"DoublingConfig: theta must lie in [0, 1), got {self.theta}")
         if self.max_calls < 1:
             raise ValueError(f"DoublingConfig: max_calls must be >= 1, got {self.max_calls}")
-        if self.restart_every is not None and self.restart_every < 1:
-            raise ValueError(
-                f"DoublingConfig: restart_every must be >= 1, got {self.restart_every}"
-            )
         if self.growth is not None and not (math.isfinite(self.growth) and self.growth > 1.0):
             raise ValueError(f"DoublingConfig: growth must be finite and > 1, got {self.growth}")
         if not self.rel_tol >= 0.0:
@@ -197,10 +196,6 @@ class DoublingConfig:
                 f"DoublingConfig: the budget of call {self.max_calls} overflows a float "
                 f"(t1={self.t1}, growth={self.effective_growth})"
             )
-
-    @property
-    def stages_per_call(self) -> int:
-        return self.restart_every if self.restart_every is not None else self.stages
 
     @property
     def effective_growth(self) -> float:
@@ -543,11 +538,11 @@ def check_restarts(
     if dcfg is None or not dcfg.recalibrate_eps0 or dcfg.max_calls == 1:
         return 1.0
     try:
-        return cfg.alpha**dcfg.stages_per_call
+        return cfg.alpha**dcfg.restart_every
     except OverflowError:
         raise ValueError(
             f"r2sg: recalibrate_eps0 divides eps0 by alpha**stages, which "
-            f"overflows a float (alpha={cfg.alpha}, stages={dcfg.stages_per_call})"
+            f"overflows a float (alpha={cfg.alpha}, stages={dcfg.restart_every})"
         ) from None
 
 
@@ -573,7 +568,7 @@ def _restarts(
     if dcfg is None:
         calls, stages, t = 1, cfg.stages, cfg.inner_iters
     else:
-        calls, stages, t = dcfg.max_calls, dcfg.stages_per_call, dcfg.t1
+        calls, stages, t = dcfg.max_calls, dcfg.restart_every, dcfg.t1
         # seed best-so-far with the start so call 1's plateau check compares
         # against f(w0); the first logged record is this same point, so the
         # best column of the trace is unaffected

@@ -6,7 +6,9 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,7 +111,7 @@ def test_runspec_r2sg_requires_t1_and_schedule():
         RunSpec.from_text(text.replace("solver.t = 40\n", ""))
     ok = text.replace("solver.t = 40", "solver.t1 = 40")
     RunSpec.from_text(ok)
-    with pytest.raises(ConfigError, match="stages or solver.restart_every"):
+    with pytest.raises(ConfigError, match="missing required key 'solver.stages'"):
         RunSpec.from_text(ok.replace("solver.stages = 3\n", ""))
 
 
@@ -142,20 +144,19 @@ _EVERY_ALGO = {
     "solver.algo", "solver.seed", "solver.w0",
 }
 _SCHEDULE = {
-    "solver.alpha", "solver.c_eb", "solver.eps0", "solver.eta_scale", "solver.stages",
-    "solver.t", "solver.target_eps", "solver.theta_eb",
+    "solver.alpha", "solver.eps0", "solver.eta_scale", "solver.stages", "solver.target_eps",
 }
+_FIXED_SCHEDULE = _SCHEDULE | {"solver.c_eb", "solver.t", "solver.theta_eb"}
 _ALGO_ACCEPTS = {
     "sg": _EVERY_ALGO | {"solver.T", "solver.eta"},
     "baseline_sg": _EVERY_ALGO | {"solver.T", "solver.eta0"},
-    "rsg": _EVERY_ALGO | _SCHEDULE,
-    "rsg_dap": _EVERY_ALGO | _SCHEDULE | {"solver.lambda_mode", "solver.norm_p"},
+    "rsg": _EVERY_ALGO | _FIXED_SCHEDULE,
+    "rsg_dap": _EVERY_ALGO | _FIXED_SCHEDULE | {"solver.lambda_mode", "solver.norm_p"},
     "r2sg": _EVERY_ALGO
     | _SCHEDULE
     | {
         "solver.growth", "solver.lambda_mode", "solver.max_calls", "solver.norm_p",
-        "solver.recalibrate_eps0", "solver.rel_tol", "solver.restart_every", "solver.t1",
-        "solver.theta",
+        "solver.recalibrate_eps0", "solver.rel_tol", "solver.t1", "solver.theta",
     },
 }
 _ECHOED_EVERYWHERE = {
@@ -197,7 +198,7 @@ _SAMPLE_VALUE = {
     "problem.data_seed": "3", "solver.lambda_mode": "unit", "solver.w0": "gaussian",
     "solver.recalibrate_eps0": "true", "solver.alpha": "2.0", "solver.growth": "2.0",
     "solver.norm_p": "1.5", "solver.stages": "3", "solver.t": "3", "solver.T": "3",
-    "solver.t1": "3", "solver.max_calls": "3", "solver.restart_every": "3", "solver.seed": "3",
+    "solver.t1": "3", "solver.max_calls": "3", "solver.seed": "3",
     "output.dir": "x", "output.stride": "3", "output.timing": "true",
     "output.oracle_report": "true",
 }
@@ -228,6 +229,23 @@ def test_runspec_echo_materializes_exact_defaults(algo):
     spec = RunSpec.from_text(_MINIMAL_PROBLEM["pwl"] + _MINIMAL_SOLVER[algo])
     added = {k: v for k, v in spec.echo().items() if k not in spec.values}
     assert added == _ECHOED_DEFAULTS[algo]
+
+
+def test_readme_config_key_table_names_exactly_the_schema_keys():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Config keys", 1)[1]
+    documented = {}
+    for row in section.strip().split("\n\n", 1)[0].splitlines():
+        block = re.match(r"\| `(\w+)\.\*` \| (.*) \|$", row)
+        if block:
+            # the choice lists in parentheses name values, not keys
+            keys = re.sub(r"\([^)]*\)", "", block.group(2))
+            documented[block.group(1)] = set(re.findall(r"`([^`]+)`", keys))
+    schema = {}
+    for key in cli._KEYS:
+        prefix, name = key.split(".", 1)
+        schema.setdefault(prefix, set()).add(name)
+    assert documented == schema
 
 
 # ---------------------------------------------------------------------------
@@ -957,6 +975,33 @@ def test_cli_r2sg_budget_that_overflows_exits_1_before_any_artifact(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "budget of call 3 overflows" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["solver.t = 5", "solver.theta_eb = 0.5", "solver.c_eb = 1.0", "solver.restart_every = 3"],
+    ids=["t", "theta_eb", "c_eb", "restart_every"],
+)
+def test_cli_r2sg_rejects_keys_it_never_reads_before_reading_data(tmp_path, capsys, line):
+    # r2sg's per-call stage count is solver.stages, and its budget comes from
+    # t1 and growth: a key that would change nothing is a config error
+    text = R2SG_FILE.format(path=tmp_path / "none.svm") + line + "\n"
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert member_outputs(out) == []
+
+
+def test_cli_all_zero_features_exit_2_naming_the_data(tmp_path, capsys):
+    data = tmp_path / "zero.svm"
+    data.write_text("1 1:0\n-1 1:0\n1 1:0\n")
+    text = PWL_FILE.replace("absolute", "hinge").format(path=data)
+    out = tmp_path / "z"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "every feature value is zero" in err
+    assert "Traceback" not in err
+    assert member_outputs(out) == []
 
 
 @pytest.mark.parametrize(

@@ -316,6 +316,46 @@ def test_sublevel_grid_budget():
         SublevelGrid(ZOO["l1_2d"], exact_report(0.0, [0.0, 0.0]), 1.0, -1.0, 1.0, 3000)
 
 
+def reference_sublevel_points(problem, level, box_lo, box_hi, points_per_dim):
+    """The level subset as SublevelGrid built it before it filtered by level
+    first: the whole grid from a meshgrid, a per-point feasibility loop over
+    it, then one values() call on the feasible points."""
+    d = problem.dim
+    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,))
+    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,))
+    axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    if problem.project is not None:
+        keep = [
+            k
+            for k in range(pts.shape[0])
+            if np.max(np.abs(problem.project(pts[k]) - pts[k])) <= 1e-12
+        ]
+        pts = pts[keep]
+    return pts[problem.values(pts) <= level]
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+@pytest.mark.parametrize("name", sorted(n for n in ZOO if ZOO[n].dim <= 2))
+def test_sublevel_grid_matches_the_per_point_filter(name, eps):
+    inst = ZOO[name]
+    oracle = grid_min(inst, -1.5, 1.5, 61)
+    grid = SublevelGrid(inst, oracle, eps, -1.5, 1.5, points_per_dim=61)
+    expected = reference_sublevel_points(inst, oracle.fstar + eps, -1.5, 1.5, 61)
+    assert grid.points.shape == expected.shape
+    assert np.array_equal(grid.points, expected)
+    assert grid.cell_diag == float(np.linalg.norm(np.full(inst.dim, 3.0 / 60)))
+
+
+def test_sublevel_grid_checks_its_grid_as_grid_min_does():
+    inst, oracle = ZOO["abs_1d"], exact_report(0.0, [0.0])
+    with pytest.raises(ValueError, match="points_per_dim must be >= 2"):
+        SublevelGrid(inst, oracle, eps=0.5, box_lo=-1.0, box_hi=1.0, points_per_dim=1)
+    with pytest.raises(ValueError, match="box_lo must be strictly below box_hi"):
+        SublevelGrid(inst, oracle, eps=0.5, box_lo=1.0, box_hi=-1.0, points_per_dim=11)
+
+
 # ---------------------------------------------------------------------------
 # level-point sampling and radius estimates
 

@@ -50,6 +50,21 @@ def test_dataset_empty_is_legal_but_builders_reject():
         piecewise_linear_erm(empty, loss="absolute")
 
 
+def test_builders_name_all_zero_features_as_the_cause_of_a_zero_bound():
+    zero = dense([[0.0, 0.0], [0.0, 0.0]], [1.0, -1.0])
+    no_edges = GFlassoGraph(2, ())
+    for build, who in [
+        (lambda: robust_regression(zero, 1.5), "robust_regression"),
+        (lambda: piecewise_linear_erm(zero, loss="hinge"), "piecewise_linear_erm"),
+        (lambda: piecewise_linear_erm(zero, reg="l1_ball"), "piecewise_linear_erm"),
+        (lambda: gflasso_svm(zero, no_edges, lam=0.5), "gflasso_svm"),
+    ]:
+        with pytest.raises(ValueError, match=f"{who}: every feature value is zero"):
+            build()
+    # a penalty bounds the subgradient on its own, so the problem still builds
+    assert piecewise_linear_erm(zero, reg="l1", lam=0.5).lipschitz_bound > 0.0
+
+
 def test_gflasso_graph_validation():
     with pytest.raises(ValueError, match="dim"):
         GFlassoGraph(0, ())

@@ -205,7 +205,7 @@ def test_pnorm_restarts_reject_constrained():
     with pytest.raises(UnsupportedConstraintError):
         rsg_dap(prob, np.array([0.5]), cfg)
     with pytest.raises(UnsupportedConstraintError):
-        r2sg(prob, np.array([0.5]), DoublingConfig(t1=4, stages=2), cfg)
+        r2sg(prob, np.array([0.5]), DoublingConfig(t1=4, restart_every=2), cfg)
 
 
 def test_restart_config_validation():
@@ -300,7 +300,7 @@ def test_r2sg_rejects_a_recalibration_whose_shrink_factor_overflows():
     # two stages that factor overflows, so the schedule is refused before
     # the first step instead of failing after the first call
     zoo = miniature_zoo()
-    dcfg = DoublingConfig(t1=2, stages=2, max_calls=2, rel_tol=-0.0, recalibrate_eps0=True)
+    dcfg = DoublingConfig(t1=2, restart_every=2, max_calls=2, rel_tol=-0.0, recalibrate_eps0=True)
     calls = []
     prob = replace(
         zoo["abs_median_1d"], subgrad=lambda w: calls.append(1) or zoo["abs_median_1d"].subgrad(w)
@@ -318,7 +318,7 @@ def test_r2sg_rejects_a_recalibration_whose_shrink_factor_overflows():
 def test_check_restarts_raises_what_the_restart_loop_raises_first():
     zoo = miniature_zoo()
     ball, free = zoo["hinge_l1ball_2d"], zoo["abs_median_1d"]
-    dcfg = DoublingConfig(t1=2, stages=2, max_calls=2, rel_tol=-0.0, recalibrate_eps0=True)
+    dcfg = DoublingConfig(t1=2, restart_every=2, max_calls=2, rel_tol=-0.0, recalibrate_eps0=True)
     with pytest.raises(UnsupportedConstraintError, match="require an unconstrained problem"):
         check_restarts(ball, RestartConfig(norm_p=1.5), dap=True)
     with pytest.raises(ValueError, match="use rsg_dap for norm_p != 2"):
@@ -460,7 +460,7 @@ def test_r2sg_single_call_degenerates_to_rsg():
     prob = l1_nd(2)
     w0 = np.array([1.5, -0.5])
     cfg = RestartConfig(alpha=2.0, stages=3, inner_iters=12, eps0=2.0)
-    dcfg = DoublingConfig(t1=12, stages=3, max_calls=1)
+    dcfg = DoublingConfig(t1=12, restart_every=3, max_calls=1)
     w_r2, tr_r2 = r2sg(prob, w0, dcfg, cfg, stride=1)
     w_rsg, tr_rsg = rsg(prob, w0, cfg, stride=1)
     np.testing.assert_array_equal(w_r2, w_rsg)
@@ -470,7 +470,7 @@ def test_r2sg_single_call_degenerates_to_rsg():
 def test_r2sg_quadruples_t_at_theta_zero():
     prob = l1_nd(2)
     cfg = RestartConfig(alpha=2.0, stages=2, inner_iters=5, eps0=2.0)
-    dcfg = DoublingConfig(t1=5, stages=2, theta=0.0, max_calls=3, rel_tol=0.0)
+    dcfg = DoublingConfig(t1=5, restart_every=2, theta=0.0, max_calls=3, rel_tol=0.0)
     _, trace = r2sg(prob, np.array([1.0, 1.0]), dcfg, cfg, stride=1)
     per_stage = {}
     for r in trace.records:
@@ -484,10 +484,7 @@ def test_r2sg_growth_override_protocol():
     # restart every 5 stages with t growth 1.15 between calls
     prob = l1_nd(2)
     cfg = RestartConfig(alpha=2.0, stages=1, inner_iters=1, eps0=2.0)
-    dcfg = DoublingConfig(
-        t1=20, stages=1, theta=0.9, max_calls=3, restart_every=5, growth=1.15, rel_tol=0.0
-    )
-    assert dcfg.stages_per_call == 5
+    dcfg = DoublingConfig(t1=20, restart_every=5, theta=0.9, max_calls=3, growth=1.15, rel_tol=0.0)
     assert dcfg.effective_growth == 1.15
     _, trace = r2sg(prob, np.array([1.0, 1.0]), dcfg, cfg, stride=1)
     counts = {}
@@ -500,7 +497,7 @@ def test_r2sg_growth_override_protocol():
 def test_r2sg_stage_indices_run_consecutively():
     prob = l1_nd(2)
     cfg = RestartConfig(alpha=2.0, stages=2, inner_iters=4, eps0=2.0)
-    dcfg = DoublingConfig(t1=4, stages=2, max_calls=2, rel_tol=0.0)
+    dcfg = DoublingConfig(t1=4, restart_every=2, max_calls=2, rel_tol=0.0)
     _, trace = r2sg(prob, np.array([1.0, 1.0]), dcfg, cfg, stride=1)
     assert [s.stage for s in trace.stage_results] == [1, 2, 3, 4]
 
@@ -509,21 +506,21 @@ def test_r2sg_plateau_stop():
     # starting at the optimum, the first call cannot improve: exactly one call runs
     prob = l1_nd(1)
     cfg = RestartConfig(alpha=2.0, stages=2, inner_iters=4, eps0=1.0)
-    dcfg = DoublingConfig(t1=4, stages=2, max_calls=10, rel_tol=1e-10)
+    dcfg = DoublingConfig(t1=4, restart_every=2, max_calls=10, rel_tol=1e-10)
     _, trace = r2sg(prob, np.array([0.0]), dcfg, cfg, stride=1)
     assert trace.total_iters == 2 * 4  # one call of two stages
 
 
 def test_doubling_config_validation():
     with pytest.raises(ValueError):
-        DoublingConfig(t1=0, stages=1)
+        DoublingConfig(t1=0, restart_every=1)
     with pytest.raises(ValueError):
-        DoublingConfig(t1=1, stages=1, theta=1.0)
+        DoublingConfig(t1=1, restart_every=1, theta=1.0)
     with pytest.raises(ValueError):
-        DoublingConfig(t1=1, stages=1, max_calls=0)
+        DoublingConfig(t1=1, restart_every=1, max_calls=0)
     with pytest.raises(ValueError):
-        DoublingConfig(t1=1, stages=1, growth=1.0)
-    assert DoublingConfig(t1=1, stages=1, theta=0.5).effective_growth == pytest.approx(2.0)
+        DoublingConfig(t1=1, restart_every=1, growth=1.0)
+    assert DoublingConfig(t1=1, restart_every=1, theta=0.5).effective_growth == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------- baseline
@@ -680,7 +677,9 @@ def solver_runs(problem, w0, stride):
         ("baseline", lambda: baseline_sg_decreasing(problem, w0, 0.1, 60, stride)),
         (
             "r2sg",
-            lambda: r2sg(problem, w0, DoublingConfig(t1=10, stages=2, max_calls=3), cfg, stride)[1],
+            lambda: r2sg(
+                problem, w0, DoublingConfig(t1=10, restart_every=2, max_calls=3), cfg, stride
+            )[1],
         ),
     ]
     if problem.project is None:
@@ -695,7 +694,7 @@ def solver_runs(problem, w0, stride):
             (
                 "r2sg_dap",
                 lambda: r2sg(
-                    problem, w0, DoublingConfig(t1=10, stages=2, max_calls=3), dcfg, stride
+                    problem, w0, DoublingConfig(t1=10, restart_every=2, max_calls=3), dcfg, stride
                 )[1],
             ),
         ]
