@@ -103,24 +103,28 @@ _DATA_KINDS = ("robust_regression", "pwl", "gflasso")
 _SCHEDULED = ("rsg", "rsg_dap", "r2sg")
 _FIXED_BUDGET = ("rsg", "rsg_dap")
 _PNORM = ("rsg_dap", "r2sg")
+_PLAIN = ("sg", "baseline_sg")
+_ROBUST = ("robust_regression",)
 
 
 class _Key(NamedTuple):
     """A config key: its python type, default, the problem kinds / solver
-    algos it applies to, and the interval a numeric value must lie in
-    ("(0, inf)" is > 0 and finite).  "str" values are validated further
-    downstream."""
+    algos it applies to, the interval a numeric value must lie in ("(0, inf)"
+    is > 0 and finite, "[0, inf]" admits inf), the values a named choice may
+    take, and the kinds / algos that must set it.  Other "str" values are
+    validated further downstream."""
 
     type: type
     default: object
     applies: tuple[str, ...]
     bounds: Optional[str] = None
+    choices: Optional[tuple[str, ...]] = None
+    required: tuple[str, ...] = ()
 
 
-def _check_bounds(key: str, value) -> None:
-    """Raise ConfigError when value lies outside the key's interval (nan
+def _check_bounds(key: str, bounds: Optional[str], value) -> None:
+    """Raise ConfigError when value lies outside the interval bounds (nan
     lies outside every interval)."""
-    bounds = _KEYS[key].bounds
     if bounds is None:
         return
     lo, hi = (float(x) for x in bounds[1:-1].split(","))
@@ -129,58 +133,58 @@ def _check_bounds(key: str, value) -> None:
     if above and below:
         return
     if math.isinf(hi):
-        finite = "finite and " if isinstance(value, float) else ""
+        finite = "finite and " if isinstance(value, float) and bounds[-1] == ")" else ""
         rel = ">=" if bounds[0] == "[" else ">"
         raise ConfigError(f"{key} must be {finite}{rel} {lo:g}, got {value!r}")
     raise ConfigError(f"{key} must lie in {bounds}, got {value!r}")
 
 
 # output.* keys apply everywhere; echo() materializes only solver.* and
-# output.* defaults.
+# output.* defaults.  problem.kind and solver.algo lead the rows that apply
+# by them, so validate() checks each choice before those rows.
 _KEYS: dict[str, _Key] = {
-    "problem.kind": _Key(str, None, _KINDS),
+    "problem.kind": _Key(str, None, _KINDS, choices=_KINDS),
     "problem.path": _Key(str, None, _DATA_KINDS),
-    "problem.dim": _Key(int, None, _KINDS, "[1, inf)"),
+    "problem.dim": _Key(int, None, _KINDS, "[1, inf)", required=("lovasz_cut",)),
     "problem.positive_class": _Key(float, None, _DATA_KINDS),
     "problem.scale_features": _Key(bool, False, _DATA_KINDS),
-    "problem.synth": _Key(str, None, _DATA_KINDS),
+    "problem.synth": _Key(str, None, _DATA_KINDS, choices=("regression", "classification")),
     "problem.n": _Key(int, None, _DATA_KINDS, "[1, inf)"),
     "problem.d": _Key(int, None, _DATA_KINDS, "[1, inf)"),
     "problem.noise": _Key(float, 0.0, _DATA_KINDS, "[0, inf)"),
     "problem.margin": _Key(float, 1.0, _DATA_KINDS, "[0, inf)"),
     "problem.data_seed": _Key(int, 0, _DATA_KINDS, "[0, inf)"),
-    "problem.p_loss": _Key(float, None, ("robust_regression",), "(1, 2)"),
-    "problem.region_radius": _Key(float, None, ("robust_regression",), "(0, inf)"),
-    "problem.constrain_region": _Key(bool, False, ("robust_regression",)),
-    "problem.loss": _Key(str, "hinge", ("pwl",)),
-    "problem.reg": _Key(str, "none", ("pwl",)),
-    # no default: gflasso requires it, pwl falls back to 0.0
-    "problem.lam": _Key(float, None, ("pwl", "gflasso"), "[0, inf)"),
+    "problem.p_loss": _Key(float, None, _ROBUST, "(1, 2)", required=_ROBUST),
+    "problem.region_radius": _Key(float, None, _ROBUST, "(0, inf)"),
+    "problem.constrain_region": _Key(bool, False, _ROBUST),
+    "problem.loss": _Key(str, "hinge", ("pwl",), choices=_LOSSES),
+    "problem.reg": _Key(str, "none", ("pwl",), choices=_REGS),
+    "problem.lam": _Key(float, 0.0, ("pwl", "gflasso"), "[0, inf)", required=("gflasso",)),
     "problem.radius": _Key(float, 1.0, ("pwl",), "(0, inf)"),
     "problem.eps_ins": _Key(float, 0.1, ("pwl",), "[0, inf)"),
-    "problem.edges": _Key(str, None, ("gflasso", "lovasz_cut")),
+    "problem.edges": _Key(str, None, ("gflasso", "lovasz_cut"), required=("lovasz_cut",)),
     "problem.corr_cutoff": _Key(float, None, ("gflasso",), "(0, 1]"),
-    "solver.algo": _Key(str, None, _ALGOS),
+    "solver.algo": _Key(str, None, _ALGOS, choices=_ALGOS),
     "solver.alpha": _Key(float, 2.0, _SCHEDULED, "(1, inf)"),
-    "solver.stages": _Key(int, None, _SCHEDULED),
-    "solver.t": _Key(int, None, _FIXED_BUDGET),
-    "solver.eps0": _Key(float, None, _SCHEDULED),
-    "solver.target_eps": _Key(float, None, _SCHEDULED),
+    "solver.stages": _Key(int, None, _SCHEDULED, "[1, inf)", required=("r2sg",)),
+    "solver.t": _Key(int, None, _FIXED_BUDGET, "[1, inf)"),
+    "solver.eps0": _Key(float, None, _SCHEDULED, "(0, inf)"),
+    "solver.target_eps": _Key(float, None, _SCHEDULED, "(0, inf)"),
     "solver.norm_p": _Key(float, 2.0, _PNORM, "(1, 2]"),
-    "solver.lambda_mode": _Key(str, "unit", _PNORM),
+    "solver.lambda_mode": _Key(str, "unit", _PNORM, choices=("unit", "inv_grad_norm")),
     "solver.eta_scale": _Key(float, 1.0, _SCHEDULED, "(0, inf)"),
-    "solver.eta": _Key(float, None, ("sg",), "(0, inf)"),
-    "solver.T": _Key(int, None, ("sg", "baseline_sg"), "[1, inf)"),
-    "solver.eta0": _Key(float, None, ("baseline_sg",), "(0, inf)"),
-    "solver.t1": _Key(int, None, ("r2sg",)),
-    "solver.theta": _Key(float, 0.0, ("r2sg",)),
+    "solver.eta": _Key(float, None, ("sg",), "(0, inf)", required=("sg",)),
+    "solver.T": _Key(int, None, _PLAIN, "[1, inf)", required=_PLAIN),
+    "solver.eta0": _Key(float, None, ("baseline_sg",), "(0, inf)", required=("baseline_sg",)),
+    "solver.t1": _Key(int, None, ("r2sg",), "[1, inf)", required=("r2sg",)),
+    "solver.theta": _Key(float, 0.0, ("r2sg",), "[0, 1)"),
     "solver.growth": _Key(float, None, ("r2sg",), "(1, inf)"),
-    "solver.max_calls": _Key(int, 1, ("r2sg",)),
-    "solver.rel_tol": _Key(float, 1e-10, ("r2sg",)),
+    "solver.max_calls": _Key(int, 1, ("r2sg",), "[1, inf)"),
+    "solver.rel_tol": _Key(float, 1e-10, ("r2sg",), "[0, inf]"),
     "solver.recalibrate_eps0": _Key(bool, False, ("r2sg",)),
-    "solver.theta_eb": _Key(float, None, _FIXED_BUDGET),
-    "solver.c_eb": _Key(float, None, _FIXED_BUDGET),
-    "solver.w0": _Key(str, "zeros", _ALGOS),
+    "solver.theta_eb": _Key(float, None, _FIXED_BUDGET, "[0, 1]"),
+    "solver.c_eb": _Key(float, None, _FIXED_BUDGET, "(0, inf)"),
+    "solver.w0": _Key(str, "zeros", _ALGOS, choices=("zeros", "gaussian")),
     "solver.seed": _Key(int, 0, _ALGOS),
     "output.dir": _Key(str, ".", _ALGOS),
     "output.stride": _Key(int, None, _ALGOS, "[1, inf)"),
@@ -223,14 +227,7 @@ class RunSpec:
                 raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
             typ = _KEYS[key].type
             try:
-                if typ is bool:
-                    values[key] = _parse_bool(value)
-                elif typ is int:
-                    values[key] = int(value)
-                elif typ is float:
-                    values[key] = float(value)
-                else:
-                    values[key] = value
+                values[key] = _parse_bool(value) if typ is bool else typ(value)
             except ValueError:
                 raise ConfigError(
                     f"{origin}:{lineno}: key {key!r} expects {typ.__name__}, got {value!r}"
@@ -259,9 +256,8 @@ class RunSpec:
         spec.validate()
         return spec
 
-    def get(self, key: str, default=None):
-        val = self.values.get(key, _KEYS[key].default)
-        return default if val is None else val
+    def get(self, key: str):
+        return self.values.get(key, _KEYS[key].default)
 
     def require(self, key: str):
         val = self.get(key)
@@ -270,50 +266,33 @@ class RunSpec:
         return val
 
     def validate(self) -> None:
-        kind = self.require("problem.kind")
-        if kind not in _KINDS:
-            raise ConfigError(f"problem.kind must be one of {_KINDS}, got {kind!r}")
-        for key in self.values:
-            if key.startswith("problem.") and kind not in _KEYS[key].applies:
-                raise ConfigError(f"key {key!r} does not apply to problem.kind={kind}")
-        algo = self.require("solver.algo")
-        if algo not in _ALGOS:
-            raise ConfigError(f"solver.algo must be one of {_ALGOS}, got {algo!r}")
-        for key in self.values:
-            if key.startswith("solver.") and algo not in _KEYS[key].applies:
-                raise ConfigError(f"key {key!r} does not apply to solver.algo={algo}")
-        for key, value in self.values.items():
-            _check_bounds(key, value)
-        for key, choices in (
-            ("solver.w0", ("zeros", "gaussian")),
-            ("solver.lambda_mode", ("unit", "inv_grad_norm")),
-            ("problem.loss", _LOSSES),
-            ("problem.reg", _REGS),
-            ("problem.synth", (None, "regression", "classification")),
-        ):
-            if self.get(key) not in choices:
-                raise ConfigError(f"{key} must be one of {choices}, got {self.get(key)!r}")
+        """One pass over _KEYS, which checks each set key's choice, then
+        whether it applies (so a key that does not apply is named so, in
+        range or not), then its range, and that every key the kind or algo
+        requires is set; then the rules that span keys."""
+        kind, algo = self.require("problem.kind"), self.require("solver.algo")
+        for key, row in _KEYS.items():
+            by = "problem.kind" if key.startswith("problem.") else "solver.algo"
+            owner = self.values[by]
+            if key not in self.values:
+                if owner in row.required:
+                    raise ConfigError(f"missing required key {key!r}")
+                continue
+            value = self.values[key]
+            if row.choices is not None and value not in row.choices:
+                raise ConfigError(f"{key} must be one of {row.choices}, got {value!r}")
+            if owner not in row.applies:
+                raise ConfigError(f"key {key!r} does not apply to {by}={owner}")
+            _check_bounds(key, row.bounds, value)
         if kind != "lovasz_cut":
             if self.get("problem.path") is None and self.get("problem.synth") is None:
                 raise ConfigError("need problem.path or problem.synth")
             if self.get("problem.synth") is not None:
                 for need in ("problem.n", "problem.d"):
                     self.require(need)
-        if kind == "robust_regression":
-            self.require("problem.p_loss")
         if kind == "gflasso":
-            self.require("problem.lam")
             if self.get("problem.edges") is None and self.get("problem.corr_cutoff") is None:
                 raise ConfigError("gflasso needs problem.edges or problem.corr_cutoff")
-        if kind == "lovasz_cut":
-            self.require("problem.dim")
-            self.require("problem.edges")
-        if algo == "sg":
-            self.require("solver.eta")
-            self.require("solver.T")
-        if algo == "baseline_sg":
-            self.require("solver.eta0")
-            self.require("solver.T")
         if algo in _FIXED_BUDGET:
             if self.get("solver.stages") is None and self.get("solver.target_eps") is None:
                 raise ConfigError(f"{algo} needs solver.stages or solver.target_eps")
@@ -326,9 +305,6 @@ class RunSpec:
                     f"{algo} needs solver.t, or solver.theta_eb + solver.c_eb + "
                     f"solver.target_eps to derive it"
                 )
-        if algo == "r2sg":
-            self.require("solver.t1")
-            self.require("solver.stages")
 
     def echo(self) -> dict[str, str]:
         """Canonical config: every set key plus materialized defaults.
@@ -340,9 +316,9 @@ class RunSpec:
         yields the same run id and bitwise-identical artifacts."""
         algo = self.require("solver.algo")
         out = {k: _canon(v) for k, v in self.values.items()}
-        for key, (_, default, applies, _) in _KEYS.items():
-            if default is not None and not key.startswith("problem.") and algo in applies:
-                out.setdefault(key, _canon(default))
+        for key, row in _KEYS.items():
+            if row.default is not None and not key.startswith("problem.") and algo in row.applies:
+                out.setdefault(key, _canon(row.default))
         out.pop("output.dir", None)
         return dict(sorted(out.items()))
 
@@ -405,7 +381,7 @@ def build_problem(spec: RunSpec, data: Optional[Dataset] = None) -> ProblemInsta
                 data,
                 loss=spec.get("problem.loss"),
                 reg=spec.get("problem.reg"),
-                lam=spec.get("problem.lam", 0.0),
+                lam=spec.get("problem.lam"),
                 radius=spec.get("problem.radius"),
                 eps_ins=spec.get("problem.eps_ins"),
                 norm_q=norm_q,

@@ -151,22 +151,15 @@ def lemmas_suite(seed: int = 20240602) -> tuple[bool, list[str]]:
                 fails += _averaging_bound_check(problem, w1, eta, T, probes)
                 checks += len(probes)
     dap_euclid = [n for n, pr in zoo.items() if pr.project is None]
-    dap_1d = [n for n in dap_euclid if zoo[n].dim == 1]
+    # d = 1: every norm agrees, so the stored G is the q-norm bound at p = 1.5
+    dap_runs = [(n, 2.0) for n in dap_euclid] + [(n, 1.5) for n in dap_euclid if zoo[n].dim == 1]
     for mode in ("unit", "inv_grad_norm"):
-        for name in dap_euclid:
+        for name, p in dap_runs:
             problem = zoo[name]
             probes = _probe_box(rng, problem, 4)
             w1 = np.full(problem.dim, 1.1)
             fails += _dual_averaging_bound_check(
-                problem, problem.lipschitz_bound, w1, 0.1, 100, 2.0, mode, probes
-            )
-            checks += len(probes)
-        for name in dap_1d:  # d = 1: every norm agrees, so the stored G is the q-norm bound
-            problem = zoo[name]
-            probes = _probe_box(rng, problem, 4)
-            w1 = np.full(problem.dim, 1.1)
-            fails += _dual_averaging_bound_check(
-                problem, problem.lipschitz_bound, w1, 0.1, 100, 1.5, mode, probes
+                problem, problem.lipschitz_bound, w1, 0.1, 100, p, mode, probes
             )
             checks += len(probes)
     lines.extend(fails)

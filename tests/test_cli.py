@@ -248,6 +248,36 @@ def test_readme_config_key_table_names_exactly_the_schema_keys():
     assert documented == schema
 
 
+def test_readme_range_choice_and_required_sentences_match_the_key_table():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Config keys", 1)[1]
+    text = " ".join(section.split("\n## ", 1)[0].split())
+    ranged = re.search(r"Numeric keys with a range are checked (.*?) The named choices", text)
+    choices = re.search(r"The named choices \(([^)]*)\)", text)
+    required = re.search(r"Some kinds and algos require keys: (.*?)\. ", text)
+
+    def names(words):
+        return set(re.findall(r"`(\w+)`", words))
+
+    def short(keys):
+        return {k.split(".", 1)[1] for k in keys}
+
+    rows = cli._KEYS.items()
+    assert names(ranged.group(1)) == short(k for k, row in rows if row.bounds)
+    assert names(choices.group(1)) == short(
+        k for k, row in rows if row.choices and k not in ("problem.kind", "solver.algo")
+    )
+    documented = {}
+    for clause in required.group(1).split("; "):
+        owner, *keys = re.findall(r"`(\w+)`", clause)
+        documented[owner] = set(keys)
+    schema = {}
+    for key, row in rows:
+        for owner in row.required:
+            schema.setdefault(owner, set()).update(short([key]))
+    assert documented == schema
+
+
 # ---------------------------------------------------------------------------
 # run command
 
@@ -709,6 +739,10 @@ def test_cli_range_bounds_accept_their_closed_ends(tmp_path):
     RunSpec.from_text(GFL_FILE.format(path="x.svm").replace("= 0.5", "= 1"))
     dap = DAP_FILE.replace("problem.path = {path}\n", synth) + "solver.norm_p = 2\n"
     assert cmd_run(RunSpec.from_text(dap), str(tmp_path / "dap"))[0] == 0
+    # theta and theta_eb close at 0, theta_eb at 1, and rel_tol admits inf
+    RunSpec.from_text(R2SG_FILE.format(path="x.svm") + "solver.theta = 0\nsolver.rel_tol = inf\n")
+    for end in ("0", "1"):
+        RunSpec.from_text(DERIVE_FILE.format(path="x.svm").replace("= 0.5", f"= {end}"))
 
 
 def member_outputs(out):
@@ -932,6 +966,9 @@ R2SG_FILE = RSG_FILE.replace("solver.algo = rsg", "solver.algo = r2sg").replace(
     "solver.t = 5", "solver.t1 = 5\nsolver.max_calls = 3"
 )
 DAP_FILE = RSG_FILE.replace("solver.algo = rsg", "solver.algo = rsg_dap")
+DERIVE_FILE = RSG_FILE.replace(
+    "solver.t = 5\n", "solver.target_eps = 0.1\nsolver.theta_eb = 0.5\nsolver.c_eb = 1.0\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -946,10 +983,25 @@ DAP_FILE = RSG_FILE.replace("solver.algo = rsg", "solver.algo = rsg_dap")
         (R2SG_FILE, "solver.norm_p = 1", "solver.norm_p must lie in (1, 2], got 1.0"),
         (DAP_FILE, "solver.norm_p = 3", "solver.norm_p must lie in (1, 2], got 3.0"),
         (R2SG_FILE, "solver.norm_p = nan", "solver.norm_p must lie in (1, 2], got nan"),
+        (RSG_FILE, "solver.stages = 0", "solver.stages must be >= 1, got 0"),
+        (R2SG_FILE, "solver.stages = 0", "solver.stages must be >= 1, got 0"),
+        (RSG_FILE, "solver.t = 0", "solver.t must be >= 1, got 0"),
+        (R2SG_FILE, "solver.t1 = 0", "solver.t1 must be >= 1, got 0"),
+        (R2SG_FILE, "solver.max_calls = 0", "solver.max_calls must be >= 1, got 0"),
+        (RSG_FILE, "solver.eps0 = 0", "solver.eps0 must be finite and > 0, got 0.0"),
+        (R2SG_FILE, "solver.eps0 = inf", "solver.eps0 must be finite and > 0, got inf"),
+        (DERIVE_FILE, "solver.target_eps = -1", "solver.target_eps must be finite and > 0"),
+        (DERIVE_FILE, "solver.c_eb = 0", "solver.c_eb must be finite and > 0, got 0.0"),
+        (R2SG_FILE, "solver.theta = 1", "solver.theta must lie in [0, 1), got 1.0"),
+        (DERIVE_FILE, "solver.theta_eb = 1.5", "solver.theta_eb must lie in [0, 1], got 1.5"),
+        (R2SG_FILE, "solver.rel_tol = -1", "solver.rel_tol must be >= 0, got -1.0"),
+        (R2SG_FILE, "solver.rel_tol = nan", "solver.rel_tol must be >= 0, got nan"),
     ],
     ids=[
         "loss", "reg", "alpha-inf", "eta_scale-inf", "growth-inf",
         "norm_p-0.5", "norm_p-1", "norm_p-3", "norm_p-nan",
+        "stages-0", "r2sg-stages-0", "t-0", "t1-0", "max_calls-0", "eps0-0", "eps0-inf",
+        "target_eps-neg", "c_eb-0", "theta-1", "theta_eb-1.5", "rel_tol-neg", "rel_tol-nan",
     ],
 )
 def test_cli_bad_choices_and_infinite_schedules_exit_1_before_reading_data(
