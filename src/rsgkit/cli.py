@@ -185,7 +185,7 @@ _KEYS: dict[str, _Key] = {
     "solver.theta_eb": _Key(float, None, _FIXED_BUDGET, "[0, 1]"),
     "solver.c_eb": _Key(float, None, _FIXED_BUDGET, "(0, inf)"),
     "solver.w0": _Key(str, "zeros", _ALGOS, choices=("zeros", "gaussian")),
-    "solver.seed": _Key(int, 0, _ALGOS),
+    "solver.seed": _Key(int, 0, _ALGOS, "[0, inf)"),
     "output.dir": _Key(str, ".", _ALGOS),
     "output.stride": _Key(int, None, _ALGOS, "[1, inf)"),
     "output.timing": _Key(bool, False, _ALGOS),

@@ -51,6 +51,12 @@ def _qnorm(a: Array, q: float) -> float:
     return amax * float(_add((a / amax) ** q) ** (1.0 / q))
 
 
+def _row_dots(A: Array, B: Array) -> Array:
+    """np.dot of each row of A with the same row of B: the stacked matmul
+    runs the 1-d dot kernel per row, so each entry is bitwise ``A[i] @ B[i]``."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
 def _check_finite(w: Array, r: float) -> float:
     """r, unless it is non-finite because w has a non-finite entry: a
     non-finite entry always makes the norm non-finite, so only a non-finite
@@ -116,12 +122,39 @@ def _l1_threshold(b: Array, radius: float) -> float:
     return (css[k - 1] - radius) / k
 
 
+def _project_l1_rows(W: Array, radius: float) -> Array:
+    """:func:`project_l1_ball` of each row of W: the same steps, masked by
+    row, with the pivot's sort and sequential ``cumsum`` run along the rows,
+    so each row is bitwise its 1-d projection."""
+    W = np.ascontiguousarray(W)
+    A = np.abs(W)
+    total = A.sum(axis=1)
+    out = W.copy()
+    bad = ~np.isfinite(total) & ~np.isfinite(W).all(axis=1)
+    out[bad] = math.nan
+    act = ~((total <= radius) | bad)
+    if not act.any():
+        return out
+    A, W = A[act], W[act]
+    top = A.max(axis=1, keepdims=True)
+    B = np.maximum(A - np.maximum(top - radius - 1.0, 0.0), 0.0)
+    lost = (top - radius - 1.0 > 0.0) & (B.max(axis=1, keepdims=True) <= radius)
+    B = np.where(lost, np.maximum(A - top, -2.0 * radius), B)
+    u = -np.sort(-B, axis=1)
+    css = np.cumsum(u, axis=1)
+    k = B.shape[1] - np.argmax((css - np.arange(1, B.shape[1] + 1) * u < radius)[:, ::-1], axis=1)
+    theta = (css[np.arange(k.size), k - 1] - radius) / k
+    out[act] = np.sign(W) * np.maximum(B - theta[:, None], 0.0)
+    return out
+
+
 def project_l1_ball(w: Array, radius: float) -> Array:
-    """Euclidean projection of w onto {u : sum|u_i| <= radius}.
+    """Euclidean projection of w onto {u : sum|u_i| <= radius}, or of each
+    row of an (m, d) block w.
 
     Soft-thresholds |w| at the level :func:`_l1_threshold` finds.  Points
     already inside the ball are returned unchanged, and a non-finite entry
-    gives all NaN.
+    gives all NaN (in its row).
 
     Soft-thresholding composes ((a - m - t)+ == ((a - m)+ - t)+ for m, t >= 0),
     so magnitudes are first reduced by m = max|w| - radius - 1: the pivot then
@@ -138,6 +171,8 @@ def project_l1_ball(w: Array, radius: float) -> Array:
     if not radius > 0.0:
         raise ValueError(f"project_l1_ball: radius must be > 0, got {radius}")
     w = np.asarray(w, dtype=float)
+    if w.ndim == 2:
+        return _project_l1_rows(w, radius)
     a = np.abs(w)
     total = float(a.sum())
     if total <= radius:
@@ -156,11 +191,16 @@ def project_l1_ball(w: Array, radius: float) -> Array:
 
 
 def project_l2_ball(w: Array, radius: float, center: Optional[Array] = None) -> Array:
-    """Euclidean projection onto the ball of given radius (default center 0)."""
+    """Euclidean projection onto the ball of given radius (default center 0),
+    of w or of each row of an (m, d) block w."""
     if not radius > 0.0:
         raise ValueError(f"project_l2_ball: radius must be > 0, got {radius}")
     w = np.asarray(w, dtype=float)
     d = w if center is None else w - center
+    if w.ndim == 2:
+        n = np.sqrt(_row_dots(d, d))[:, None]
+        scaled = d * (radius / np.maximum(n, radius))
+        return np.where(n <= radius, w, scaled if center is None else center + scaled)
     n = float(np.sqrt(np.dot(d, d)))
     if n <= radius:
         return w.copy()
@@ -169,7 +209,8 @@ def project_l2_ball(w: Array, radius: float, center: Optional[Array] = None) -> 
 
 
 def project_box(w: Array, lo, hi) -> Array:
-    """Componentwise clip of w to [lo, hi] (scalars broadcast)."""
+    """Componentwise clip of w to [lo, hi] (scalars broadcast), so each row
+    of an (m, d) block is clipped as a 1-d point would be."""
     w = np.asarray(w, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -231,8 +272,9 @@ class ProblemInstance:
     known_fstar is a test-only reference value; fstar_lower_bound feeds
     the default initial-gap estimate (losses here are nonnegative, so 0
     is always sound); eb_theta records the declared error-bound exponent
-    when the problem class has one.  :meth:`values` evaluates the
-    objective at many points at once.
+    when the problem class has one.  :meth:`values`, :meth:`subgrads` and
+    :meth:`feasible_rows` evaluate the objective, the subgradient and the
+    projection at many points at once.
 
     subgrad may carry ``with_value``, a fused form returning
     ``(objective(w), subgrad(w))`` from one pass (the linear-model builders
@@ -271,24 +313,43 @@ class ProblemInstance:
         w = np.asarray(w, dtype=float)
         return w if self.project is None else self.project(w)
 
+    def _rows(self, fn: Callable, W: Array, tail: tuple, who: str) -> Array:
+        """fn at each row of the (m, dim) array W, through ``fn.batch`` when
+        the callable carries one, else one call per row."""
+        W = np.asarray(W, dtype=float)
+        if W.ndim != 2 or W.shape[1] != self.dim:
+            raise ValueError(f"{who}: expected an (m, {self.dim}) array, got shape {W.shape}")
+        shape = (W.shape[0], *tail)
+        batch = getattr(fn, "batch", None)
+        if batch is None:
+            return np.array([fn(w) for w in W], dtype=float).reshape(shape)
+        out = np.asarray(batch(W), dtype=float)
+        if out.shape != shape:
+            raise ValueError(f"{who}: batch returned shape {out.shape} for {W.shape[0]} rows")
+        return out
+
     def values(self, W: Array) -> Array:
         """Objective at each row of the (m, dim) array W, as an (m,) array.
 
         Evaluates in bulk through ``objective.batch`` when the objective
-        callable carries one (the linear-model builders and the hand-written
-        zoo members attach it); any other objective, including one swapped
-        in by ``dataclasses.replace``, is called once per row.
+        callable carries one (the linear-model and Lovász builders and the
+        hand-written zoo members attach it); any other objective, including
+        one swapped in by ``dataclasses.replace``, is called once per row.
         """
-        W = np.asarray(W, dtype=float)
-        if W.ndim != 2 or W.shape[1] != self.dim:
-            raise ValueError(f"values: expected an (m, {self.dim}) array, got shape {W.shape}")
-        batch = getattr(self.objective, "batch", None)
-        if batch is None:
-            return np.array([float(self.objective(w)) for w in W], dtype=float)
-        out = np.asarray(batch(W), dtype=float)
-        if out.shape != (W.shape[0],):
-            raise ValueError(f"values: batch returned shape {out.shape} for {W.shape[0]} rows")
-        return out
+        return self._rows(self.objective, W, (), "values")
+
+    def subgrads(self, W: Array) -> Array:
+        """subgrad at each row of W, as an (m, dim) array: in bulk through
+        ``subgrad.batch`` when the subgrad callable carries one, as
+        :meth:`values` does."""
+        return self._rows(self.subgrad, W, (self.dim,), "subgrads")
+
+    def feasible_rows(self, W: Array) -> Array:
+        """:meth:`feasible` of each row of W, in bulk through ``project.batch``
+        when the projection carries one."""
+        if self.project is None:
+            return np.asarray(W, dtype=float)
+        return self._rows(self.project, W, (self.dim,), "feasible_rows")
 
     def default_eps0(self, w0: Array) -> float:
         """Default initial-gap estimate: f(w0) minus the known lower bound,

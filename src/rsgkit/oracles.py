@@ -268,7 +268,8 @@ class SublevelGrid:
     point queries with a vectorized distance scan.  Intended for the 1- and
     2-dimensional miniatures.  The grid and its checks are grid_min's, and
     the objective is evaluated at every grid point, infeasible ones too;
-    only the points at or below the level are tested for feasibility.
+    only the points at or below the level are tested for feasibility, by
+    one :meth:`ProblemInstance.feasible_rows` call per block.
     """
 
     def __init__(
@@ -288,14 +289,10 @@ class SublevelGrid:
         )
         _check_report(problem, oracle)
         self.level = oracle.fstar + eps
-        project = problem.project
         kept = []
         for W in blocks:
             W = W[problem.values(W) <= self.level]
-            if project is not None:
-                feasible = [np.max(np.abs(project(w) - w)) <= 1e-12 for w in W]
-                W = W[np.array(feasible, dtype=bool)]
-            kept.append(W)
+            kept.append(W[np.max(np.abs(problem.feasible_rows(W) - W), axis=1) <= 1e-12])
         self.points = np.concatenate(kept)
         if not len(self.points):
             raise InconsistentOracleError(
@@ -395,6 +392,8 @@ def sample_level_points(
     bisects the crossing.  Rays that never cross within max_expand doublings
     (unbounded sublevel directions) are skipped with a warning.  Returned
     points lie inside the sublevel set (inner end of the final bracket).
+    All rays step together: each expansion or bisection step is one
+    :meth:`ProblemInstance.values` call on the rays still open.
     """
     if not eps > 0:
         raise ValueError(f"sample_level_points: eps must be > 0, got {eps}")
@@ -405,38 +404,39 @@ def sample_level_points(
             "sample_level_points: oracle argmin sits above the requested level"
         )
     center = np.asarray(oracle.argmin, dtype=float)
-    G = problem.lipschitz_bound
+    dirs = _ray_directions(problem.dim, ray_count, seed)
 
-    def point_at(t: float, direction: Array) -> Array:
-        return problem.feasible(center + t * direction)
+    def above(t: Array, rays: Array) -> Array:
+        """Whether each ray's point at its t lies above the level."""
+        return problem.values(problem.feasible_rows(center + t[:, None] * dirs[rays])) > level
 
-    points: list[Array] = []
-    for direction in _ray_directions(problem.dim, ray_count, seed):
-        t_hi = max(eps / G, 1e-9)
-        t_lo = 0.0
-        crossed = False
-        for _ in range(max_expand):
-            if float(problem.objective(point_at(t_hi, direction))) > level:
-                crossed = True
-                break
-            t_lo = t_hi
-            t_hi *= 2.0
-        if not crossed:
-            warnings.warn(
-                "sample_level_points: ray never crossed the level "
-                "(unbounded sublevel direction); skipped",
-                stacklevel=2,
-            )
-            continue
-        while t_hi - t_lo > xtol * max(1.0, t_hi):
-            mid = 0.5 * (t_lo + t_hi)
-            if float(problem.objective(point_at(mid, direction))) > level:
-                t_hi = mid
-            else:
-                t_lo = mid
-        if t_lo > 0.0:
-            points.append(point_at(t_lo, direction))
-    return points
+    t_lo = np.zeros(len(dirs))
+    t_hi = np.full(len(dirs), max(eps / problem.lipschitz_bound, 1e-9))
+    crossed = np.zeros(len(dirs), dtype=bool)
+    for _ in range(max_expand):
+        rays = np.nonzero(~crossed)[0]
+        if not rays.size:
+            break
+        hit = above(t_hi[rays], rays)
+        crossed[rays[hit]] = True
+        t_lo[rays[~hit]] = t_hi[rays[~hit]]
+        t_hi[rays[~hit]] *= 2.0
+    for _ in range(int(np.count_nonzero(~crossed))):
+        warnings.warn(
+            "sample_level_points: ray never crossed the level "
+            "(unbounded sublevel direction); skipped",
+            stacklevel=2,
+        )
+    while True:
+        rays = np.nonzero(crossed & (t_hi - t_lo > xtol * np.maximum(1.0, t_hi)))[0]
+        if not rays.size:
+            break
+        mid = 0.5 * (t_lo[rays] + t_hi[rays])
+        hit = above(mid, rays)
+        t_hi[rays[hit]] = mid[hit]
+        t_lo[rays[~hit]] = mid[~hit]
+    keep = crossed & (t_lo > 0.0)
+    return list(problem.feasible_rows(center + t_lo[keep, None] * dirs[keep]))
 
 
 def estimate_B_eps(

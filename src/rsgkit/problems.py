@@ -23,6 +23,7 @@ import scipy.sparse as sp
 from .core import (
     Array,
     ProblemInstance,
+    _row_dots,
     project_box,
     project_l1_ball,
     project_l2_ball,
@@ -272,11 +273,16 @@ _LOSS_FNS = {
 _SCORE_BLOCK = 1 << 20
 
 
-def _batched(objective: Callable[[Array], float], batch: Callable[[Array], Array]):
-    """objective carrying ``batch``, its value at each row of a 2-d array,
-    where :meth:`ProblemInstance.values` finds it."""
-    objective.batch = batch
-    return objective
+def _batched(fn: Callable[[Array], object], batch: Callable[[Array], Array]):
+    """fn carrying ``batch``, fn at each row of a 2-d array, where
+    :meth:`ProblemInstance.values`, ``subgrads`` and ``feasible_rows`` find it."""
+    fn.batch = batch
+    return fn
+
+
+def _blockwise(project: Callable[[Array], Array]):
+    """project, which maps a point or each row of an (m, d) block, as its own batch."""
+    return _batched(project, project)
 
 
 def _linf_sub(u: Array) -> Array:
@@ -306,7 +312,8 @@ def _linear_model(
     the gradient, or both for ``subgrad.with_value`` from one X w (and one
     F w), so that pair is bitwise the two calls; ``with_value.objective``
     names the objective it matches, so a solver can tell when a replaced one
-    has made it stale.  ``objective.batch`` is the value pass on W^T blocks."""
+    has made it stale.  ``objective.batch`` and ``subgrad.batch`` are the
+    value and the gradient pass on W^T blocks."""
     value, slope = _LOSS_FNS[loss]
     A, AT = layout
     n = y.shape[0]
@@ -336,11 +343,16 @@ def _linear_model(
 
     rows = max(1, _SCORE_BLOCK // n)
 
-    def batch(W: Array) -> Array:
-        f = np.empty(W.shape[0])
-        for s in range(0, W.shape[0], rows):
-            f[s : s + rows] = oracle(W[s : s + rows].T, True, False)[0]
-        return f
+    def by_blocks(k: int) -> Callable[[Array], Array]:
+        """Output k (0: f, 1: g) of the pass at each row of W, on W^T blocks."""
+
+        def batch(W: Array) -> Array:
+            out = np.empty(W.shape[: k + 1])
+            for s in range(0, W.shape[0], rows):
+                out[s : s + rows] = oracle(W[s : s + rows].T, k == 0, k == 1)[k].T
+            return out
+
+        return batch
 
     def subgrad(w: Array) -> Array:
         return oracle(w, False, True)[1]
@@ -349,9 +361,9 @@ def _linear_model(
         f, g = oracle(w, True, True)
         return float(f), g
 
-    with_value.objective = objective = _batched(objective, batch)
+    with_value.objective = objective = _batched(objective, by_blocks(0))
     subgrad.with_value = with_value
-    return objective, subgrad
+    return objective, _batched(subgrad, by_blocks(1))
 
 
 def robust_regression(
@@ -384,7 +396,7 @@ def robust_regression(
     G = float(p_loss / n * np.sum(r_bar ** (p_loss - 1.0) * rnq))
     objective, subgrad = _linear_model(layout, y, "power", p_loss)
     radius = float(region_radius)
-    project = (lambda w: project_l2_ball(w, radius)) if constrain_to_region else None
+    project = _blockwise(lambda w: project_l2_ball(w, radius)) if constrain_to_region else None
     return ProblemInstance(
         dim=data.d,
         objective=objective,
@@ -465,8 +477,8 @@ def piecewise_linear_erm(
     layout = _laid_out(data.X)
     objective, subgrad = _linear_model(layout, data.y, loss, eps_ins, reg, lam)
     projections = {
-        "l1_ball": lambda w: project_l1_ball(w, radius),
-        "linf_ball": lambda w: project_box(w, -radius, radius),
+        "l1_ball": _blockwise(lambda w: project_l1_ball(w, radius)),
+        "linf_ball": _blockwise(lambda w: project_box(w, -radius, radius)),
     }
     return ProblemInstance(
         dim=data.d,
@@ -529,6 +541,8 @@ def lovasz_problem(
 
     The subgradient bound uses the marginal-range envelope: chain
     increments for element i lie between F(V) - F(V \\ {i}) and F({i}).
+    With ``bulk_evaluate`` the objective and subgrad carry ``batch`` forms
+    that walk the chains of all rows with one bulk call.
     """
     d = setfn.ground_size
     if d <= 12:
@@ -563,15 +577,28 @@ def lovasz_problem(
     def objective(w: Array) -> float:
         return float(np.dot(w, _chain(w)))
 
-    def subgrad(w: Array) -> Array:
-        return _chain(w)
+    subgrad = _chain
+    bulk = setfn.bulk_evaluate
+    if bulk is not None:
+
+        def chains(W: Array) -> Array:
+            """_chain of each row: the prefix masks of every row, one bulk call."""
+            order = np.argsort(-W, axis=1, kind="stable")
+            masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
+            cur = np.asarray(bulk(masks.ravel()), dtype=float).reshape(masks.shape)
+            S = np.empty_like(W)
+            np.put_along_axis(S, order, np.diff(cur, axis=1, prepend=0.0), axis=1)
+            return S
+
+        objective = _batched(objective, lambda W: _row_dots(W, chains(W)))
+        subgrad = _batched(subgrad, chains)
 
     return ProblemInstance(
         dim=d,
         objective=objective,
         subgrad=subgrad,
         lipschitz_bound=G,
-        project=lambda w: project_box(w, 0.0, 1.0),
+        project=_blockwise(lambda w: project_box(w, 0.0, 1.0)),
         lipschitz_norm_q=norm_q,
         fstar_lower_bound=float(fstar_lower_bound),
         eb_theta=1.0,

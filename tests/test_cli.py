@@ -502,6 +502,10 @@ def test_cli_exit_2_on_unreachable_margin(tmp_path, capsys):
 SG_BASE = BASE.replace("solver.algo = rsg", "solver.algo = sg").replace(
     "solver.stages = 3\nsolver.t = 40\nsolver.eps0 = 1.0\n", "solver.eta = 0.1\nsolver.T = 5\n"
 )
+# a seed out of range is a config error even when the data file is missing
+MISSING_FILE = SG_BASE.replace(
+    "problem.synth = classification\n", "problem.path = no-such-file.libsvm\n"
+) + "solver.w0 = gaussian\n"
 BASELINE_BASE = SG_BASE.replace("solver.algo = sg", "solver.algo = baseline_sg").replace(
     "solver.eta = 0.1", "solver.eta0 = 0.1"
 )
@@ -518,11 +522,12 @@ BASELINE_BASE = SG_BASE.replace("solver.algo = sg", "solver.algo = baseline_sg")
         (BASELINE_BASE.replace("solver.T = 5", "solver.T = -3"), [], "T must be"),
         (BASELINE_BASE.replace("solver.eta0 = 0.1", "solver.eta0 = inf"), [], "eta0"),
         (BASELINE_BASE.replace("solver.eta0 = 0.1", "solver.eta0 = 0"), [], "eta0"),
-        (SG_BASE + "solver.w0 = gaussian\n", ["--seed", "-1"], "non-negative"),
+        (SG_BASE + "solver.w0 = gaussian\n", ["--seed", "-1"], "solver.seed must be >= 0"),
+        (MISSING_FILE + "solver.seed = -1\n", [], "solver.seed must be >= 0"),
     ],
     ids=[
         "stride-flag", "stride-key", "stride-key-rsg", "sg-T", "sg-eta", "baseline-T",
-        "baseline-eta0-inf", "baseline-eta0-zero", "gaussian-seed",
+        "baseline-eta0-inf", "baseline-eta0-zero", "gaussian-seed", "seed-before-data",
     ],
 )
 def test_cli_exit_1_on_bad_numeric_input(tmp_path, capsys, text, flags, match):

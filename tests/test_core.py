@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -284,6 +285,139 @@ def test_project_box():
     )
     with pytest.raises(ValueError):
         project_box(np.array([0.0]), np.array([1.0]), np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# block projections: each row of an (m, d) block is bitwise its 1-d projection
+
+DYADIC = (-2.0, -1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0)
+SPECIAL_ROWS = (
+    [1e40, 3.0],  # the shift rounds up to the max: the gap fallback
+    [1e300, -1e300],  # the sum overflows, every entry finite
+    [math.nan, 0.5],
+    [math.inf, -1.0],
+    [0.25, -0.25],  # inside the unit ball
+)
+
+
+@st.composite
+def row_blocks(draw):
+    """A block of 0 to 6 rows of 1 to 40 coordinates from a dyadic pool,
+    each row scaled by its own power of two, with the special rows above
+    spliced in when they fit, and a radius."""
+    d = draw(st.integers(1, 40))
+    m = draw(st.integers(0, 6))
+    pool = st.lists(st.sampled_from(DYADIC), min_size=d, max_size=d)
+    rows = [np.array(draw(pool)) * 2.0 ** draw(st.integers(-4, 60)) for _ in range(m)]
+    for special in draw(st.lists(st.sampled_from(SPECIAL_ROWS), max_size=3)):
+        rows.append(np.resize(np.array(special), d) if d >= 2 else np.array(special[:1]))
+    W = np.array(rows).reshape(-1, d)
+    radius = draw(st.sampled_from((0.5, 1.0, 0.8, 3.0, 1e-3)))
+    return W, radius
+
+
+def assert_rows_are_the_points(project, W):
+    with np.errstate(all="ignore"):
+        B = project(W)
+        rows = [project(w) for w in W]
+    assert B.shape == W.shape and B.dtype == np.float64
+    assert B.tobytes() == np.array(rows).reshape(W.shape).tobytes()
+
+
+@given(row_blocks())
+def test_block_l1_projection_is_bitwise_the_row_projections(case):
+    W, radius = case
+    assert_rows_are_the_points(lambda v: project_l1_ball(v, radius), W)
+
+
+@given(row_blocks())
+def test_block_box_projection_is_bitwise_the_row_projections(case):
+    W, radius = case
+    lo = -radius * np.arange(1, W.shape[1] + 1)
+    assert_rows_are_the_points(lambda v: project_box(v, -radius, radius), W)
+    assert_rows_are_the_points(lambda v: project_box(v, lo, 0.5), W)
+
+
+@given(row_blocks())
+def test_block_l2_projection_is_bitwise_the_row_projections(case):
+    W, radius = case
+    center = np.linspace(-1.0, 1.0, W.shape[1])
+    assert_rows_are_the_points(lambda v: project_l2_ball(v, radius), W)
+    assert_rows_are_the_points(lambda v: project_l2_ball(v, radius, center), W)
+
+
+def test_block_l1_projection_special_rows():
+    W = np.array([[1e40, 3.0], [0.25, -0.25], [0.5, math.nan], [3.0, 1.0]])
+    out = project_l1_ball(W, 1.0)
+    assert np.array_equal(out[[0, 1, 3]], [[1.0, 0.0], [0.25, -0.25], [1.0, 0.0]])
+    assert np.all(np.isnan(out[2]))
+    assert project_l1_ball(np.empty((0, 3)), 1.0).shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# block forms on ProblemInstance: fn.batch, or one call per row
+
+
+def counted(fn, calls):
+    def wrapper(w):
+        calls.append(np.array(w))
+        return fn(w)
+
+    return wrapper
+
+
+@given(row_blocks())
+def test_callables_without_batch_are_called_once_per_row(case):
+    W, radius = case
+    W = np.nan_to_num(W, nan=0.5, posinf=2.0, neginf=-2.0)
+    d = W.shape[1]
+    calls: list = []
+    inst = ProblemInstance(
+        dim=d,
+        objective=counted(lambda w: float(np.sum(np.abs(w))), calls),
+        subgrad=counted(np.sign, calls),
+        project=counted(lambda w: project_l1_ball(w, radius), calls),
+        lipschitz_bound=1.0,
+    )
+    for block, one, shape in (
+        (inst.values, inst.objective, (W.shape[0],)),
+        (inst.subgrads, inst.subgrad, W.shape),
+        (inst.feasible_rows, inst.project, W.shape),
+    ):
+        calls.clear()
+        out = block(W)
+        assert out.shape == shape and out.dtype == np.float64
+        assert [c.tobytes() for c in calls] == [w.tobytes() for w in W]
+        assert out.tobytes() == np.array([one(w) for w in W], dtype=float).reshape(shape).tobytes()
+
+
+def test_replaced_callables_lose_the_batch_of_the_old_ones():
+    def batched(fn, batch):
+        fn.batch = batch
+        return fn
+
+    inst = ProblemInstance(
+        dim=2,
+        objective=batched(lambda w: 1.0, lambda W: np.full(W.shape[0], 7.0)),
+        subgrad=batched(lambda w: np.ones(2), lambda W: np.full(W.shape, 7.0)),
+        project=batched(lambda w: np.zeros(2), lambda W: np.full(W.shape, 7.0)),
+        lipschitz_bound=1.0,
+    )
+    W = np.ones((3, 2))
+    assert np.all(inst.values(W) == 7.0) and np.all(inst.subgrads(W) == 7.0)
+    assert np.all(inst.feasible_rows(W) == 7.0)
+    swapped = replace(
+        inst, objective=lambda w: 1.0, subgrad=lambda w: np.ones(2), project=lambda w: np.zeros(2)
+    )
+    assert np.all(swapped.values(W) == 1.0) and np.all(swapped.subgrads(W) == 1.0)
+    assert np.all(swapped.feasible_rows(W) == 0.0)
+    assert np.array_equal(replace(inst, project=None).feasible_rows(W), W)
+    for name in ("values", "subgrads", "feasible_rows"):
+        with pytest.raises(ValueError, match=f"{name}: expected an"):
+            getattr(inst, name)(np.ones((3, 3)))
+    inst.subgrad.batch = lambda W: np.ones(W.shape[0])
+    with pytest.raises(ValueError, match="subgrads: batch returned"):
+        inst.subgrads(W)
 
 
 def test_pnorm_space():

@@ -107,6 +107,23 @@ def test_every_oracle_form_is_bitwise_the_reference(drawn):
         assert bits(inst.values(W[:0])) == b""
 
 
+@given(cases())
+def test_subgrads_rows_match_subgrad(drawn):
+    """subgrad.batch runs the gradient pass on W^T blocks: a matrix product
+    where subgrad runs a matrix-vector one, so rows agree to rounding."""
+    case, layout, points, W = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "_DENSE_MIN_DENSITY", layout["threshold"])
+        mp.setattr(problems, "_SCORE_BLOCK", layout["score_block"])
+        inst, _ = build(**case)
+        G = inst.subgrads(W)
+        assert inst.subgrad.batch is not None
+        assert G.shape == W.shape and G.dtype == np.float64
+        want = np.array([inst.subgrad(w) for w in W])
+        assert np.all(np.abs(G - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert inst.subgrads(W[:0]).shape == (0, W.shape[1])
+
+
 # one point per kink: zero weights, a tie in |w| (lowest index wins for
 # linf), margins of exactly 1 on both rows, and residuals of exactly 0 and
 # exactly the tube half-width 0.5.  The third feature is unused by the

@@ -709,6 +709,30 @@ def test_lovasz_stable_tie_order():
     assert np.array_equal(inst.subgrad(np.array([0.5, 0.5])), np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("d", [2, 4, 7])
+def test_lovasz_batch_is_bitwise_the_per_point_chain(d):
+    """objective.batch and subgrad.batch walk every row's chain with one
+    bulk call; ties (stable order), zeros and repeated rows included."""
+    rng = np.random.default_rng(d)
+    edges = [(i, j, float(rng.uniform(0.2, 2.0))) for i in range(d) for j in range(i + 1, d)]
+    inst = lovasz_problem(cut_function(d, edges))
+    W = rng.choice([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0], size=(60, d))
+    W[:10] = rng.uniform(-2.0, 2.0, size=(10, d))
+    assert inst.objective.batch is not None and inst.subgrad.batch is not None
+    assert bits(inst.values(W)) == bits([inst.objective(w) for w in W])
+    assert bits(inst.subgrads(W)) == bits([inst.subgrad(w) for w in W])
+    assert inst.values(W[:0]).shape == (0,) and inst.subgrads(W[:0]).shape == (0, d)
+
+
+def test_lovasz_without_bulk_evaluate_has_no_batch():
+    scalar = SetFunction(4, path4().evaluate)
+    inst = lovasz_problem(scalar)
+    assert not hasattr(inst.objective, "batch") and not hasattr(inst.subgrad, "batch")
+    W = np.random.default_rng(4).uniform(0.0, 1.0, size=(5, 4))
+    assert bits(inst.values(W)) == bits(lovasz_problem(path4()).values(W))
+    assert np.array_equal(inst.feasible_rows(W - 0.5), np.clip(W - 0.5, 0.0, 1.0))
+
+
 def test_lovasz_rejects_non_submodular():
     bad = SetFunction(3, lambda m: 1.0 if (m & 3) == 3 else 0.0)
     with pytest.raises(ValueError, match="not submodular"):

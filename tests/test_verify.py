@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from rsgkit import verify
+from rsgkit.problems import miniature_zoo
 from rsgkit.verify import SUITES, lemmas_suite, prox_suite, run_suite, zoo_suite
 
 
@@ -39,3 +44,39 @@ def test_oracle_suite_passes():
     ok, lines = run_suite("oracle")
     assert ok
     assert lines[-1].endswith("0 failures")
+
+
+
+def test_zoo_suite_fails_a_batch_that_disagrees_with_the_per_point_calls(monkeypatch):
+    zoo = miniature_zoo()
+    l1 = zoo["l1_2d"]
+
+    def objective(w):
+        return l1.objective(w)
+
+    def subgrad(w):
+        return l1.subgrad(w)
+
+    objective.batch = lambda W: l1.values(W) * (1.0 + 1e-9)
+    subgrad.batch = np.sign
+    zoo["l1_2d"] = replace(l1, objective=objective)
+    zoo["l1_sub"] = replace(l1, subgrad=subgrad, name="l1_sub")
+    monkeypatch.setattr(verify, "miniature_zoo", lambda: zoo)
+    ok, lines = zoo_suite(n_pairs=30, seed=7)
+    assert not ok and len(lines) == 2 and lines[-1].endswith("1 failures")
+    assert lines[0].startswith("[FAIL] block oracles on l1_2d: differ from per-point calls by 1.")
+
+    subgrad.batch = lambda W: 2.0 * np.sign(W)
+    ok, lines = zoo_suite(n_pairs=30, seed=7)
+    assert not ok
+    # the doubled batch subgradient also breaks the bound that l1_sub declares
+    assert "[FAIL] block oracles on l1_sub: differ from per-point calls by 1.000e+00" in lines
+
+
+def test_zoo_suite_fails_a_nan_subgradient(monkeypatch):
+    l1 = miniature_zoo()["l1_2d"]
+    nan_sub = replace(l1, subgrad=lambda w: np.full(2, np.nan), name="nan_sub")
+    monkeypatch.setattr(verify, "miniature_zoo", lambda: {"nan_sub": nan_sub})
+    ok, lines = zoo_suite(n_pairs=10, seed=7)
+    assert not ok
+    assert "[FAIL] subgradient bound on nan_sub: exceeds declared G by nan" in lines
