@@ -36,9 +36,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import ErrorBoundParams, ProblemInstance, conjugate_exponent
+from .core import ErrorBoundParams, ProblemInstance, _check_bounds, conjugate_exponent
 from .data import (
-    ParseError,
     binarize_labels,
     load_edge_list,
     parse_libsvm,
@@ -109,10 +108,10 @@ _ROBUST = ("robust_regression",)
 
 class _Key(NamedTuple):
     """A config key: its python type, default, the problem kinds / solver
-    algos it applies to, the interval a numeric value must lie in ("(0, inf)"
-    is > 0 and finite, "[0, inf]" admits inf), the values a named choice may
-    take, and the kinds / algos that must set it.  Other "str" values are
-    validated further downstream."""
+    algos it applies to, the interval a numeric value must lie in (as
+    :func:`rsgkit.core._check_bounds` reads it), the values a named choice
+    may take, and the kinds / algos that must set it.  Other "str" values
+    are validated further downstream."""
 
     type: type
     default: object
@@ -120,23 +119,6 @@ class _Key(NamedTuple):
     bounds: Optional[str] = None
     choices: Optional[tuple[str, ...]] = None
     required: tuple[str, ...] = ()
-
-
-def _check_bounds(key: str, bounds: Optional[str], value) -> None:
-    """Raise ConfigError when value lies outside the interval bounds (nan
-    lies outside every interval)."""
-    if bounds is None:
-        return
-    lo, hi = (float(x) for x in bounds[1:-1].split(","))
-    above = value >= lo if bounds[0] == "[" else value > lo
-    below = value <= hi if bounds[-1] == "]" else value < hi
-    if above and below:
-        return
-    if math.isinf(hi):
-        finite = "finite and " if isinstance(value, float) and bounds[-1] == ")" else ""
-        rel = ">=" if bounds[0] == "[" else ">"
-        raise ConfigError(f"{key} must be {finite}{rel} {lo:g}, got {value!r}")
-    raise ConfigError(f"{key} must lie in {bounds}, got {value!r}")
 
 
 # output.* keys apply everywhere; echo() materializes only solver.* and
@@ -283,7 +265,10 @@ class RunSpec:
                 raise ConfigError(f"{key} must be one of {row.choices}, got {value!r}")
             if owner not in row.applies:
                 raise ConfigError(f"key {key!r} does not apply to {by}={owner}")
-            _check_bounds(key, row.bounds, value)
+            try:
+                _check_bounds("", row.bounds, **{key: value})
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if kind != "lovasz_cut":
             if self.get("problem.path") is None and self.get("problem.synth") is None:
                 raise ConfigError("need problem.path or problem.synth")
@@ -328,9 +313,18 @@ class RunSpec:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+@contextlib.contextmanager
+def _data_errors() -> Iterator[None]:
+    """Raise unreadable or unusable data (OSError, ValueError) as DataError."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise DataError(str(exc)) from exc
+
+
 def _load_dataset(spec: RunSpec) -> Dataset:
     path = spec.get("problem.path")
-    try:
+    with _data_errors():
         if path is not None:
             data = parse_libsvm(path, dim=spec.get("problem.dim"))
         else:
@@ -347,8 +341,6 @@ def _load_dataset(spec: RunSpec) -> Dataset:
         if spec.get("problem.scale_features"):
             data = scale_max_abs(data)
         return data
-    except (ParseError, OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
 
 
 def build_problem(spec: RunSpec, data: Optional[Dataset] = None) -> ProblemInstance:
@@ -357,17 +349,14 @@ def build_problem(spec: RunSpec, data: Optional[Dataset] = None) -> ProblemInsta
     Config mistakes raise ConfigError; bad or unusable data raises DataError."""
     kind = spec.require("problem.kind")
     norm_q = conjugate_exponent(float(spec.get("solver.norm_p")))
-    if kind == "lovasz_cut":
-        dim = spec.require("problem.dim")
-        try:
+    with _data_errors():
+        if kind == "lovasz_cut":
+            dim = spec.require("problem.dim")
             graph = load_edge_list(spec.require("problem.edges"), dim)
             setfn = cut_function(dim, graph.edges)
             return lovasz_problem(setfn, norm_q=norm_q, fstar_lower_bound=0.0)
-        except (ParseError, OSError, ValueError) as exc:
-            raise DataError(str(exc)) from exc
-    if data is None:
-        data = _load_dataset(spec)
-    try:
+        if data is None:
+            data = _load_dataset(spec)
         if kind == "robust_regression":
             return robust_regression(
                 data,
@@ -392,8 +381,6 @@ def build_problem(spec: RunSpec, data: Optional[Dataset] = None) -> ProblemInsta
         else:
             graph = graph_from_correlation(data, spec.require("problem.corr_cutoff"))
         return gflasso_svm(data, graph, lam=spec.require("problem.lam"), norm_q=norm_q)
-    except (ParseError, OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
 
 
 def _initial_point(spec: RunSpec, problem: ProblemInstance) -> np.ndarray:
@@ -709,22 +696,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Restarted subgradient benchmark runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="output directory (overrides output.dir)")
+    common.add_argument("--seed", type=int, help="override solver.seed")
+    common.add_argument("--stride", type=int, help="override output.stride")
+    common.add_argument("--timing", action="store_true", help="write real wallclock_ns")
 
-    runp = sub.add_parser("run", help="execute one configured run")
+    runp = sub.add_parser("run", parents=[common], help="execute one configured run")
     runp.add_argument("--config", required=True, help="path to a key=value config file")
-    runp.add_argument("--out", help="output directory (overrides output.dir)")
-    runp.add_argument("--seed", type=int, help="override solver.seed")
-    runp.add_argument("--stride", type=int, help="override output.stride")
-    runp.add_argument("--timing", action="store_true", help="write real wallclock_ns")
 
-    cmp_p = sub.add_parser("compare", help="run several configs on one problem")
+    cmp_p = sub.add_parser("compare", parents=[common], help="run several configs on one problem")
     cmp_p.add_argument(
         "--config", action="append", required=True, help="config file (repeatable)"
     )
-    cmp_p.add_argument("--out", help="output directory")
-    cmp_p.add_argument("--seed", type=int, help="override solver.seed for every run")
-    cmp_p.add_argument("--stride", type=int, help="override output.stride for every run")
-    cmp_p.add_argument("--timing", action="store_true", help="write real wallclock_ns")
     cmp_p.add_argument(
         "--thresholds",
         help="comma-separated objective thresholds for the crossing table",
@@ -736,16 +720,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    over: dict[str, object] = {}
-    if getattr(args, "out", None) is not None:
-        over["output.dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        over["solver.seed"] = args.seed
-    if getattr(args, "stride", None) is not None:
-        over["output.stride"] = args.stride
-    if getattr(args, "timing", False):
-        over["output.timing"] = True
-    return over
+    """The keys the shared flags of run and compare override; None (a flag
+    not given) overrides nothing."""
+    return {
+        "output.dir": args.out,
+        "solver.seed": args.seed,
+        "output.stride": args.stride,
+        "output.timing": args.timing or None,
+    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

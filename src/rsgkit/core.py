@@ -6,6 +6,7 @@ problems, and the ``ProblemInstance`` contract every solver consumes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -57,6 +58,37 @@ def _row_dots(A: Array, B: Array) -> Array:
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
+@functools.cache
+def _interval(bounds: str) -> tuple:
+    """(integers only?, interval, lo, hi) of a bounds string, a literal in the code."""
+    count, bounds = bounds.startswith("int "), bounds.removeprefix("int ")
+    return (count, bounds, *(float(x) for x in bounds[1:-1].split(",")))
+
+
+def _check_bounds(who: str, bounds: Optional[str], **values) -> None:
+    """Raise ValueError naming the first of values outside the interval
+    bounds, such as "(0, inf)" (> 0 and finite) or "[0, inf]" (inf
+    admitted); nan lies outside every interval, and an "int " prefix also
+    requires an integer.  The one wording of a range violation, for config
+    keys (who = "") and library arguments ("<who>: <name> must ...") alike."""
+    if bounds is None:
+        return
+    count, bounds, lo, hi = _interval(bounds)
+    for name, value in values.items():
+        integral = not count or isinstance(value, (int, np.integer))
+        above = integral and (value >= lo if bounds[0] == "[" else value > lo)
+        if above and (value <= hi if bounds[-1] == "]" else value < hi):
+            continue
+        key = f"{who}: {name}" if who else name
+        if not integral:
+            raise ValueError(f"{key} must be an integer, got {value}")
+        if math.isinf(hi):
+            finite = "finite and " if isinstance(value, float) and bounds[-1] == ")" else ""
+            rel = ">=" if bounds[0] == "[" else ">"
+            raise ValueError(f"{key} must be {finite}{rel} {lo:g}, got {value}")
+        raise ValueError(f"{key} must lie in {bounds}, got {value}")
+
+
 def _check_finite(w: Array, r: float) -> float:
     """r, unless it is non-finite because w has a non-finite entry: a
     non-finite entry always makes the norm non-finite, so only a non-finite
@@ -82,8 +114,7 @@ def pnorm(w: Array, p: float) -> float:
 
 def conjugate_exponent(p: float) -> float:
     """q with 1/p + 1/q = 1.  Requires p > 1 (q = p/(p-1))."""
-    if not p > 1.0:
-        raise ValueError(f"conjugate_exponent: need p > 1, got {p}")
+    _check_bounds("conjugate_exponent", "(1, inf]", p=p)
     if math.isinf(p):
         return 1.0
     return p / (p - 1.0)
@@ -229,10 +260,8 @@ class ErrorBoundParams:
     c: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.theta <= 1.0):
-            raise ValueError(f"ErrorBoundParams: need 0 <= theta <= 1, got {self.theta}")
-        if not self.c > 0.0:
-            raise ValueError(f"ErrorBoundParams: need c > 0, got {self.c}")
+        _check_bounds("ErrorBoundParams", "[0, 1]", theta=self.theta)
+        _check_bounds("ErrorBoundParams", "(0, inf)", c=self.c)
 
 
 @dataclass(frozen=True)
@@ -246,8 +275,7 @@ class PNormSpace:
     p: float
 
     def __post_init__(self) -> None:
-        if not (1.0 < self.p <= 2.0):
-            raise ValueError(f"PNormSpace: need 1 < p <= 2, got {self.p}")
+        _check_bounds("PNormSpace", "(1, 2]", p=self.p)
 
     @property
     def q(self) -> float:
@@ -296,13 +324,8 @@ class ProblemInstance:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"ProblemInstance: dim must be >= 1, got {self.dim}")
-        if not (math.isfinite(self.lipschitz_bound) and self.lipschitz_bound > 0):
-            raise ValueError(
-                f"ProblemInstance: lipschitz_bound must be finite and > 0, "
-                f"got {self.lipschitz_bound}"
-            )
+        _check_bounds("ProblemInstance", "int [1, inf)", dim=self.dim)
+        _check_bounds("ProblemInstance", "(0, inf)", lipschitz_bound=self.lipschitz_bound)
 
     @property
     def is_unconstrained(self) -> bool:

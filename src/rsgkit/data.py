@@ -17,6 +17,7 @@ from typing import IO, Iterable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
+from .core import _check_bounds
 from .problems import Dataset, GFlassoGraph
 
 __all__ = [
@@ -161,8 +162,7 @@ def load_edge_list(source: Source, dim: int) -> GFlassoGraph:
     out-of-range endpoints are parse errors; swapped endpoints (i > j) are
     normalized, since |w_i - w_j| is symmetric.
     """
-    if dim < 1:
-        raise ValueError(f"load_edge_list: dim must be >= 1, got {dim}")
+    _check_bounds("load_edge_list", "int [1, inf)", dim=dim)
     edges: list[tuple[int, int, float]] = []
     for lineno, raw in enumerate(_lines(source), start=1):
         tokens = list(_TOKEN.finditer(raw))
@@ -227,10 +227,8 @@ def synth_regression(n: int, d: int, noise: float, seed: int) -> Dataset:
     noise = 0 makes the planted vector interpolate exactly, so the mean
     p-th-power residual objective has optimum value 0 there.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"synth_regression: need n >= 1 and d >= 1, got n={n}, d={d}")
-    if noise < 0.0:
-        raise ValueError(f"synth_regression: noise must be >= 0, got {noise}")
+    _check_bounds("synth_regression", "int [1, inf)", n=n, d=d)
+    _check_bounds("synth_regression", "[0, inf)", noise=noise)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     planted = rng.standard_normal(d)
@@ -253,10 +251,8 @@ def synth_classification(n: int, d: int, margin: float, seed: int) -> Dataset:
     _MAX_REDRAW_ROUNDS rounds with rows still inside the margin, this
     raises ValueError instead of looping on.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"synth_classification: need n >= 1 and d >= 1, got n={n}, d={d}")
-    if margin < 0.0:
-        raise ValueError(f"synth_classification: margin must be >= 0, got {margin}")
+    _check_bounds("synth_classification", "int [1, inf)", n=n, d=d)
+    _check_bounds("synth_classification", "[0, inf)", margin=margin)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(d)
     u = u / np.linalg.norm(u)

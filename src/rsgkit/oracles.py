@@ -16,8 +16,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import Array, ProblemInstance, pnorm
-from .problems import SetFunction, enumerate_table
+from .core import Array, ProblemInstance, _check_bounds, pnorm
+from .problems import _SCORE_BLOCK, SetFunction, enumerate_table
 
 __all__ = [
     "OracleReport",
@@ -77,17 +77,11 @@ class OracleReport:
         }
 
 
-# entries of the points x dim block grid_min hands to one values() call; the
-# linear-model batch splits its n x points score block by the same size
-_BLOCK_ENTRIES = 1 << 20
-
-
 def _grid(d: int, box_lo, box_hi, points_per_dim: int, budget: int, who: str) -> tuple:
     """The checked grid of points_per_dim points per axis over a box in R^d:
     its bounds, its cell diagonal ||h||_2 and its points in C order, in
-    (m, d) blocks of at most _BLOCK_ENTRIES entries."""
-    if points_per_dim < 2:
-        raise ValueError(f"{who}: points_per_dim must be >= 2, got {points_per_dim}")
+    (m, d) blocks of at most ``problems._SCORE_BLOCK`` entries."""
+    _check_bounds(who, "int [2, inf)", points_per_dim=points_per_dim)
     lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,))
     hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,))
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -103,7 +97,7 @@ def _grid(d: int, box_lo, box_hi, points_per_dim: int, budget: int, who: str) ->
         )
     axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
     shape = (points_per_dim,) * d
-    block = max(1, _BLOCK_ENTRIES // d)
+    block = max(1, _SCORE_BLOCK // d)
 
     def blocks() -> Iterator[Array]:
         for start in range(0, total, block):
@@ -207,6 +201,7 @@ def long_run_min(
     segment averages.  certified_tol reports only the final segment's
     observed improvement; the result is an upper bound on the minimum.
     """
+    _check_bounds("long_run_min", "int [1, inf)", total_iters=total_iters, stages=stages)
     if total_iters < stages:
         raise ValueError("long_run_min: total_iters must be >= stages")
     objective, subgrad, project = problem.objective, problem.subgrad, problem.project
@@ -282,8 +277,7 @@ class SublevelGrid:
         points_per_dim: int = 201,
         budget: int = 1 << 22,
     ):
-        if not eps > 0:
-            raise ValueError(f"SublevelGrid: eps must be > 0, got {eps}")
+        _check_bounds("SublevelGrid", "(0, inf)", eps=eps)
         _, _, self.cell_diag, blocks = _grid(
             problem.dim, box_lo, box_hi, points_per_dim, budget, "SublevelGrid"
         )
@@ -324,8 +318,7 @@ def sublevel_project(
     InconsistentOracleError when the sublevel set is empty under the
     oracle's fstar (eps below the oracle's own suboptimality).
     """
-    if not eps > 0:
-        raise ValueError(f"sublevel_project: eps must be > 0, got {eps}")
+    _check_bounds("sublevel_project", "(0, inf)", eps=eps)
     w = np.asarray(w, dtype=float)
     level = oracle.fstar + eps
     f_arg = _check_report(problem, oracle)
@@ -395,8 +388,7 @@ def sample_level_points(
     All rays step together: each expansion or bisection step is one
     :meth:`ProblemInstance.values` call on the rays still open.
     """
-    if not eps > 0:
-        raise ValueError(f"sample_level_points: eps must be > 0, got {eps}")
+    _check_bounds("sample_level_points", "(0, inf)", eps=eps)
     f_arg = _check_report(problem, oracle)
     level = oracle.fstar + eps
     if f_arg > level:

@@ -23,6 +23,7 @@ import scipy.sparse as sp
 from .core import (
     Array,
     ProblemInstance,
+    _check_bounds,
     _row_dots,
     project_box,
     project_l1_ball,
@@ -143,16 +144,15 @@ class GFlassoGraph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"GFlassoGraph: dim must be >= 1, got {self.dim}")
+        _check_bounds("GFlassoGraph", "int [1, inf)", dim=self.dim)
         for k, (i, j, s) in enumerate(self.edges):
             if not (0 <= i < j < self.dim):
                 raise ValueError(
                     f"GFlassoGraph: edge {k} has endpoints ({i}, {j}) outside "
                     f"0 <= i < j < {self.dim}"
                 )
-            if not s > 0.0:
-                raise ValueError(f"GFlassoGraph: edge {k} has weight {s}, need > 0")
+        weights = {f"edge {k} weight": s for k, (_, _, s) in enumerate(self.edges)}
+        _check_bounds("GFlassoGraph", "(0, inf)", **weights)
         object.__setattr__(self, "_F", self._build_F())
 
     def _build_F(self) -> sp.csr_matrix:
@@ -188,10 +188,7 @@ class SetFunction:
     bulk_evaluate: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if not (1 <= self.ground_size <= 24):
-            raise ValueError(
-                f"SetFunction: ground_size must lie in [1, 24], got {self.ground_size}"
-            )
+        _check_bounds("SetFunction", "int [1, 24]", ground_size=self.ground_size)
         if self.evaluate(0) != 0.0:
             raise ValueError("SetFunction: evaluate(empty set) must be 0")
 
@@ -269,7 +266,8 @@ _LOSS_FNS = {
 
 
 # entries of the n x rows score block of one batched product: rows =
-# _SCORE_BLOCK // n keeps its memory flat whatever the dataset size
+# _SCORE_BLOCK // n keeps its memory flat whatever the dataset size.  The grid
+# oracles hand values() points x dim blocks of the same size.
 _SCORE_BLOCK = 1 << 20
 
 
@@ -381,14 +379,12 @@ def robust_regression(
     constrain_to_region=True to install that ball as the feasible set.
     Declared error-bound exponent: 1/2.
     """
-    if not (1.0 < p_loss < 2.0):
-        raise ValueError(f"robust_regression: p_loss must lie in (1, 2), got {p_loss}")
+    _check_bounds("robust_regression", "(1, 2)", p_loss=p_loss)
     _require_rows(data, "robust_regression")
     y, n = data.y, data.n
     if region_radius is None:
         region_radius = 10.0 * max(1.0, float(np.linalg.norm(y)) / math.sqrt(n))
-    if not region_radius > 0.0:
-        raise ValueError(f"robust_regression: region_radius must be > 0, got {region_radius}")
+    _check_bounds("robust_regression", "(0, inf)", region_radius=region_radius)
     layout = _laid_out(data.X)
     rn2 = _row_norms(layout[0], 2.0)
     rnq = rn2 if norm_q == 2.0 else _row_norms(layout[0], norm_q)
@@ -465,12 +461,8 @@ def piecewise_linear_erm(
         raise ValueError(f"piecewise_linear_erm: unknown loss {loss!r}")
     if reg not in _REGS:
         raise ValueError(f"piecewise_linear_erm: unknown reg {reg!r}")
-    if lam < 0.0:
-        raise ValueError(f"piecewise_linear_erm: lam must be >= 0, got {lam}")
-    if reg in ("l1_ball", "linf_ball") and not radius > 0.0:
-        raise ValueError(f"piecewise_linear_erm: ball radius must be > 0, got {radius}")
-    if loss == "eps_insensitive" and eps_ins < 0.0:
-        raise ValueError(f"piecewise_linear_erm: eps_ins must be >= 0, got {eps_ins}")
+    _check_bounds("piecewise_linear_erm", "[0, inf)", lam=lam, eps_ins=eps_ins)
+    _check_bounds("piecewise_linear_erm", "(0, inf)", radius=radius)
     _require_rows(data, "piecewise_linear_erm")
     if loss == "hinge":
         _require_binary_labels(data, "piecewise_linear_erm")
@@ -503,8 +495,7 @@ def gflasso_svm(
     s * |w_i - w_j|.  At w = 0 every margin is 0 and the penalty vanishes,
     so f(0) = 1.  Unconstrained; declared error-bound exponent 1.
     """
-    if lam < 0.0:
-        raise ValueError(f"gflasso_svm: lam must be >= 0, got {lam}")
+    _check_bounds("gflasso_svm", "[0, inf)", lam=lam)
     _require_rows(data, "gflasso_svm")
     _require_binary_labels(data, "gflasso_svm")
     if graph.dim != data.d:
@@ -611,8 +602,7 @@ def graph_from_correlation(data: Dataset, cutoff: float) -> GFlassoGraph:
     correlation magnitude reaches the cutoff.  Constant columns never
     join.  (Plumbing for experiments on data without a given graph.)
     """
-    if not (0.0 < cutoff <= 1.0):
-        raise ValueError(f"graph_from_correlation: cutoff must lie in (0, 1], got {cutoff}")
+    _check_bounds("graph_from_correlation", "(0, 1]", cutoff=cutoff)
     _require_rows(data, "graph_from_correlation")
     Xd = np.asarray(data.X.todense(), dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -18,7 +18,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Array, ErrorBoundParams, PNormSpace, ProblemInstance, _check_finite, _qnorm
+from .core import (
+    Array,
+    ErrorBoundParams,
+    PNormSpace,
+    ProblemInstance,
+    _check_bounds,
+    _check_finite,
+    _qnorm,
+)
 
 __all__ = [
     "TraceRecord",
@@ -126,30 +134,18 @@ class RestartConfig:
     eta_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 1.0):
-            raise ValueError(f"RestartConfig: alpha must be finite and > 1, got {self.alpha}")
-        if self.stages < 1:
-            raise ValueError(f"RestartConfig: stages must be >= 1, got {self.stages}")
-        if self.inner_iters < 1:
-            raise ValueError(
-                f"RestartConfig: inner_iters must be >= 1, got {self.inner_iters}"
-            )
-        if not (math.isfinite(self.eps0) and self.eps0 > 0):
-            raise ValueError(f"RestartConfig: eps0 must be finite and > 0, got {self.eps0}")
-        if self.target_eps is not None and not (0.0 < self.target_eps <= self.eps0):
-            raise ValueError(
-                f"RestartConfig: target_eps must lie in (0, eps0], got {self.target_eps}"
-            )
-        if not (1.0 < self.norm_p <= 2.0):
-            raise ValueError(f"RestartConfig: norm_p must lie in (1, 2], got {self.norm_p}")
+        who = "RestartConfig"
+        _check_bounds(who, "(1, inf)", alpha=self.alpha)
+        _check_bounds(who, "int [1, inf)", stages=self.stages, inner_iters=self.inner_iters)
+        _check_bounds(who, "(0, inf)", eps0=self.eps0, eta_scale=self.eta_scale)
+        if self.target_eps is not None:
+            _check_bounds(who, "(0, inf)", target_eps=self.target_eps)
+            if self.target_eps > self.eps0:
+                raise ValueError(f"{who}: target_eps {self.target_eps} exceeds eps0 {self.eps0}")
+        _check_bounds(who, "(1, 2]", norm_p=self.norm_p)
         if self.lambda_mode not in ("unit", "inv_grad_norm"):
             raise ValueError(
-                f"RestartConfig: lambda_mode must be 'unit' or 'inv_grad_norm', "
-                f"got {self.lambda_mode!r}"
-            )
-        if not (math.isfinite(self.eta_scale) and self.eta_scale > 0.0):
-            raise ValueError(
-                f"RestartConfig: eta_scale must be finite and > 0, got {self.eta_scale}"
+                f"{who}: lambda_mode must be 'unit' or 'inv_grad_norm', got {self.lambda_mode!r}"
             )
 
 
@@ -177,20 +173,13 @@ class DoublingConfig:
     recalibrate_eps0: bool = False
 
     def __post_init__(self) -> None:
-        if self.t1 < 1:
-            raise ValueError(f"DoublingConfig: t1 must be >= 1, got {self.t1}")
-        if self.restart_every < 1:
-            raise ValueError(
-                f"DoublingConfig: restart_every must be >= 1, got {self.restart_every}"
-            )
-        if not (0.0 <= self.theta < 1.0):
-            raise ValueError(f"DoublingConfig: theta must lie in [0, 1), got {self.theta}")
-        if self.max_calls < 1:
-            raise ValueError(f"DoublingConfig: max_calls must be >= 1, got {self.max_calls}")
-        if self.growth is not None and not (math.isfinite(self.growth) and self.growth > 1.0):
-            raise ValueError(f"DoublingConfig: growth must be finite and > 1, got {self.growth}")
-        if not self.rel_tol >= 0.0:
-            raise ValueError(f"DoublingConfig: rel_tol must be >= 0, got {self.rel_tol}")
+        who = "DoublingConfig"
+        counts = dict(t1=self.t1, restart_every=self.restart_every, max_calls=self.max_calls)
+        _check_bounds(who, "int [1, inf)", **counts)
+        _check_bounds(who, "[0, 1)", theta=self.theta)
+        if self.growth is not None:
+            _check_bounds(who, "(1, inf)", growth=self.growth)
+        _check_bounds(who, "[0, inf]", rel_tol=self.rel_tol)
         if _last_budget_overflows(self.t1, self.effective_growth, self.max_calls):
             raise ValueError(
                 f"DoublingConfig: the budget of call {self.max_calls} overflows a float "
@@ -241,29 +230,27 @@ def compute_stage_count(eps0: float, eps: float, alpha: float) -> int:
     Exact powers are detected before the ceiling so float noise cannot add a
     stage (eps0/eps = alpha**k returns k exactly).  Floors at 1.
     """
-    if not (eps0 > 0 and eps > 0):
-        raise ValueError("compute_stage_count: eps0 and eps must be > 0")
+    _check_bounds("compute_stage_count", "(0, inf)", eps0=eps0, eps=eps)
     if eps > eps0:
         raise ValueError(f"compute_stage_count: eps ({eps}) exceeds eps0 ({eps0})")
-    if not alpha > 1.0:
-        raise ValueError(f"compute_stage_count: alpha must be > 1, got {alpha}")
+    _check_bounds("compute_stage_count", "(1, inf)", alpha=alpha)
     ratio = eps0 / eps
-    r = math.log(ratio) / math.log(alpha)
-    k = round(r)
-    if k >= 1 and math.isclose(alpha**k, ratio, rel_tol=1e-12):
-        return k
+    try:
+        r = math.log(ratio) / math.log(alpha)
+        k = round(r)
+        if k >= 1 and math.isclose(alpha**k, ratio, rel_tol=1e-12):
+            return k
+    except OverflowError:
+        msg = f"compute_stage_count: alpha**stages overflows a float (eps0={eps0}, eps={eps})"
+        raise ValueError(msg) from None
     return max(1, math.ceil(r))
 
 
 def compute_inner_iters(G: float, eb: ErrorBoundParams, eps: float, alpha: float) -> int:
     """Per-stage iteration budget ceil(alpha**2 G**2 c**2 / eps**(2(1-theta))).
     A budget too large for a float raises ValueError."""
-    if not G > 0:
-        raise ValueError(f"compute_inner_iters: G must be > 0, got {G}")
-    if not eps > 0:
-        raise ValueError(f"compute_inner_iters: eps must be > 0, got {eps}")
-    if not alpha > 1.0:
-        raise ValueError(f"compute_inner_iters: alpha must be > 1, got {alpha}")
+    _check_bounds("compute_inner_iters", "(0, inf)", G=G, eps=eps)
+    _check_bounds("compute_inner_iters", "(1, inf)", alpha=alpha)
     try:
         return max(1, math.ceil((alpha * G * eb.c) ** 2 / eps ** (2.0 * (1.0 - eb.theta))))
     except (OverflowError, ZeroDivisionError):
@@ -303,8 +290,8 @@ class _TraceBuilder:
     stride-subsampled logging, and divergence detection."""
 
     def __init__(self, problem: ProblemInstance, stride: Optional[int]):
-        if stride is not None and stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
+        if stride is not None:
+            _check_bounds("", "int [1, inf)", stride=stride)
         self.problem = problem
         self.stride = stride
         # the fused (f, g) form, only while problem.objective is the callable
@@ -472,10 +459,8 @@ def sg_run(
     returns the average of the T pre-update iterates together with the
     trace.  T = 1 returns the starting point itself.
     """
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"sg_run: eta must be finite and > 0, got {eta}")
-    if T < 1:
-        raise ValueError(f"sg_run: T must be >= 1, got {T}")
+    _check_bounds("sg_run", "(0, inf)", eta=eta)
+    _check_bounds("sg_run", "int [1, inf)", T=T)
     w1 = problem.feasible(w1)
     tb = _TraceBuilder(problem, stride)
     avg, obj = _stage(problem, w1, T, tb, 1, _projected(problem, w1, eta, T))
@@ -501,10 +486,8 @@ def dap_run(
         raise UnsupportedConstraintError(
             "dap_run requires an unconstrained problem (project is None)"
         )
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"dap_run: eta must be finite and > 0, got {eta}")
-    if T < 1:
-        raise ValueError(f"dap_run: T must be >= 1, got {T}")
+    _check_bounds("dap_run", "(0, inf)", eta=eta)
+    _check_bounds("dap_run", "int [1, inf)", T=T)
     if lambda_mode not in ("unit", "inv_grad_norm"):
         raise ValueError(f"dap_run: unknown lambda_mode {lambda_mode!r}")
     w1 = np.asarray(w1, dtype=float)
@@ -657,10 +640,8 @@ def baseline_sg_decreasing(
     Logs both the running objective and the best-so-far value; the final
     point is the last iterate (not an average).
     """
-    if not (math.isfinite(eta0) and eta0 > 0):
-        raise ValueError(f"baseline_sg_decreasing: eta0 must be > 0, got {eta0}")
-    if T < 1:
-        raise ValueError(f"baseline_sg_decreasing: T must be >= 1, got {T}")
+    _check_bounds("baseline_sg_decreasing", "(0, inf)", eta0=eta0)
+    _check_bounds("baseline_sg_decreasing", "int [1, inf)", T=T)
     w = problem.feasible(w0)
     tb = _TraceBuilder(problem, stride)
     w, obj = _stage(problem, w, T, tb, 1, _projected(problem, w, eta0, T, decreasing=True))

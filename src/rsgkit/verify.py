@@ -73,61 +73,23 @@ def prox_suite(n_triples: int = 1000, seed: int = 20240601) -> tuple[bool, list[
     return ok, lines
 
 
-def _averaging_bound_check(
+def _progress_check(
     problem: ProblemInstance,
-    w1: np.ndarray,
-    eta: float,
-    T: int,
+    avg: np.ndarray,
     probes: np.ndarray,
-    tol: float = 1e-9,
+    bounds: list[float],
+    label: str,
 ) -> list[str]:
-    """Progress bound of the fixed-step averaging run: for every reference
-    point u, f(avg) - f(u) <= G**2 eta / 2 + ||w1 - u||**2 / (2 eta T)."""
-    fails = []
-    G = problem.lipschitz_bound
-    avg, _ = sg_run(problem, w1, eta, T, stride=max(1, T))
+    """A failure line for each probe u whose gap f(avg) - f(u), for the
+    averaged point avg of the run label names, exceeds its bound."""
     f_avg = float(problem.objective(avg))
-    for u in probes:
-        bound = G * G * eta / 2.0 + float(np.sum((w1 - u) ** 2)) / (2.0 * eta * T)
-        gap = f_avg - float(problem.objective(u))
-        if gap > bound + tol:
-            fails.append(
-                f"[FAIL] averaging bound on {problem.name}: gap {gap!r} > bound "
-                f"{bound!r} (eta={eta}, T={T}, u={np.asarray(u).tolist()})"
-            )
-    return fails
-
-
-def _dual_averaging_bound_check(
-    problem: ProblemInstance,
-    G_q: float,
-    w1: np.ndarray,
-    eta: float,
-    T: int,
-    p: float,
-    lambda_mode: str,
-    probes: np.ndarray,
-    tol: float = 1e-9,
-) -> list[str]:
-    """Progress bound of the weighted dual-averaging run in the p-norm
-    geometry, for both weight modes."""
-    fails = []
-    space = PNormSpace(p)
-    avg, _ = dap_run(problem, w1, eta, T, space, lambda_mode, stride=max(1, T))
-    f_avg = float(problem.objective(avg))
-    for u in probes:
-        dist2 = pnorm(np.asarray(u) - w1, p) ** 2
-        if lambda_mode == "unit":
-            bound = dist2 / (2.0 * eta * T) + eta * G_q * G_q / (2.0 * (p - 1.0))
-        else:
-            bound = G_q * dist2 / (2.0 * eta * T) + eta * G_q / (2.0 * (p - 1.0))
-        gap = f_avg - float(problem.objective(u))
-        if gap > bound + tol:
-            fails.append(
-                f"[FAIL] dual-averaging bound on {problem.name}: gap {gap!r} > "
-                f"bound {bound!r} (p={p}, mode={lambda_mode}, eta={eta}, T={T})"
-            )
-    return fails
+    gaps = [f_avg - float(problem.objective(u)) for u in probes]
+    return [
+        f"[FAIL] {label} bound on {problem.name}: gap {gap!r} > bound {bound!r} "
+        f"(u={u.tolist()})"
+        for u, gap, bound in zip(probes, gaps, bounds)
+        if gap > bound + 1e-9
+    ]
 
 
 def lemmas_suite(seed: int = 20240602) -> tuple[bool, list[str]]:
@@ -136,35 +98,49 @@ def lemmas_suite(seed: int = 20240602) -> tuple[bool, list[str]]:
     Euclidean case) both dual-averaging weight modes."""
     rng = np.random.default_rng(seed)
     zoo = miniature_zoo()
-    lines: list[str] = []
     fails: list[str] = []
     checks = 0
-    for name, problem in zoo.items():
+    for problem in zoo.values():
+        G = problem.lipschitz_bound
         w1 = problem.feasible(np.full(problem.dim, 1.2))
         probes = _probe_box(rng, problem, 5)
         for eta in (0.05, 0.2):
             for T in (40, 200):
-                fails += _averaging_bound_check(problem, w1, eta, T, probes)
+                # fixed-step averaging: G**2 eta / 2 + ||w1 - u||**2 / (2 eta T)
+                avg, _ = sg_run(problem, w1, eta, T, stride=T)
+                bounds = [
+                    G * G * eta / 2.0 + float(np.sum((w1 - u) ** 2)) / (2.0 * eta * T)
+                    for u in probes
+                ]
+                label = f"averaging (eta={eta}, T={T})"
+                fails += _progress_check(problem, avg, probes, bounds, label)
                 checks += len(probes)
     dap_euclid = [n for n, pr in zoo.items() if pr.project is None]
     # d = 1: every norm agrees, so the stored G is the q-norm bound at p = 1.5
     dap_runs = [(n, 2.0) for n in dap_euclid] + [(n, 1.5) for n in dap_euclid if zoo[n].dim == 1]
+    eta, T = 0.1, 100
     for mode in ("unit", "inv_grad_norm"):
         for name, p in dap_runs:
             problem = zoo[name]
+            G = problem.lipschitz_bound
             probes = _probe_box(rng, problem, 4)
             w1 = np.full(problem.dim, 1.1)
-            fails += _dual_averaging_bound_check(
-                problem, problem.lipschitz_bound, w1, 0.1, 100, p, mode, probes
-            )
+            # weighted dual averaging in the p-norm geometry: with weights
+            # 1/||g||_q the distance term gains a factor G, the step term 1/G
+            avg, _ = dap_run(problem, w1, eta, T, PNormSpace(p), mode, stride=T)
+            dist2 = [pnorm(u - w1, p) ** 2 for u in probes]
+            if mode == "unit":
+                bounds = [d / (2.0 * eta * T) + eta * G * G / (2.0 * (p - 1.0)) for d in dist2]
+            else:
+                bounds = [G * d / (2.0 * eta * T) + eta * G / (2.0 * (p - 1.0)) for d in dist2]
+            label = f"dual-averaging (p={p}, mode={mode}, eta={eta}, T={T})"
+            fails += _progress_check(problem, avg, probes, bounds, label)
             checks += len(probes)
-    lines.extend(fails)
     ok = not fails
-    lines.append(
+    return ok, fails + [
         f"[{'pass' if ok else 'FAIL'}] lemmas suite: {checks} bound checks across "
         f"{len(zoo)} instances, {len(fails)} violations"
-    )
-    return ok, lines
+    ]
 
 
 def oracle_suite() -> tuple[bool, list[str]]:
