@@ -3,16 +3,19 @@ binarization, edge-list loading, feature scaling, and the seeded synthetic
 generators.
 
 On-disk indices are 1-based (both feature indices and edge endpoints);
-everything in memory is 0-based.
+everything in memory is 0-based.  Both text formats go through one reader:
+every number in them must be finite, and every refusal is a ParseError
+carrying its line and column.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import re
 import warnings
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Iterator, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,12 +51,38 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _lines(source: Source) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-    else:
-        yield from source
+def _records(source: Source) -> Iterator[tuple[tuple[int, str], list[str]]]:
+    """Each non-blank line of a path or text stream as ((line number, line),
+    its whitespace-separated fields); the pair locates a refusal."""
+    path = isinstance(source, (str, Path))
+    with open(source, encoding="utf-8") if path else contextlib.nullcontext(source) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            fields = line.split()
+            if fields:
+                yield (lineno, line), fields
+
+
+def _refusal(message: str, where: tuple[int, str], field: int, offset: int = 0) -> ParseError:
+    """A ParseError at 0-based field number ``field`` of a line, ``offset``
+    characters into the field.  Columns are found only here, on refusal."""
+    lineno, line = where
+    starts = [m.start() for m in _TOKEN.finditer(line)]
+    return ParseError(message, lineno, starts[field] + offset + 1)
+
+
+def _number(
+    convert: type, what: str, text: str, where: tuple[int, str], field: int, offset: int = 0
+) -> float:
+    """convert(text) for convert int or float, refused at its position unless
+    it is a finite number."""
+    try:
+        value = convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise _refusal(f"{what} {text!r} is not {kind}", where, field, offset) from None
+    if value - value:  # nan for nan and +-inf, 0 for every finite number
+        raise _refusal(f"{what} {text!r} is not a finite number", where, field, offset)
+    return value
 
 
 def parse_libsvm(source: Source, dim: Optional[int] = None) -> Dataset:
@@ -71,55 +100,30 @@ def parse_libsvm(source: Source, dim: Optional[int] = None) -> Dataset:
     indices: list[int] = []
     values: list[float] = []
     max_index = 0
-    for lineno, raw in enumerate(_lines(source), start=1):
-        tokens = list(_TOKEN.finditer(raw))
-        if not tokens:
-            continue
-        first = tokens[0]
-        try:
-            labels.append(float(first.group()))
-        except ValueError:
-            raise ParseError(
-                f"label {first.group()!r} is not a number", lineno, first.start() + 1
-            ) from None
+    for where, fields in _records(source):
+        labels.append(_number(float, "label", fields[0], where, 0))
         prev = 0
-        for tok in tokens[1:]:
-            text = tok.group()
-            col = tok.start() + 1
-            idx_s, sep, val_s = text.partition(":")
+        for k in range(1, len(fields)):
+            idx_s, sep, val_s = fields[k].partition(":")
             if not sep:
-                raise ParseError(f"expected idx:value, got {text!r}", lineno, col)
-            try:
-                idx = int(idx_s)
-            except ValueError:
-                raise ParseError(f"index {idx_s!r} is not an integer", lineno, col) from None
+                raise _refusal(f"expected idx:value, got {fields[k]!r}", where, k)
+            idx = _number(int, "index", idx_s, where, k)
             if idx < 1:
-                raise ParseError(f"index {idx} must be >= 1", lineno, col)
+                raise _refusal(f"index {idx} must be >= 1", where, k)
             if idx == prev:
-                raise ParseError(f"duplicate index {idx}", lineno, col)
+                raise _refusal(f"duplicate index {idx}", where, k)
             if idx < prev:
-                raise ParseError(
-                    f"index {idx} out of order (previous was {prev})", lineno, col
-                )
-            try:
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(
-                    f"value {val_s!r} is not a number", lineno, col + len(idx_s) + 1
-                ) from None
+                raise _refusal(f"index {idx} out of order (previous was {prev})", where, k)
+            values.append(_number(float, "value", val_s, where, k, len(idx_s) + 1))
             indices.append(idx - 1)
-            values.append(val)
             prev = idx
         if prev > max_index:
             max_index = prev
         indptr.append(len(indices))
     d = max_index if dim is None else dim
     if dim is not None and max_index > dim:
-        raise ParseError(
-            f"feature index {max_index} exceeds the declared dimension {dim}",
-            len(indptr) - 1,
-            1,
-        )
+        message = f"feature index {max_index} exceeds the declared dimension {dim}"
+        raise ParseError(message, len(labels), 1)
     X = sp.csr_matrix(
         (np.array(values), np.array(indices, dtype=int), np.array(indptr, dtype=int)),
         shape=(len(labels), d),
@@ -164,46 +168,19 @@ def load_edge_list(source: Source, dim: int) -> GFlassoGraph:
     """
     _check_bounds("load_edge_list", "int [1, inf)", dim=dim)
     edges: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(_lines(source), start=1):
-        tokens = list(_TOKEN.finditer(raw))
-        if not tokens:
-            continue
-        if len(tokens) not in (2, 3):
-            raise ParseError(
-                f"expected 'i j' or 'i j s', got {len(tokens)} fields",
-                lineno,
-                tokens[0].start() + 1,
-            )
-        ends = []
-        for tok in tokens[:2]:
-            try:
-                ends.append(int(tok.group()))
-            except ValueError:
-                raise ParseError(
-                    f"endpoint {tok.group()!r} is not an integer", lineno, tok.start() + 1
-                ) from None
-        i, j = ends
+    for where, fields in _records(source):
+        if len(fields) not in (2, 3):
+            raise _refusal(f"expected 'i j' or 'i j s', got {len(fields)} fields", where, 0)
+        i, j = (_number(int, "endpoint", fields[k], where, k) for k in (0, 1))
         if i == j:
-            raise ParseError(f"self-loop at node {i}", lineno, tokens[0].start() + 1)
-        for tok, v in zip(tokens[:2], (i, j)):
-            if not (1 <= v <= dim):
-                raise ParseError(
-                    f"endpoint {v} outside 1..{dim}", lineno, tok.start() + 1
-                )
-        s = 1.0
-        if len(tokens) == 3:
-            try:
-                s = float(tokens[2].group())
-            except ValueError:
-                raise ParseError(
-                    f"weight {tokens[2].group()!r} is not a number",
-                    lineno,
-                    tokens[2].start() + 1,
-                ) from None
-            if not s > 0.0:
-                raise ParseError(f"weight {s} must be > 0", lineno, tokens[2].start() + 1)
-        lo, hi = (i, j) if i < j else (j, i)
-        edges.append((lo - 1, hi - 1, s))
+            raise _refusal(f"self-loop at node {i}", where, 0)
+        for k, v in enumerate((i, j)):
+            if not 1 <= v <= dim:
+                raise _refusal(f"endpoint {v} outside 1..{dim}", where, k)
+        s = _number(float, "weight", fields[2], where, 2) if len(fields) == 3 else 1.0
+        if s <= 0.0:
+            raise _refusal(f"weight {s} must be > 0", where, 2)
+        edges.append((min(i, j) - 1, max(i, j) - 1, s))
     return GFlassoGraph(dim, tuple(edges))
 
 
@@ -243,8 +220,9 @@ def synth_classification(n: int, d: int, margin: float, seed: int) -> Dataset:
 
     Rows with |x . u| < margin are redrawn until none remain, so
     y_i (x_i . u) >= margin for every row; the stored planted vector is
-    u / margin, which attains zero hinge loss.  margin = 0 disables the
-    enforcement (ties label as +1).  Bitwise reproducible per seed.
+    u / margin, which attains zero hinge loss, or None where a subnormal
+    margin makes u / margin overflow.  margin = 0 disables the enforcement
+    (ties label as +1).  Bitwise reproducible per seed.
 
     Each score is standard normal, so a large margin clears almost no draw
     (about 1 in 10**4 at margin 3.9, 1 in 4 * 10**11 at margin 7): after
@@ -272,5 +250,6 @@ def synth_classification(n: int, d: int, margin: float, seed: int) -> Dataset:
         rounds += 1
     scores = X @ u
     y = np.where(scores >= 0.0, 1.0, -1.0)
-    planted = u / margin if margin > 0.0 else u.copy()
-    return Dataset(sp.csr_matrix(X), y, planted)
+    with np.errstate(over="ignore"):
+        planted = u / margin if margin > 0.0 else u.copy()
+    return Dataset(sp.csr_matrix(X), y, planted if np.isfinite(planted).all() else None)

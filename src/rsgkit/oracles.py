@@ -384,7 +384,9 @@ def sample_level_points(
     random ones), expands each until the objective crosses the level, and
     bisects the crossing.  Rays that never cross within max_expand doublings
     (unbounded sublevel directions) are skipped with a warning.  Returned
-    points lie inside the sublevel set (inner end of the final bracket).
+    points lie inside the sublevel set (inner end of the final bracket).  A
+    ray stops bisecting once its bracket is narrower than xtol (relative to
+    max(1, t)) or its midpoint rounds to an end, so any xtol ends the loop.
     All rays step together: each expansion or bisection step is one
     :meth:`ProblemInstance.values` call on the rays still open.
     """
@@ -420,13 +422,14 @@ def sample_level_points(
             stacklevel=2,
         )
     while True:
-        rays = np.nonzero(crossed & (t_hi - t_lo > xtol * np.maximum(1.0, t_hi)))[0]
+        mid = 0.5 * (t_lo + t_hi)
+        bisectable = (t_hi - t_lo > xtol * np.maximum(1.0, t_hi)) & (t_lo < mid) & (mid < t_hi)
+        rays = np.nonzero(crossed & bisectable)[0]
         if not rays.size:
             break
-        mid = 0.5 * (t_lo[rays] + t_hi[rays])
-        hit = above(mid, rays)
-        t_hi[rays[hit]] = mid[hit]
-        t_lo[rays[~hit]] = mid[~hit]
+        hit = above(mid[rays], rays)
+        t_hi[rays[hit]] = mid[rays[hit]]
+        t_lo[rays[~hit]] = mid[rays[~hit]]
     keep = crossed & (t_lo > 0.0)
     return list(problem.feasible_rows(center + t_lo[keep, None] * dirs[keep]))
 

@@ -1061,6 +1061,42 @@ def test_cli_all_zero_features_exit_2_naming_the_data(tmp_path, capsys):
     assert member_outputs(out) == []
 
 
+CUT_FILE = """\
+problem.kind = lovasz_cut
+problem.dim = 3
+problem.edges = {path}
+solver.algo = sg
+solver.eta = 0.1
+solver.T = 5
+"""
+
+
+@pytest.mark.parametrize(
+    "config,data,message",
+    [
+        (PWL_FILE, "1 1:nan\n", "line 1, column 5: value 'nan' is not a finite number"),
+        (PWL_FILE, "nan 1:1\n", "line 1, column 1: label 'nan' is not a finite number"),
+        (PWL_FILE, "1 1:1e400\n", "line 1, column 5: value '1e400' is not a finite number"),
+        (CUT_FILE, "1 2 inf\n", "line 1, column 5: weight 'inf' is not a finite number"),
+    ],
+    ids=["value-nan", "label-nan-absolute", "value-overflow", "weight-inf"],
+)
+def test_cli_non_finite_number_in_a_file_exits_2_naming_the_token(
+    tmp_path, capsys, config, data, message
+):
+    # before, these read as a bad lipschitz_bound, a diverged run (exit 3,
+    # with a trace) or an unpositioned graph error
+    path = tmp_path / "data.txt"
+    path.write_text(data)
+    out = tmp_path / "n"
+    assert main(["run", "--config", write_config(tmp_path, config.format(path=path)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err
+    assert "Traceback" not in err
+    assert member_outputs(out) == []
+
+
 @pytest.mark.parametrize(
     "schedule",
     [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,33 @@ def test_parse_errors_carry_position(text, match, line, col):
     assert (exc.value.line, exc.value.column) == (line, col)
 
 
+@pytest.mark.parametrize(
+    "text,dim,message,line,col",
+    [
+        ("x 1:1\n", None, "label 'x' is not a number", 1, 1),
+        ("1 foo\n", None, "expected idx:value, got 'foo'", 1, 3),
+        ("1 a:1\n", None, "index 'a' is not an integer", 1, 3),
+        ("1 0:1\n", None, "index 0 must be >= 1", 1, 3),
+        ("1 1:1 1:2\n", None, "duplicate index 1", 1, 7),
+        ("1 2:1 1:2\n", None, "index 1 out of order (previous was 2)", 1, 7),
+        ("1 1:x\n", None, "value 'x' is not a number", 1, 5),
+        ("1 1:1\n-1 nope\n", None, "expected idx:value, got 'nope'", 2, 4),
+        ("1\t1:1\t 2:x\n", None, "value 'x' is not a number", 1, 10),
+        ("1 3:1\n", 2, "feature index 3 exceeds the declared dimension 2", 1, 1),
+        ("1 1:1\n1 1:nan\n", None, "value 'nan' is not a finite number", 2, 5),
+        ("1 1:1e400\n", None, "value '1e400' is not a finite number", 1, 5),
+        ("1 1:1 2:-inf\n", None, "value '-inf' is not a finite number", 1, 9),
+        ("nan 1:1\n", None, "label 'nan' is not a finite number", 1, 1),
+        ("-Infinity\n", None, "label '-Infinity' is not a finite number", 1, 1),
+    ],
+)
+def test_parse_refusals_word_and_place(text, dim, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_libsvm(io.StringIO(text), dim=dim)
+    assert str(exc.value) == f"line {line}, column {col}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, col)
+
+
 def test_parse_accepts_paths(tmp_path):
     path = tmp_path / "tiny.svm"
     path.write_text("1 1:3\n-1 2:0.5\n")
@@ -121,6 +149,31 @@ def test_load_edge_list_errors(text, match):
         load_edge_list(io.StringIO(text), dim=3)
 
 
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        ("1\n", "expected 'i j' or 'i j s', got 1 fields", 1, 1),
+        (" 1 2 3 4\n", "expected 'i j' or 'i j s', got 4 fields", 1, 2),
+        ("a 2\n", "endpoint 'a' is not an integer", 1, 1),
+        ("1 2.0\n", "endpoint '2.0' is not an integer", 1, 3),
+        ("2 2\n", "self-loop at node 2", 1, 1),
+        ("1 9\n", "endpoint 9 outside 1..3", 1, 3),
+        ("0 2\n", "endpoint 0 outside 1..3", 1, 1),
+        ("1 2 x\n", "weight 'x' is not a number", 1, 5),
+        ("1 2 0\n", "weight 0.0 must be > 0", 1, 5),
+        ("1 2\n\n  3\t1 -2\n", "weight -2.0 must be > 0", 3, 7),
+        ("1 2 inf\n", "weight 'inf' is not a finite number", 1, 5),
+        ("1 2\n1 3 nan\n", "weight 'nan' is not a finite number", 2, 5),
+        ("1 3 1e400\n", "weight '1e400' is not a finite number", 1, 5),
+    ],
+)
+def test_load_edge_list_refusals_word_and_place(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        load_edge_list(io.StringIO(text), dim=3)
+    assert str(exc.value) == f"line {line}, column {col}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, col)
+
+
 def test_load_edge_list_dim_validation():
     with pytest.raises(ValueError, match="dim"):
         load_edge_list(io.StringIO(""), dim=0)
@@ -165,6 +218,17 @@ def test_synth_classification_margin_zero():
     ds = synth_classification(10, 2, margin=0.0, seed=3)
     assert set(np.unique(ds.y)) <= {-1.0, 1.0}
     assert np.isclose(np.linalg.norm(ds.planted), 1.0)
+
+
+def test_synth_classification_subnormal_margin_plants_nothing():
+    # u / 5e-324 overflows, so no finite planted vector exists at this scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = synth_classification(3, 2, margin=5e-324, seed=0)
+    assert ds.planted is None
+    assert set(np.unique(ds.y)) <= {-1.0, 1.0}
+    tiny = synth_classification(3, 2, margin=1e-300, seed=0)
+    assert np.all(np.isfinite(tiny.planted))
 
 
 def unbounded_classification(n, d, margin, seed):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -377,6 +379,38 @@ def test_sample_level_points_warns_on_unbounded_rays():
     with pytest.warns(UserWarning, match="never crossed"):
         pts = sample_level_points(inst, eps=0.5, oracle=exact_report(0.0, [0.0, 0.0]), ray_count=4)
     assert len(pts) == 2  # only the +/- first-axis rays cross
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after seconds, so a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("xtol", [0.0, -1.0])
+def test_sample_level_points_ends_for_any_xtol(xtol):
+    # a ray stops once its midpoint rounds to an end of its bracket; with
+    # xtol <= 0 the width test alone never stopped it
+    inst = ZOO["abs_median_1d"]
+    oracle = exact_report(3.0, [2.0])
+    with time_limit(20):
+        pts = sample_level_points(inst, eps=0.3, oracle=oracle, ray_count=2, xtol=xtol)
+    coarse = sample_level_points(inst, eps=0.3, oracle=oracle, ray_count=2)
+    assert len(pts) == len(coarse) == 2
+    level = oracle.fstar + 0.3
+    for p, q in zip(pts, coarse):
+        assert level - 1e-14 <= inst.objective(p) <= level
+        assert abs(p[0] - q[0]) <= 1e-12
 
 
 def test_estimate_B_eps_absolute_value():
