@@ -11,7 +11,8 @@ Outputs per run: ``<run_id>.csv`` — the iteration trace with header
 ``run_id,algo,stage,iter,cum_iter,objective,eta,wallclock_ns`` (rows
 ordered by cum_iter; the wallclock column is written as 0 unless --timing
 is passed, keeping default outputs bitwise reproducible) — and
-``<run_id>.json``, a summary whose echoed config reproduces the run.
+``<run_id>.json``, a summary whose echoed config reproduces the run (its
+``wallclock_ns_total`` is 0 unless --timing, too).
 
 Every CSV is RFC 4180 with CRLF row ends and no quoting: its fields are hex
 run ids, fixed algo names, ints, floats as Python ``repr`` and empty cells,
@@ -577,7 +578,8 @@ def _write_run(
         # first step: one the plan let through is still a config mistake
         raise ConfigError(str(exc)) from exc
     csv_path = out / f"{run_id}.csv"
-    _atomic_write(csv_path, _trace_csv_rows(run_id, algo, trace, bool(spec.get("output.timing"))))
+    timing = bool(spec.get("output.timing"))
+    _atomic_write(csv_path, _trace_csv_rows(run_id, algo, trace, timing))
     summary = {
         "run_id": run_id,
         "algo": algo,
@@ -594,7 +596,7 @@ def _write_run(
             {"stage": s.stage, "cum_iter": s.cum_iter, "eta": s.eta, "objective": s.objective}
             for s in trace.stage_results
         ],
-        "wallclock_ns_total": trace.wallclock_ns_total,
+        "wallclock_ns_total": trace.wallclock_ns_total if timing else 0,
         "csv": csv_path.name,
         **extras,
     }

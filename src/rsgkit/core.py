@@ -309,7 +309,8 @@ class ProblemInstance:
     attach one, bitwise equal to the two calls).  The solvers use it on
     logged iterations only while ``with_value.objective is objective``;
     after ``dataclasses.replace`` swaps either callable they fall back to
-    separate calls.
+    separate calls.  A fused form that also carries ``keep``, ``values``
+    and ``width`` lets them defer those values to one pass per block.
     """
 
     dim: int

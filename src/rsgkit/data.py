@@ -91,10 +91,13 @@ def parse_libsvm(source: Source, dim: Optional[int] = None) -> Dataset:
     Feature indices are 1-based on disk, strictly increasing within a line
     (duplicates and out-of-order indices are parse errors), 0-based in the
     returned CSR matrix.  The feature count is the largest index seen unless
-    ``dim`` overrides it (needed when trailing features are zero in every
-    record).  Blank lines are skipped; an empty source yields an empty
+    ``dim``, an integer >= 1, overrides it (needed when trailing features are
+    zero in every record); an index above ``dim`` is refused where it
+    stands.  Blank lines are skipped; an empty source yields an empty
     Dataset (problem builders reject those at use time).
     """
+    if dim is not None:
+        _check_bounds("parse_libsvm", "int [1, inf)", dim=dim)
     labels: list[float] = []
     indptr: list[int] = [0]
     indices: list[int] = []
@@ -114,19 +117,18 @@ def parse_libsvm(source: Source, dim: Optional[int] = None) -> Dataset:
                 raise _refusal(f"duplicate index {idx}", where, k)
             if idx < prev:
                 raise _refusal(f"index {idx} out of order (previous was {prev})", where, k)
+            if dim is not None and idx > dim:
+                message = f"feature index {idx} exceeds the declared dimension {dim}"
+                raise _refusal(message, where, k)
             values.append(_number(float, "value", val_s, where, k, len(idx_s) + 1))
             indices.append(idx - 1)
             prev = idx
         if prev > max_index:
             max_index = prev
         indptr.append(len(indices))
-    d = max_index if dim is None else dim
-    if dim is not None and max_index > dim:
-        message = f"feature index {max_index} exceeds the declared dimension {dim}"
-        raise ParseError(message, len(labels), 1)
     X = sp.csr_matrix(
         (np.array(values), np.array(indices, dtype=int), np.array(indptr, dtype=int)),
-        shape=(len(labels), d),
+        shape=(len(labels), max_index if dim is None else dim),
     )
     return Dataset(X, np.array(labels))
 

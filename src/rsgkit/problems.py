@@ -310,8 +310,12 @@ def _linear_model(
     the gradient, or both for ``subgrad.with_value`` from one X w (and one
     F w), so that pair is bitwise the two calls; ``with_value.objective``
     names the objective it matches, so a solver can tell when a replaced one
-    has made it stale.  ``objective.batch`` and ``subgrad.batch`` are the
-    value and the gradient pass on W^T blocks."""
+    has made it stale.  ``with_value.keep(w, row)`` and ``values(R)`` split
+    the pair: subgrad(w) writing the scores of w into a row of ``width``
+    entries, then the value half of many such rows in one pass, each row
+    bitwise its 1-d value (a row-wise reduction of a C-order block is the
+    1-d one).  ``objective.batch`` and ``subgrad.batch`` are the value and
+    the gradient pass on W^T blocks."""
     value, slope = _LOSS_FNS[loss]
     A, AT = layout
     n = y.shape[0]
@@ -320,16 +324,25 @@ def _linear_model(
     pen_f, pen_g = _PENALTIES.get("l1" if reg == "fused" else reg, (None, None))
     Fa, FT = _laid_out(F) if reg == "fused" else (None, None)
 
-    def oracle(W: Array, want_f: bool, want_g: bool) -> tuple:
-        """(f, g) at w, or at each column of W; an output not wanted is None."""
-        yy = y if W.ndim == 1 else yc
-        Z = A.dot(W)
-        t = yy * Z if margin else Z - yy
+    def oracle(W: Array, want_f: bool, want_g: bool, row=None, kept: bool = False) -> tuple:
+        """(f, g) at w, or at each column of W; an output not wanted is None.
+        A ``row`` of ``width`` entries receives the scores t and u of w; with
+        ``kept``, W holds such rows and the pass starts from their scores."""
+        if kept:
+            t, u = W[:, :n].T, W[:, n:].T
+        else:
+            yy = y if W.ndim == 1 else yc
+            Z = A.dot(W)
+            t = yy * Z if margin else Z - yy
+            u = None if pen_f is None else W if Fa is None else Fa.dot(W)
+            if row is not None:
+                row[:n] = t
+                if u is not None:
+                    row[n:] = u
         f = value(t, a).sum(axis=0) / n if want_f else None
         s = slope(t, a) if want_g else None
         g = AT.dot(yy * s if margin else s) / n if want_g else None
         if pen_f is not None:
-            u = W if Fa is None else Fa.dot(W)
             if want_f:
                 f = f + lam * pen_f(u)
             if want_g:
@@ -359,6 +372,9 @@ def _linear_model(
         f, g = oracle(w, True, True)
         return float(f), g
 
+    with_value.width = n + (0 if pen_f is None else A.shape[1] if Fa is None else Fa.shape[0])
+    with_value.keep = lambda w, row: oracle(w, False, True, row)[1]
+    with_value.values = lambda R: oracle(R, True, False, kept=True)[0]
     with_value.objective = objective = _batched(objective, by_blocks(0))
     subgrad.with_value = with_value
     return objective, _batched(subgrad, by_blocks(1))

@@ -285,9 +285,20 @@ def pnorm_prox(w: Array, g: Array, p: float) -> Array:
     return w - gq * np.sign(g) * ratio ** (q - 1.0)
 
 
+# entries of the block of kept scores a run holds between two flushes: rows =
+# _LOG_BLOCK // width, so its memory stays flat whatever the dataset size
+_LOG_BLOCK = 1 << 16
+
+
 class _TraceBuilder:
     """Shared bookkeeping: cumulative iteration counter, best-so-far,
-    stride-subsampled logging, and divergence detection."""
+    stride-subsampled logging, and divergence detection.
+
+    With a fused form that carries ``keep`` and ``values``, a logged
+    iteration only keeps the scores of w (with its clock reading); a flush
+    turns a block of them into their values in one pass and logs them in
+    order, as full blocks, at stage end and on any error.  A divergence
+    among them outranks any later error raised before the flush."""
 
     def __init__(self, problem: ProblemInstance, stride: Optional[int]):
         if stride is not None:
@@ -300,6 +311,10 @@ class _TraceBuilder:
         if getattr(fused, "objective", None) is not problem.objective:
             fused = None
         self._fused = fused
+        self._block = None
+        if hasattr(fused, "keep"):
+            self._block = np.empty((max(1, _LOG_BLOCK // fused.width), fused.width))
+        self._pending: list[tuple] = []
         self.trace = SolveTrace()
         self.cum = 0
         self.best = math.inf
@@ -316,31 +331,46 @@ class _TraceBuilder:
 
     def logged_subgrad(self, w: Array, stage: int, it: int, eta: float, staged: bool) -> Array:
         """Subgradient at w on a logged iteration: logs the checked objective
-        at w first, from the same oracle pass when the fused form applies.
-        A divergence is located at "stage {stage} iter {it}", or at
-        "iter {it}" for a run that is not staged."""
+        at w, from the same oracle pass when the fused form applies (kept
+        for the next flush when it can be deferred).  A divergence is
+        located at "stage {stage} iter {it}", or at "iter {it}" for a run
+        that is not staged."""
+        if self._block is not None:
+            pending = self._pending
+            g = self._fused.keep(w, self._block[len(pending)])
+            pending.append((stage, it, self.cum, eta, time.monotonic_ns() - self._t0, staged))
+            if len(pending) == len(self._block):
+                self.flush()
+            return g
         if self._fused is None:
             val, g = float(self.problem.objective(w)), None
         else:
             val, g = self._fused(w)
-        if not math.isfinite(val):
-            where = f"stage {stage} iter {it}" if staged else f"iter {it}"
-            raise self.diverged(f"non-finite objective ({val}) at {where}")
-        self.log(stage, it, val, eta)
+        self._log(stage, it, self.cum, val, eta, time.monotonic_ns() - self._t0, staged)
         return self.problem.subgrad(w) if g is None else g
+
+    def flush(self) -> None:
+        """Log the kept iterations, in order, from one pass over their scores."""
+        pending, self._pending = self._pending, []
+        if pending:
+            vals = self._fused.values(self._block[: len(pending)]).tolist()
+            for (stage, it, cum, eta, ns, staged), val in zip(pending, vals):
+                self._log(stage, it, cum, val, eta, ns, staged)
 
     def diverged(self, message: str) -> DivergenceError:
         self._close_partial()
         return DivergenceError(message, self.trace)
 
-    def log(self, stage: int, it: int, obj: float, eta: float) -> None:
+    def _log(
+        self, stage: int, it: int, cum: int, obj: float, eta: float, ns: int, staged: bool
+    ) -> None:
+        if not math.isfinite(obj):
+            self.cum = cum
+            where = f"stage {stage} iter {it}" if staged else f"iter {it}"
+            raise self.diverged(f"non-finite objective ({obj}) at {where}")
         if obj < self.best:
             self.best = obj
-        self.trace.records.append(
-            TraceRecord(
-                stage, it, self.cum, obj, eta, time.monotonic_ns() - self._t0, self.best
-            )
-        )
+        self.trace.records.append(TraceRecord(stage, it, cum, obj, eta, ns, self.best))
 
     def finish(self, w: Array, obj: float) -> SolveTrace:
         self.trace.final_point = np.array(w, dtype=float, copy=True)
@@ -369,13 +399,18 @@ def _stage(
     staged = average is not None
     stride = tb.stride_for(T)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for t in range(1, T + 1):
-            tb.cum += 1
-            if t == 1 or t == T or t % stride == 0:
-                g = tb.logged_subgrad(w, stage, t, eta(t), staged)
-            else:
-                g = subgrad(w)
-            w = step(t, w, g)
+        try:
+            for t in range(1, T + 1):
+                tb.cum += 1
+                if t == 1 or t == T or t % stride == 0:
+                    g = tb.logged_subgrad(w, stage, t, eta(t), staged)
+                else:
+                    g = subgrad(w)
+                w = step(t, w, g)
+        finally:
+            # the kept iterations are logged before the average, the plateau
+            # test or an error reads the trace; a divergence among them wins
+            tb.flush()
         if not staged:
             obj = tb.checked_objective(w, "final point")
         else:

@@ -337,6 +337,22 @@ def test_cli_timing_flag_controls_wallclock_column(tmp_path):
     assert any(int(row.rsplit(",", 1)[1]) > 0 for row in timed_rows)
 
 
+def test_two_runs_of_one_config_write_byte_identical_summaries(tmp_path):
+    cfg = write_config(tmp_path, BASE)
+    rid = RunSpec.from_text(BASE).run_id
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for out in runs:
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    first, second = ((out / f"{rid}.json").read_bytes() for out in runs)
+    assert first == second
+    assert json.loads(first)["wallclock_ns_total"] == 0
+    # --timing writes the real total, as it does the CSV column
+    timed = tmp_path / "timed"
+    assert main(["run", "--config", cfg, "--out", str(timed), "--timing"]) == 0
+    rid_timed = RunSpec.from_text(BASE).with_overrides({"output.timing": True}).run_id
+    assert json.loads((timed / f"{rid_timed}.json").read_text())["wallclock_ns_total"] > 0
+
+
 def test_cli_stride_reduces_rows(tmp_path):
     cfg = write_config(tmp_path, BASE)
     dense_dir, sparse_dir = tmp_path / "dense", tmp_path / "sparse"

@@ -47,6 +47,20 @@ def test_parse_dim_override():
         parse_libsvm(io.StringIO("1 3:1\n"), dim=2)
 
 
+@pytest.mark.parametrize(
+    "dim,message",
+    [
+        (0, "parse_libsvm: dim must be >= 1, got 0"),
+        (-1, "parse_libsvm: dim must be >= 1, got -1"),
+        (2.5, "parse_libsvm: dim must be an integer, got 2.5"),
+    ],
+)
+def test_parse_dim_is_range_checked(dim, message):
+    with pytest.raises(ValueError) as exc:
+        parse_libsvm(io.StringIO("1 1:1\n"), dim=dim)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_parse_labels_without_features():
     ds = parse_libsvm(io.StringIO("1\n-1 1:0.5\n"))
     assert ds.n == 2 and ds.d == 1
@@ -84,7 +98,8 @@ def test_parse_errors_carry_position(text, match, line, col):
         ("1 1:x\n", None, "value 'x' is not a number", 1, 5),
         ("1 1:1\n-1 nope\n", None, "expected idx:value, got 'nope'", 2, 4),
         ("1\t1:1\t 2:x\n", None, "value 'x' is not a number", 1, 10),
-        ("1 3:1\n", 2, "feature index 3 exceeds the declared dimension 2", 1, 1),
+        ("1 3:1\n", 2, "feature index 3 exceeds the declared dimension 2", 1, 3),
+        ("1 3:1\n\n\n1 1:1\n", 2, "feature index 3 exceeds the declared dimension 2", 1, 3),
         ("1 1:1\n1 1:nan\n", None, "value 'nan' is not a finite number", 2, 5),
         ("1 1:1e400\n", None, "value '1e400' is not a finite number", 1, 5),
         ("1 1:1 2:-inf\n", None, "value '-inf' is not a finite number", 1, 9),

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from rsgkit import cli
 from rsgkit.core import ErrorBoundParams, PNormSpace, ProblemInstance, _check_bounds
-from rsgkit.data import load_edge_list, synth_classification, synth_regression
+from rsgkit.data import load_edge_list, parse_libsvm, synth_classification, synth_regression
 from rsgkit.oracles import long_run_min
 from rsgkit.problems import (
     Dataset,
@@ -54,6 +54,7 @@ PAIRS = {
     "problem.dim": [
         ("dim", _instance),
         ("dim", lambda v: load_edge_list(io.StringIO(""), dim=v)),
+        ("dim", lambda v: parse_libsvm(io.StringIO(""), dim=v)),
     ],
     "problem.n": [
         ("n", lambda v: synth_regression(v, 1, 0.0, 0)),

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -768,6 +769,100 @@ def test_fused_divergence_raises_with_the_same_partial_trace():
         assert str(fused_exc.value) == str(plain_exc.value), name
         assert fused_exc.value.trace.records, name
         same_trace(fused_exc.value.trace, plain_exc.value.trace)
+
+
+# ---------------------------------------------------------------- deferred logged values
+
+
+@pytest.mark.parametrize("stride", [1, None, 7])
+@pytest.mark.parametrize("family", sorted(linear_models()))
+def test_deferred_values_match_the_unfused_traces_at_any_block_size(monkeypatch, family, stride):
+    problem = linear_models()[family]
+    w0 = problem.feasible(0.5 * np.random.default_rng(4).standard_normal(problem.dim))
+    refs = [run() for _, run in solver_runs(unfused(problem), w0, stride)]
+    fused = problem.subgrad.with_value
+    seen, values = [], fused.values
+    fused.values = lambda R: seen.append(len(R)) or values(R)
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(solvers, "_LOG_BLOCK", rows * fused.width)
+        seen.clear()
+        for (name, run), ref in zip(solver_runs(problem, w0, stride), refs):
+            same_trace(run(), ref)
+        # every logged value came from a values pass over full blocks, and
+        # over the part of one that a stage end flushes
+        assert sum(seen) == sum(len(ref.records) for ref in refs)
+        assert max(seen) == rows and (rows < 7 or min(seen) < rows), (rows, seen)
+
+
+def power_loss():
+    return robust_regression(synth_regression(30, 4, noise=0.3, seed=2), p_loss=1.5)
+
+
+@pytest.mark.parametrize("rows", [6, 9])
+def test_deferred_divergence_on_the_first_or_a_middle_row_of_a_block(monkeypatch, rows):
+    problem, w0 = power_loss(), np.zeros(4)
+    with pytest.raises(DivergenceError) as plain:
+        sg_run(unfused(problem), w0, 1e104, 50, 1)
+    assert str(plain.value) == "non-finite objective (inf) at stage 1 iter 7"
+    # iteration 7 is row 0 of the second block of 6, and row 6 of the first block of 9
+    monkeypatch.setattr(solvers, "_LOG_BLOCK", rows * problem.subgrad.with_value.width)
+    with pytest.raises(DivergenceError) as deferred:
+        sg_run(problem, w0, 1e104, 50, 1)
+    assert str(deferred.value) == str(plain.value)
+    same_trace(deferred.value.trace, plain.value.trace)
+
+
+def finite_project(w):
+    if not np.all(np.isfinite(w)):
+        raise ValueError("project: non-finite point")
+    return w
+
+
+# run(problem, stride) from 0 with a step that blows up, and the error it
+# meets when it logs iteration 1 only
+LATER_ERRORS = {
+    "q-norm": (
+        lambda q, stride: dap_run(q, np.zeros(4), 1e155, 50, PNormSpace(1.5), "unit", stride),
+        r"non-finite q-norm .* at stage 1 iter 8$",
+    ),
+    "project": (
+        lambda q, stride: sg_run(
+            replace(q, project=finite_project), np.zeros(4), 1e155, 50, stride
+        ),
+        r"^project: non-finite point$",
+    ),
+}
+
+
+@pytest.mark.parametrize("later", sorted(LATER_ERRORS))
+def test_deferred_divergence_outranks_a_later_error_in_its_block(monkeypatch, later):
+    run, error = LATER_ERRORS[later]
+    problem = power_loss()
+    # one block holds all 50 iterations
+    monkeypatch.setattr(solvers, "_LOG_BLOCK", 64 * problem.subgrad.with_value.width)
+    with pytest.raises((DivergenceError, ValueError), match=error):
+        run(problem, 10**6)
+    # logged at every iteration, the objective is inf from iteration 3 on
+    with pytest.raises(DivergenceError) as plain:
+        run(unfused(problem), 1)
+    assert str(plain.value) == "non-finite objective (inf) at stage 1 iter 3"
+    with pytest.raises(DivergenceError) as deferred:
+        run(problem, 1)
+    assert str(deferred.value) == str(plain.value)
+    same_trace(deferred.value.trace, plain.value.trace)
+
+
+def test_deferred_records_keep_the_clock_reading_of_their_iteration(monkeypatch):
+    problem = linear_models()["absolute_l1"]
+    fused = problem.subgrad.with_value
+    monkeypatch.setattr(solvers, "_LOG_BLOCK", 7 * fused.width)
+    # a clock that reads the number of iterations kept so far
+    kept, keep = [0], fused.keep
+    fused.keep = lambda w, row: kept.__setitem__(0, kept[0] + 1) or keep(w, row)
+    monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic_ns=lambda: kept[0]))
+    cfg = RestartConfig(alpha=2.0, stages=2, inner_iters=50, eps0=1.0)
+    _, trace = rsg(problem, np.zeros(problem.dim), cfg, stride=1)
+    assert [r.wallclock_ns for r in trace.records] == list(range(1, 101))
 
 
 # ---------------------------------------------------------------- plain reference loops
