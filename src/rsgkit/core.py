@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -25,6 +25,7 @@ __all__ = [
     "project_box",
     "PNormSpace",
     "ErrorBoundParams",
+    "Oracle",
     "ProblemInstance",
 ]
 
@@ -286,36 +287,65 @@ class PNormSpace:
         return self.p - 1.0
 
 
+class Oracle:
+    """A problem's objective and subgradient from one pass, at a point or a block.
+
+    ``run(W, want_f, want_g)`` takes a point w of shape (dim,), or a block
+    of points as the columns of a (dim, m) array, and returns (f, g): the
+    value (a scalar, or (m,)) and a subgradient ((dim,), or (dim, m)); an
+    output not wanted may be None.  A block call takes at most ``rows``
+    points (None: any number).  With ``width`` > 0 the pass can defer its
+    value half: ``run(w, False, True, row)`` also writes what the value at
+    w needs into ``row`` (``width`` entries), and ``run(R, True, False,
+    kept=True)`` returns the values of the rows of R, each bitwise its
+    point's value.  The other forms are derived here, once: the per-point
+    ``objective`` and ``subgrad``, and ``keep`` and ``kept_values`` (the
+    two calls above).
+    """
+
+    __slots__ = ("run", "width", "rows", "objective", "subgrad", "keep", "kept_values")
+
+    def __init__(self, run: Callable[..., tuple], width: int = 0, rows: Optional[int] = None):
+        _check_bounds("Oracle", "int [0, inf)", width=width)
+        _check_bounds("Oracle", None if rows is None else "int [1, inf)", rows=rows)
+        self.run, self.width, self.rows = run, width, rows
+        self.objective = lambda w: float(run(w, True, False)[0])
+        self.subgrad = lambda w: run(w, False, True)[1]
+        self.keep = lambda w, row: run(w, False, True, row)[1]
+        self.kept_values = lambda R: run(R, True, False, kept=True)[0]
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A convex, G-Lipschitz objective with a feasible-set projection.
 
-    objective/subgrad take a dense float vector of length ``dim``;
-    subgrad returns any subgradient (builders in :mod:`rsgkit.problems`
-    return the documented minimal-norm choice at kinks).  ``project`` is
-    None for unconstrained problems.  ``lipschitz_bound`` bounds the
-    subgradient norm in the dual norm recorded by ``lipschitz_norm_q``
-    (2.0 unless the instance was built for a p-norm solver).
+    Give ``oracle``, the problem's one pass, and objective and subgrad are
+    derived from it; or give per-point objective and subgrad callables on a
+    dense float vector of length ``dim``.  subgrad returns any subgradient
+    (builders in :mod:`rsgkit.problems` return the documented minimal-norm
+    choice at kinks).  ``project`` is None for unconstrained problems.
+    ``lipschitz_bound`` bounds the subgradient norm in the dual norm
+    recorded by ``lipschitz_norm_q`` (2.0 unless the instance was built for
+    a p-norm solver).
 
     known_fstar is a test-only reference value; fstar_lower_bound feeds
     the default initial-gap estimate (losses here are nonnegative, so 0
     is always sound); eb_theta records the declared error-bound exponent
-    when the problem class has one.  :meth:`values`, :meth:`subgrads` and
-    :meth:`feasible_rows` evaluate the objective, the subgradient and the
-    projection at many points at once.
+    when the problem class has one.
 
-    subgrad may carry ``with_value``, a fused form returning
-    ``(objective(w), subgrad(w))`` from one pass (the linear-model builders
-    attach one, bitwise equal to the two calls).  The solvers use it on
-    logged iterations only while ``with_value.objective is objective``;
-    after ``dataclasses.replace`` swaps either callable they fall back to
-    separate calls.  A fused form that also carries ``keep``, ``values``
-    and ``width`` lets them defer those values to one pass per block.
+    :meth:`values`, :meth:`subgrads` and :meth:`feasible_rows` evaluate the
+    objective, the subgradient and the projection at many points at once.
+    One rule per half: the oracle's value half is used only while
+    ``objective`` is the callable derived from it, and its gradient half
+    only while ``subgrad`` is; the solvers defer logged values to its kept
+    rows only while both are.  So a ``dataclasses.replace`` that swaps
+    either callable falls back to per-point calls of it.
     """
 
     dim: int
-    objective: Callable[[Array], float]
-    subgrad: Callable[[Array], Array]
+    objective: Optional[Callable[[Array], float]] = None
+    subgrad: Optional[Callable[[Array], Array]] = None
+    _: KW_ONLY
     lipschitz_bound: float
     project: Optional[Callable[[Array], Array]] = None
     lipschitz_norm_q: float = 2.0
@@ -323,10 +353,18 @@ class ProblemInstance:
     fstar_lower_bound: float = 0.0
     eb_theta: Optional[float] = None
     name: str = ""
+    oracle: Optional[Oracle] = None
 
     def __post_init__(self) -> None:
         _check_bounds("ProblemInstance", "int [1, inf)", dim=self.dim)
         _check_bounds("ProblemInstance", "(0, inf)", lipschitz_bound=self.lipschitz_bound)
+        o = self.oracle
+        if o is not None and self.objective is None:
+            object.__setattr__(self, "objective", o.objective)
+        if o is not None and self.subgrad is None:
+            object.__setattr__(self, "subgrad", o.subgrad)
+        if self.objective is None or self.subgrad is None:
+            raise ValueError("ProblemInstance: give an oracle, or objective and subgrad")
 
     @property
     def is_unconstrained(self) -> bool:
@@ -337,43 +375,51 @@ class ProblemInstance:
         w = np.asarray(w, dtype=float)
         return w if self.project is None else self.project(w)
 
-    def _rows(self, fn: Callable, W: Array, tail: tuple, who: str) -> Array:
-        """fn at each row of the (m, dim) array W, through ``fn.batch`` when
-        the callable carries one, else one call per row."""
+    def _deferred(self) -> Optional[Oracle]:
+        """The oracle, when it keeps rows and both callables are derived from it."""
+        o = self.oracle
+        both = o is not None and self.objective is o.objective and self.subgrad is o.subgrad
+        return o if both and o.width else None
+
+    def _rows(self, k: int, W: Array) -> Array:
+        """Callable k (0: objective, 1: subgrad, 2: project) at each row of W:
+        through the oracle's block pass while that callable is derived from
+        it (``project.batch`` for the projection), else one call per row."""
+        who = ("values", "subgrads", "feasible_rows")[k]
         W = np.asarray(W, dtype=float)
         if W.ndim != 2 or W.shape[1] != self.dim:
             raise ValueError(f"{who}: expected an (m, {self.dim}) array, got shape {W.shape}")
-        shape = (W.shape[0], *tail)
-        batch = getattr(fn, "batch", None)
-        if batch is None:
+        fn, o = (self.objective, self.subgrad, self.project)[k], self.oracle
+        block, step = (getattr(fn, "batch", None) if k == 2 else None), len(W)
+        if k < 2 and o is not None and fn is (o.objective, o.subgrad)[k]:
+            block, step = (lambda B: o.run(B.T, k == 0, k == 1)[k].T), o.rows or step
+        shape = W.shape[: 1 + (k > 0)]
+        if block is None:
             return np.array([fn(w) for w in W], dtype=float).reshape(shape)
-        out = np.asarray(batch(W), dtype=float)
+        if len(W) > step:
+            out = np.concatenate([block(W[s : s + step]) for s in range(0, len(W), step)])
+        else:
+            out = block(W)
+        out = np.ascontiguousarray(out, dtype=float)
         if out.shape != shape:
-            raise ValueError(f"{who}: batch returned shape {out.shape} for {W.shape[0]} rows")
+            raise ValueError(f"{who}: batch returned shape {out.shape} for {len(W)} rows")
         return out
 
     def values(self, W: Array) -> Array:
-        """Objective at each row of the (m, dim) array W, as an (m,) array.
-
-        Evaluates in bulk through ``objective.batch`` when the objective
-        callable carries one (the linear-model and Lovász builders and the
-        hand-written zoo members attach it); any other objective, including
-        one swapped in by ``dataclasses.replace``, is called once per row.
-        """
-        return self._rows(self.objective, W, (), "values")
+        """Objective at each row of the (m, dim) array W, as an (m,) array,
+        from the oracle's block pass while ``objective`` is derived from it."""
+        return self._rows(0, W)
 
     def subgrads(self, W: Array) -> Array:
-        """subgrad at each row of W, as an (m, dim) array: in bulk through
-        ``subgrad.batch`` when the subgrad callable carries one, as
-        :meth:`values` does."""
-        return self._rows(self.subgrad, W, (self.dim,), "subgrads")
+        """subgrad at each row of W, as an (m, dim) array, by the rule of values."""
+        return self._rows(1, W)
 
     def feasible_rows(self, W: Array) -> Array:
         """:meth:`feasible` of each row of W, in bulk through ``project.batch``
         when the projection carries one."""
         if self.project is None:
             return np.asarray(W, dtype=float)
-        return self._rows(self.project, W, (self.dim,), "feasible_rows")
+        return self._rows(2, W)
 
     def default_eps0(self, w0: Array) -> float:
         """Default initial-gap estimate: f(w0) minus the known lower bound,

@@ -22,6 +22,7 @@ import scipy.sparse as sp
 
 from .core import (
     Array,
+    Oracle,
     ProblemInstance,
     _check_bounds,
     _row_dots,
@@ -271,16 +272,10 @@ _LOSS_FNS = {
 _SCORE_BLOCK = 1 << 20
 
 
-def _batched(fn: Callable[[Array], object], batch: Callable[[Array], Array]):
-    """fn carrying ``batch``, fn at each row of a 2-d array, where
-    :meth:`ProblemInstance.values`, ``subgrads`` and ``feasible_rows`` find it."""
-    fn.batch = batch
-    return fn
-
-
 def _blockwise(project: Callable[[Array], Array]):
     """project, which maps a point or each row of an (m, d) block, as its own batch."""
-    return _batched(project, project)
+    project.batch = project
+    return project
 
 
 def _linf_sub(u: Array) -> Array:
@@ -301,21 +296,16 @@ _PENALTIES = {
 
 def _linear_model(
     layout: tuple, y: Array, loss: str, a: float = 0.0, reg: str = "none", lam: float = 0.0, F=None
-) -> tuple:
-    """objective and subgrad of mean_i loss(t_i) + penalty(w), z = X w on a
+) -> Oracle:
+    """The one pass of mean_i loss(t_i) + penalty(w), z = X w on a
     :func:`_laid_out` X.  l1: lam * sum|w|, sign(0) = 0; linf: lam * max|w|
     on the largest-magnitude coordinate (lowest index wins ties, 0 at w = 0);
     fused: l1 of F w mapped back through F^T, F laid out like X; any other
-    reg adds nothing.  Every form is one pass over the scores t: the value,
-    the gradient, or both for ``subgrad.with_value`` from one X w (and one
-    F w), so that pair is bitwise the two calls; ``with_value.objective``
-    names the objective it matches, so a solver can tell when a replaced one
-    has made it stale.  ``with_value.keep(w, row)`` and ``values(R)`` split
-    the pair: subgrad(w) writing the scores of w into a row of ``width``
-    entries, then the value half of many such rows in one pass, each row
-    bitwise its 1-d value (a row-wise reduction of a C-order block is the
-    1-d one).  ``objective.batch`` and ``subgrad.batch`` are the value and
-    the gradient pass on W^T blocks."""
+    reg adds nothing.  One X w (and one F w) serves both halves.  The kept
+    row holds the scores t and u = w (F w for fused); the values of a block
+    of such rows are bitwise their 1-d values (a row-wise reduction of a
+    C-order block is the 1-d one).  A block call takes _SCORE_BLOCK // n
+    points."""
     value, slope = _LOSS_FNS[loss]
     A, AT = layout
     n = y.shape[0]
@@ -324,19 +314,18 @@ def _linear_model(
     pen_f, pen_g = _PENALTIES.get("l1" if reg == "fused" else reg, (None, None))
     Fa, FT = _laid_out(F) if reg == "fused" else (None, None)
 
-    def oracle(W: Array, want_f: bool, want_g: bool, row=None, kept: bool = False) -> tuple:
-        """(f, g) at w, or at each column of W; an output not wanted is None.
-        A ``row`` of ``width`` entries receives the scores t and u of w; with
-        ``kept``, W holds such rows and the pass starts from their scores."""
+    def run(W: Array, want_f: bool, want_g: bool, row=None, kept: bool = False) -> tuple:
+        """(f, g) at w, or at each column of W; an output not wanted is None."""
+        yy = y if W.ndim == 1 else yc
         if kept:
             t, u = W[:, :n].T, W[:, n:].T
         else:
-            yy = y if W.ndim == 1 else yc
             Z = A.dot(W)
-            t = yy * Z if margin else Z - yy
             u = None if pen_f is None else W if Fa is None else Fa.dot(W)
-            if row is not None:
-                row[:n] = t
+            if row is None:
+                t = yy * Z if margin else Z - yy
+            else:  # the scores of w straight into its kept row
+                t = np.multiply(y, Z, out=row[:n]) if margin else np.subtract(Z, y, out=row[:n])
                 if u is not None:
                     row[n:] = u
         f = value(t, a).sum(axis=0) / n if want_f else None
@@ -349,35 +338,8 @@ def _linear_model(
                 g = g + lam * (pen_g(u) if FT is None else FT.dot(pen_g(u)))
         return f, g
 
-    def objective(w: Array) -> float:
-        return float(oracle(w, True, False)[0])
-
-    rows = max(1, _SCORE_BLOCK // n)
-
-    def by_blocks(k: int) -> Callable[[Array], Array]:
-        """Output k (0: f, 1: g) of the pass at each row of W, on W^T blocks."""
-
-        def batch(W: Array) -> Array:
-            out = np.empty(W.shape[: k + 1])
-            for s in range(0, W.shape[0], rows):
-                out[s : s + rows] = oracle(W[s : s + rows].T, k == 0, k == 1)[k].T
-            return out
-
-        return batch
-
-    def subgrad(w: Array) -> Array:
-        return oracle(w, False, True)[1]
-
-    def with_value(w: Array) -> tuple:
-        f, g = oracle(w, True, True)
-        return float(f), g
-
-    with_value.width = n + (0 if pen_f is None else A.shape[1] if Fa is None else Fa.shape[0])
-    with_value.keep = lambda w, row: oracle(w, False, True, row)[1]
-    with_value.values = lambda R: oracle(R, True, False, kept=True)[0]
-    with_value.objective = objective = _batched(objective, by_blocks(0))
-    subgrad.with_value = with_value
-    return objective, _batched(subgrad, by_blocks(1))
+    width = n + (0 if pen_f is None else A.shape[1] if Fa is None else Fa.shape[0])
+    return Oracle(run, width, max(1, _SCORE_BLOCK // n))
 
 
 def robust_regression(
@@ -393,7 +355,9 @@ def robust_regression(
     (p/n) X^T (|r|**(p-1) sign r).  The declared subgradient bound holds on
     the ball ||w||_2 <= region_radius (default 10 * max(1, rms(y))); pass
     constrain_to_region=True to install that ball as the feasible set.
-    Declared error-bound exponent: 1/2.
+    Declared error-bound exponent: 1/2, valid but loose when the data are
+    interpolated (f* = 0): f - f* then grows like dist(w, W*)**p_loss, so
+    the local exponent is 1/p_loss (0.667 fitted on the zoo's rr_1d_p15).
     """
     _check_bounds("robust_regression", "(1, 2)", p_loss=p_loss)
     _require_rows(data, "robust_regression")
@@ -406,13 +370,11 @@ def robust_regression(
     rnq = rn2 if norm_q == 2.0 else _row_norms(layout[0], norm_q)
     r_bar = rn2 * region_radius + np.abs(y)
     G = float(p_loss / n * np.sum(r_bar ** (p_loss - 1.0) * rnq))
-    objective, subgrad = _linear_model(layout, y, "power", p_loss)
     radius = float(region_radius)
     project = _blockwise(lambda w: project_l2_ball(w, radius)) if constrain_to_region else None
     return ProblemInstance(
         dim=data.d,
-        objective=objective,
-        subgrad=subgrad,
+        oracle=_linear_model(layout, y, "power", p_loss),
         lipschitz_bound=_data_bound(G, data, "robust_regression"),
         project=project,
         lipschitz_norm_q=norm_q,
@@ -483,15 +445,13 @@ def piecewise_linear_erm(
     if loss == "hinge":
         _require_binary_labels(data, "piecewise_linear_erm")
     layout = _laid_out(data.X)
-    objective, subgrad = _linear_model(layout, data.y, loss, eps_ins, reg, lam)
     projections = {
         "l1_ball": _blockwise(lambda w: project_l1_ball(w, radius)),
         "linf_ball": _blockwise(lambda w: project_box(w, -radius, radius)),
     }
     return ProblemInstance(
         dim=data.d,
-        objective=objective,
-        subgrad=subgrad,
+        oracle=_linear_model(layout, data.y, loss, eps_ins, reg, lam),
         lipschitz_bound=_data_bound(
             _erm_bound(layout[0], reg, lam, norm_q), data, "piecewise_linear_erm"
         ),
@@ -521,11 +481,9 @@ def gflasso_svm(
     layout = _laid_out(data.X)
     fused_G = lam * (2.0 ** (1.0 / norm_q)) * graph.total_weight
     G = float(_row_norms(layout[0], norm_q).max()) + fused_G
-    objective, subgrad = _linear_model(layout, data.y, "hinge", reg="fused", lam=lam, F=graph.F)
     return ProblemInstance(
         dim=data.d,
-        objective=objective,
-        subgrad=subgrad,
+        oracle=_linear_model(layout, data.y, "hinge", reg="fused", lam=lam, F=graph.F),
         lipschitz_bound=_data_bound(G, data, "gflasso_svm"),
         lipschitz_norm_q=norm_q,
         eb_theta=1.0,
@@ -548,8 +506,8 @@ def lovasz_problem(
 
     The subgradient bound uses the marginal-range envelope: chain
     increments for element i lie between F(V) - F(V \\ {i}) and F({i}).
-    With ``bulk_evaluate`` the objective and subgrad carry ``batch`` forms
-    that walk the chains of all rows with one bulk call.
+    With ``bulk_evaluate`` a block of points walks all its chains with one
+    bulk call.
     """
     d = setfn.ground_size
     if d <= 12:
@@ -581,29 +539,31 @@ def lovasz_problem(
             prev = cur
         return s
 
-    def objective(w: Array) -> float:
-        return float(np.dot(w, _chain(w)))
-
-    subgrad = _chain
     bulk = setfn.bulk_evaluate
-    if bulk is not None:
 
-        def chains(W: Array) -> Array:
-            """_chain of each row: the prefix masks of every row, one bulk call."""
-            order = np.argsort(-W, axis=1, kind="stable")
-            masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
-            cur = np.asarray(bulk(masks.ravel()), dtype=float).reshape(masks.shape)
-            S = np.empty_like(W)
-            np.put_along_axis(S, order, np.diff(cur, axis=1, prepend=0.0), axis=1)
-            return S
+    def chains(W: Array) -> Array:
+        """_chain of each row (with bulk_evaluate, all prefix masks in one call)."""
+        if bulk is None:
+            return np.array([_chain(w) for w in W]).reshape(W.shape)
+        order = np.argsort(-W, axis=1, kind="stable")
+        masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
+        cur = np.asarray(bulk(masks.ravel()), dtype=float).reshape(masks.shape)
+        S = np.empty_like(W)
+        np.put_along_axis(S, order, np.diff(cur, axis=1, prepend=0.0), axis=1)
+        return S
 
-        objective = _batched(objective, lambda W: _row_dots(W, chains(W)))
-        subgrad = _batched(subgrad, chains)
+    def run(W: Array, want_f: bool, want_g: bool) -> tuple:
+        """(w . chain(w), chain(w)), or both at each column of W."""
+        if W.ndim == 1:
+            s = _chain(W)
+            return (np.dot(W, s) if want_f else None), s
+        R = np.ascontiguousarray(W.T)
+        S = chains(R)
+        return (_row_dots(R, S) if want_f else None), S.T
 
     return ProblemInstance(
         dim=d,
-        objective=objective,
-        subgrad=subgrad,
+        oracle=Oracle(run),
         lipschitz_bound=G,
         project=_blockwise(lambda w: project_box(w, 0.0, 1.0)),
         lipschitz_norm_q=norm_q,
@@ -656,10 +616,16 @@ def miniature_zoo() -> dict[str, ProblemInstance]:
     )
     zoo["abs_median_1d"] = replace(med, known_fstar=3.0, name="abs_median_1d")
 
+    def square(W: Array, want_f: bool, want_g: bool) -> tuple:
+        return (W[0] * W[0] if want_f else None), (2.0 * np.asarray(W, float) if want_g else None)
+
+    def l1(W: Array, want_f: bool, want_g: bool) -> tuple:
+        f = np.abs(W).sum(axis=0) if want_f else None
+        return f, (np.sign(np.asarray(W, float)) if want_g else None)
+
     zoo["square_1d"] = ProblemInstance(
         dim=1,
-        objective=_batched(lambda w: float(w[0] * w[0]), lambda W: W[:, 0] * W[:, 0]),
-        subgrad=lambda w: 2.0 * np.asarray(w, dtype=float),
+        oracle=Oracle(square),
         lipschitz_bound=8.0,  # valid while probes stay inside |w| <= 4
         known_fstar=0.0,
         eb_theta=0.5,
@@ -668,8 +634,7 @@ def miniature_zoo() -> dict[str, ProblemInstance]:
 
     zoo["l1_2d"] = ProblemInstance(
         dim=2,
-        objective=_batched(lambda w: float(np.sum(np.abs(w))), lambda W: np.abs(W).sum(axis=1)),
-        subgrad=lambda w: np.sign(np.asarray(w, dtype=float)),
+        oracle=Oracle(l1),
         lipschitz_bound=float(math.sqrt(2.0)),
         known_fstar=0.0,
         eb_theta=1.0,

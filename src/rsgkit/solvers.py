@@ -294,10 +294,10 @@ class _TraceBuilder:
     """Shared bookkeeping: cumulative iteration counter, best-so-far,
     stride-subsampled logging, and divergence detection.
 
-    With a fused form that carries ``keep`` and ``values``, a logged
-    iteration only keeps the scores of w (with its clock reading); a flush
-    turns a block of them into their values in one pass and logs them in
-    order, as full blocks, at stage end and on any error.  A divergence
+    While the problem defers its values (``ProblemInstance._deferred``), a
+    logged iteration only keeps the scores of w (with its clock reading); a
+    flush turns a block of them into their values in one pass and logs them
+    in order, as full blocks, at stage end and on any error.  A divergence
     among them outranks any later error raised before the flush."""
 
     def __init__(self, problem: ProblemInstance, stride: Optional[int]):
@@ -305,15 +305,8 @@ class _TraceBuilder:
             _check_bounds("", "int [1, inf)", stride=stride)
         self.problem = problem
         self.stride = stride
-        # the fused (f, g) form, only while problem.objective is the callable
-        # it was built with: a replaced objective or subgrad drops it
-        fused = getattr(problem.subgrad, "with_value", None)
-        if getattr(fused, "objective", None) is not problem.objective:
-            fused = None
-        self._fused = fused
-        self._block = None
-        if hasattr(fused, "keep"):
-            self._block = np.empty((max(1, _LOG_BLOCK // fused.width), fused.width))
+        self._oracle = o = problem._deferred()
+        self._block = o and np.empty((max(1, _LOG_BLOCK // o.width), o.width))
         self._pending: list[tuple] = []
         self.trace = SolveTrace()
         self.cum = 0
@@ -331,29 +324,25 @@ class _TraceBuilder:
 
     def logged_subgrad(self, w: Array, stage: int, it: int, eta: float, staged: bool) -> Array:
         """Subgradient at w on a logged iteration: logs the checked objective
-        at w, from the same oracle pass when the fused form applies (kept
-        for the next flush when it can be deferred).  A divergence is
+        at w, or keeps the scores of w for the next flush.  A divergence is
         located at "stage {stage} iter {it}", or at "iter {it}" for a run
         that is not staged."""
         if self._block is not None:
             pending = self._pending
-            g = self._fused.keep(w, self._block[len(pending)])
+            g = self._oracle.keep(w, self._block[len(pending)])
             pending.append((stage, it, self.cum, eta, time.monotonic_ns() - self._t0, staged))
             if len(pending) == len(self._block):
                 self.flush()
             return g
-        if self._fused is None:
-            val, g = float(self.problem.objective(w)), None
-        else:
-            val, g = self._fused(w)
+        val = float(self.problem.objective(w))
         self._log(stage, it, self.cum, val, eta, time.monotonic_ns() - self._t0, staged)
-        return self.problem.subgrad(w) if g is None else g
+        return self.problem.subgrad(w)
 
     def flush(self) -> None:
         """Log the kept iterations, in order, from one pass over their scores."""
         pending, self._pending = self._pending, []
         if pending:
-            vals = self._fused.values(self._block[: len(pending)]).tolist()
+            vals = self._oracle.kept_values(self._block[: len(pending)]).tolist()
             for (stage, it, cum, eta, ns, staged), val in zip(pending, vals):
                 self._log(stage, it, cum, val, eta, ns, staged)
 

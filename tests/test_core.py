@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rsgkit import core
 from rsgkit.core import (
     ErrorBoundParams,
+    Oracle,
     PNormSpace,
     ProblemInstance,
     conjugate_exponent,
@@ -392,14 +393,18 @@ def test_callables_without_batch_are_called_once_per_row(case):
 
 
 def test_replaced_callables_lose_the_batch_of_the_old_ones():
+    def run(W, want_f, want_g):
+        if W.ndim == 1:
+            return 1.0, np.ones(2)
+        return np.full(W.shape[1], 7.0), np.full(W.shape, 7.0)
+
     def batched(fn, batch):
         fn.batch = batch
         return fn
 
     inst = ProblemInstance(
         dim=2,
-        objective=batched(lambda w: 1.0, lambda W: np.full(W.shape[0], 7.0)),
-        subgrad=batched(lambda w: np.ones(2), lambda W: np.full(W.shape, 7.0)),
+        oracle=Oracle(run),
         project=batched(lambda w: np.zeros(2), lambda W: np.full(W.shape, 7.0)),
         lipschitz_bound=1.0,
     )
@@ -415,7 +420,8 @@ def test_replaced_callables_lose_the_batch_of_the_old_ones():
     for name in ("values", "subgrads", "feasible_rows"):
         with pytest.raises(ValueError, match=f"{name}: expected an"):
             getattr(inst, name)(np.ones((3, 3)))
-    inst.subgrad.batch = lambda W: np.ones(W.shape[0])
+    wrong = Oracle(lambda W, want_f, want_g: (None, np.ones(W.shape[-1])))
+    inst = replace(inst, oracle=wrong, objective=None, subgrad=None)
     with pytest.raises(ValueError, match="subgrads: batch returned"):
         inst.subgrads(W)
 
@@ -476,6 +482,11 @@ def test_problem_instance_validation():
         ProblemInstance(
             dim=1, objective=lambda w: 0.0, subgrad=lambda w: w, lipschitz_bound=math.inf
         )
+    with pytest.raises(ValueError, match="give an oracle, or objective and subgrad"):
+        ProblemInstance(dim=1, objective=lambda w: 0.0, lipschitz_bound=1.0)
+    for bad in (dict(width=-1), dict(width=1.5), dict(rows=0)):
+        with pytest.raises(ValueError, match="Oracle: "):
+            Oracle(lambda W, want_f, want_g: (None, None), **bad)
 
 
 def test_default_eps0_uses_lower_bound():

@@ -1,8 +1,8 @@
 """The linear-model oracle pass against the frozen per-form bodies in
-``linear_model_reference``: objective, subgrad, the fused pair and
-``values()`` of every builder, with no penalty and with the l1, linf and
-fused penalties, in both layouts and with small score blocks, return the
-reference's results bit for bit.
+``linear_model_reference``: objective, subgrad, the fused pair (whole, and
+split into a kept row and its value) and ``values()`` of every builder,
+with no penalty and with the l1, linf and fused penalties, in both layouts
+and with small score blocks, return the reference's results bit for bit.
 
 Data and points are drawn from a small pool of dyadic values, so exact
 kinks come up often: zero weights and residuals, ties in |w|, margins of
@@ -49,18 +49,28 @@ def build(builder, data, reg="none", lam=0.0, a=0.5, edges=()):
     return inst, ref.linear_model(problems._laid_out(data.X), data.y, *args)
 
 
+def fused(oracle, w):
+    """(f, g) at w as a logged iteration gets them: the subgradient pass
+    keeps the scores of w in a row, and one value pass reads them back."""
+    row = np.empty(oracle.width)
+    g = oracle.keep(w, row)
+    return oracle.kept_values(row[None]).tolist()[0], g
+
+
 def assert_bitwise(inst, reference, points, W):
     ref_objective, ref_subgrad = reference
-    fused = inst.subgrad.with_value
-    assert fused.objective is inst.objective
+    oracle = inst.oracle
+    assert inst.objective is oracle.objective and inst.subgrad is oracle.subgrad
     for w in points:
         f, g = inst.objective(w), inst.subgrad(w)
         assert type(f) is float and bits(f) == bits(ref_objective(w))
         assert g.dtype == np.float64 and g.shape == w.shape
         assert bits(g) == bits(ref_subgrad(w))
-        fv, gv = fused(w)
         fr, gr = ref_subgrad.with_value(w)
+        fv, gv = fused(oracle, w)
         assert type(fv) is float and bits(fv) == bits(fr) and bits(gv) == bits(gr)
+        fv, gv = oracle.run(w, True, True)
+        assert bits(fv) == bits(fr) and bits(gv) == bits(gr)
     vals = inst.values(W)
     assert vals.shape == (W.shape[0],) and bits(vals) == bits(ref_objective.batch(W))
 
@@ -109,7 +119,7 @@ def test_every_oracle_form_is_bitwise_the_reference(drawn):
 
 @given(cases())
 def test_subgrads_rows_match_subgrad(drawn):
-    """subgrad.batch runs the gradient pass on W^T blocks: a matrix product
+    """subgrads runs the gradient pass on W^T blocks: a matrix product
     where subgrad runs a matrix-vector one, so rows agree to rounding."""
     case, layout, points, W = drawn
     with pytest.MonkeyPatch.context() as mp:
@@ -117,7 +127,7 @@ def test_subgrads_rows_match_subgrad(drawn):
         mp.setattr(problems, "_SCORE_BLOCK", layout["score_block"])
         inst, _ = build(**case)
         G = inst.subgrads(W)
-        assert inst.subgrad.batch is not None
+        assert inst.subgrad is inst.oracle.subgrad
         assert G.shape == W.shape and G.dtype == np.float64
         want = np.array([inst.subgrad(w) for w in W])
         assert np.all(np.abs(G - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

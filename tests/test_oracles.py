@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rsgkit.core import ProblemInstance
+from rsgkit.core import Oracle, ProblemInstance
 from rsgkit.oracles import (
     BudgetError,
     InconsistentOracleError,
@@ -160,9 +160,15 @@ def test_grid_min_matches_per_point_sweep_on_seeded_boxes(seed):
 
 
 def custom(objective, batch=None, dim=2):
-    if batch is not None:
-        objective.batch = batch
-    return ProblemInstance(dim=dim, objective=objective, subgrad=np.sign, lipschitz_bound=2.0)
+    """An instance of objective; given batch, the objective at each row of a
+    block, through a one-pass oracle whose block half is batch."""
+    if batch is None:
+        return ProblemInstance(dim=dim, objective=objective, subgrad=np.sign, lipschitz_bound=2.0)
+
+    def run(W, want_f, want_g):
+        return (objective(W) if W.ndim == 1 else batch(W.T)), np.sign(W)
+
+    return ProblemInstance(dim=dim, oracle=Oracle(run), lipschitz_bound=2.0)
 
 
 def test_grid_min_skips_nan_points_like_the_sweep():

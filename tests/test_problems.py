@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from rsgkit import problems
+from rsgkit.core import Oracle
 from rsgkit.data import synth_classification
 from rsgkit.problems import (
     Dataset,
@@ -530,7 +531,7 @@ def test_values_match_per_point_in_both_layouts(monkeypatch, family, score_block
 
 def test_values_calls_a_swapped_objective_once_per_row():
     inst = miniature_zoo()["hinge_sep_2d"]
-    assert inst.objective.batch is not None
+    assert inst.objective is inst.oracle.objective
     seen = []
 
     def wrapper(w):
@@ -545,14 +546,23 @@ def test_values_calls_a_swapped_objective_once_per_row():
         swapped.values(np.zeros((5, 3)))
     with pytest.raises(ValueError, match="values"):
         swapped.values(np.zeros(2))
-    wrong = replace(inst, objective=lambda w: 0.0)
-    wrong.objective.batch = lambda W: np.zeros(W.shape[0] + 1)
+    wrong = Oracle(lambda W, want_f, want_g: (np.zeros(W.shape[-1] + 1), None))
+    wrong = replace(inst, oracle=wrong, objective=None)
     with pytest.raises(ValueError, match="batch returned"):
         wrong.values(W)
 
 
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
+
+
+def fused(inst, w):
+    """(f, g) at w as a logged iteration gets them: the subgradient pass
+    keeps the scores of w in a row, and one value pass reads them back."""
+    oracle = inst._deferred()
+    row = np.empty(oracle.width)
+    g = oracle.keep(w, row)
+    return oracle.kept_values(row[None]).tolist()[0], g
 
 
 @pytest.mark.parametrize("family", sorted(VALUE_FAMILIES))
@@ -565,10 +575,9 @@ def test_fused_form_is_bitwise_the_separate_calls_in_both_layouts(monkeypatch, f
     for threshold in (0.0, math.inf):
         monkeypatch.setattr(problems, "_DENSE_MIN_DENSITY", threshold)
         inst = VALUE_FAMILIES[family](data)
-        fused = inst.subgrad.with_value
-        assert fused.objective is inst.objective
+        assert inst._deferred() is inst.oracle
         for w in points:
-            f, g = fused(w)
+            f, g = fused(inst, w)
             assert type(f) is float and bits(f) == bits(inst.objective(w))
             assert g.shape == (5,) and bits(g) == bits(inst.subgrad(w))
     monkeypatch.undo()
@@ -576,12 +585,12 @@ def test_fused_form_is_bitwise_the_separate_calls_in_both_layouts(monkeypatch, f
 
 def test_fused_form_only_on_linear_models():
     for name, inst in miniature_zoo().items():
-        fused = getattr(inst.subgrad, "with_value", None)
+        deferred = inst._deferred()
         if name in ("square_1d", "l1_2d", "lovasz_path4"):
-            assert fused is None, name
+            assert deferred is None, name
         else:
             # replace() keeps both callables, so the guard still holds
-            assert fused.objective is inst.objective, name
+            assert deferred is inst.oracle, name
 
 
 def test_layout_follows_density_crossover():
@@ -650,8 +659,8 @@ def test_c8_oracles_are_bitwise_equal_with_the_fused_matrix_in_either_layout(mon
     for w in points:
         assert bits(dense_F.objective(w)) == bits(csr_F.objective(w))
         assert bits(dense_F.subgrad(w)) == bits(csr_F.subgrad(w))
-        f, g = dense_F.subgrad.with_value(w)
-        f_ref, g_ref = csr_F.subgrad.with_value(w)
+        f, g = fused(dense_F, w)
+        f_ref, g_ref = fused(csr_F, w)
         assert bits(f) == bits(f_ref) and bits(g) == bits(g_ref)
 
 
@@ -711,14 +720,14 @@ def test_lovasz_stable_tie_order():
 
 @pytest.mark.parametrize("d", [2, 4, 7])
 def test_lovasz_batch_is_bitwise_the_per_point_chain(d):
-    """objective.batch and subgrad.batch walk every row's chain with one
-    bulk call; ties (stable order), zeros and repeated rows included."""
+    """values and subgrads walk every row's chain with one bulk call; ties
+    (stable order), zeros and repeated rows included."""
     rng = np.random.default_rng(d)
     edges = [(i, j, float(rng.uniform(0.2, 2.0))) for i in range(d) for j in range(i + 1, d)]
     inst = lovasz_problem(cut_function(d, edges))
     W = rng.choice([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0], size=(60, d))
     W[:10] = rng.uniform(-2.0, 2.0, size=(10, d))
-    assert inst.objective.batch is not None and inst.subgrad.batch is not None
+    assert inst.objective is inst.oracle.objective and inst.subgrad is inst.oracle.subgrad
     assert bits(inst.values(W)) == bits([inst.objective(w) for w in W])
     assert bits(inst.subgrads(W)) == bits([inst.subgrad(w) for w in W])
     assert inst.values(W[:0]).shape == (0,) and inst.subgrads(W[:0]).shape == (0, d)

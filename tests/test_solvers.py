@@ -8,7 +8,7 @@ import pytest
 
 import pnorm_reference
 from rsgkit import solvers
-from rsgkit.core import ErrorBoundParams, PNormSpace, ProblemInstance, pnorm
+from rsgkit.core import ErrorBoundParams, Oracle, PNormSpace, ProblemInstance, pnorm
 from rsgkit.data import synth_classification, synth_regression
 from rsgkit.problems import (
     GFlassoGraph,
@@ -631,28 +631,30 @@ def unfused(problem):
     return replace(problem, subgrad=lambda w, g=problem.subgrad: g(w))
 
 
+def spied(problem, spy):
+    """problem on an oracle that calls spy(W, want_f, row, kept) before each
+    pass; both callables derive from it, so the solvers keep the one-pass
+    path."""
+    o = problem.oracle
+
+    def run(W, want_f, want_g, row=None, kept=False):
+        spy(W, want_f, row, kept)
+        return o.run(W, want_f, want_g, row, kept)
+
+    return replace(problem, oracle=Oracle(run, o.width, o.rows), objective=None, subgrad=None)
+
+
 def counted(problem):
-    """problem with counting oracles whose fused form still matches the
-    (counting) objective, so the solvers keep the one-pass path."""
+    """problem with its one-point passes counted by what they serve: the
+    objective, the subgradient, or both ("with_value": the subgradient pass
+    that keeps the scores of a logged iteration)."""
     calls = Counter()
-    f0, g0 = problem.objective, problem.subgrad
-    fg0 = g0.with_value
 
-    def objective(w):
-        calls["objective"] += 1
-        return f0(w)
+    def spy(W, want_f, row, kept):
+        if W.ndim == 1:
+            calls["with_value" if row is not None else "objective" if want_f else "subgrad"] += 1
 
-    def subgrad(w):
-        calls["subgrad"] += 1
-        return g0(w)
-
-    def with_value(w):
-        calls["with_value"] += 1
-        return fg0(w)
-
-    with_value.objective = objective
-    subgrad.with_value = with_value
-    return replace(problem, objective=objective, subgrad=subgrad), calls
+    return spied(problem, spy), calls
 
 
 def same_trace(a, b):
@@ -706,7 +708,7 @@ def solver_runs(problem, w0, stride):
 @pytest.mark.parametrize("family", sorted(linear_models()))
 def test_fused_and_unfused_traces_are_bitwise_identical(family, stride):
     problem = linear_models()[family]
-    assert problem.subgrad.with_value.objective is problem.objective
+    assert problem._deferred() is problem.oracle
     w0 = problem.feasible(0.5 * np.random.default_rng(4).standard_normal(problem.dim))
     plain = unfused(problem)
     for (name, fused_run), (_, plain_run) in zip(
@@ -780,11 +782,10 @@ def test_deferred_values_match_the_unfused_traces_at_any_block_size(monkeypatch,
     problem = linear_models()[family]
     w0 = problem.feasible(0.5 * np.random.default_rng(4).standard_normal(problem.dim))
     refs = [run() for _, run in solver_runs(unfused(problem), w0, stride)]
-    fused = problem.subgrad.with_value
-    seen, values = [], fused.values
-    fused.values = lambda R: seen.append(len(R)) or values(R)
+    seen = []
+    problem = spied(problem, lambda W, want_f, row, kept: kept and seen.append(len(W)))
     for rows in (1, 2, 7):
-        monkeypatch.setattr(solvers, "_LOG_BLOCK", rows * fused.width)
+        monkeypatch.setattr(solvers, "_LOG_BLOCK", rows * problem.oracle.width)
         seen.clear()
         for (name, run), ref in zip(solver_runs(problem, w0, stride), refs):
             same_trace(run(), ref)
@@ -805,7 +806,7 @@ def test_deferred_divergence_on_the_first_or_a_middle_row_of_a_block(monkeypatch
         sg_run(unfused(problem), w0, 1e104, 50, 1)
     assert str(plain.value) == "non-finite objective (inf) at stage 1 iter 7"
     # iteration 7 is row 0 of the second block of 6, and row 6 of the first block of 9
-    monkeypatch.setattr(solvers, "_LOG_BLOCK", rows * problem.subgrad.with_value.width)
+    monkeypatch.setattr(solvers, "_LOG_BLOCK", rows * problem.oracle.width)
     with pytest.raises(DivergenceError) as deferred:
         sg_run(problem, w0, 1e104, 50, 1)
     assert str(deferred.value) == str(plain.value)
@@ -839,7 +840,7 @@ def test_deferred_divergence_outranks_a_later_error_in_its_block(monkeypatch, la
     run, error = LATER_ERRORS[later]
     problem = power_loss()
     # one block holds all 50 iterations
-    monkeypatch.setattr(solvers, "_LOG_BLOCK", 64 * problem.subgrad.with_value.width)
+    monkeypatch.setattr(solvers, "_LOG_BLOCK", 64 * problem.oracle.width)
     with pytest.raises((DivergenceError, ValueError), match=error):
         run(problem, 10**6)
     # logged at every iteration, the objective is inf from iteration 3 on
@@ -853,12 +854,15 @@ def test_deferred_divergence_outranks_a_later_error_in_its_block(monkeypatch, la
 
 
 def test_deferred_records_keep_the_clock_reading_of_their_iteration(monkeypatch):
-    problem = linear_models()["absolute_l1"]
-    fused = problem.subgrad.with_value
-    monkeypatch.setattr(solvers, "_LOG_BLOCK", 7 * fused.width)
     # a clock that reads the number of iterations kept so far
-    kept, keep = [0], fused.keep
-    fused.keep = lambda w, row: kept.__setitem__(0, kept[0] + 1) or keep(w, row)
+    kept = [0]
+
+    def spy(W, want_f, row, is_kept):
+        if row is not None:
+            kept[0] += 1
+
+    problem = spied(linear_models()["absolute_l1"], spy)
+    monkeypatch.setattr(solvers, "_LOG_BLOCK", 7 * problem.oracle.width)
     monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic_ns=lambda: kept[0]))
     cfg = RestartConfig(alpha=2.0, stages=2, inner_iters=50, eps0=1.0)
     _, trace = rsg(problem, np.zeros(problem.dim), cfg, stride=1)

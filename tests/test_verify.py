@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rsgkit import verify
+from rsgkit.core import Oracle
 from rsgkit.problems import miniature_zoo
 from rsgkit.verify import SUITES, lemmas_suite, prox_suite, run_suite, zoo_suite
 
@@ -50,23 +51,27 @@ def test_oracle_suite_passes():
 def test_zoo_suite_fails_a_batch_that_disagrees_with_the_per_point_calls(monkeypatch):
     zoo = miniature_zoo()
     l1 = zoo["l1_2d"]
+    scale = [1.0]
 
-    def objective(w):
-        return l1.objective(w)
+    def skewed(W, want_f, want_g):
+        """l1_2d's pass at a point; on a block, values off by 1e-9 relative
+        and subgradients times scale."""
+        f, g = l1.oracle.run(W, want_f, want_g)
+        if W.ndim == 2 and want_f:
+            f = f * (1.0 + 1e-9)
+        if W.ndim == 2 and want_g:
+            g = scale[0] * g
+        return f, g
 
-    def subgrad(w):
-        return l1.subgrad(w)
-
-    objective.batch = lambda W: l1.values(W) * (1.0 + 1e-9)
-    subgrad.batch = np.sign
-    zoo["l1_2d"] = replace(l1, objective=objective)
-    zoo["l1_sub"] = replace(l1, subgrad=subgrad, name="l1_sub")
+    # each block half is used only while its callable is derived from the pass
+    zoo["l1_2d"] = replace(l1, oracle=Oracle(skewed), objective=None)
+    zoo["l1_sub"] = replace(l1, oracle=Oracle(skewed), subgrad=None, name="l1_sub")
     monkeypatch.setattr(verify, "miniature_zoo", lambda: zoo)
     ok, lines = zoo_suite(n_pairs=30, seed=7)
     assert not ok and len(lines) == 2 and lines[-1].endswith("1 failures")
     assert lines[0].startswith("[FAIL] block oracles on l1_2d: differ from per-point calls by 1.")
 
-    subgrad.batch = lambda W: 2.0 * np.sign(W)
+    scale[0] = 2.0
     ok, lines = zoo_suite(n_pairs=30, seed=7)
     assert not ok
     # the doubled batch subgradient also breaks the bound that l1_sub declares
