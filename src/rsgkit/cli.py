@@ -87,6 +87,16 @@ class DataError(Exception):
     """Unreadable or unusable input data."""
 
 
+@contextlib.contextmanager
+def _raised_as(error: type, caught: tuple = (ValueError,), prefix: str = "") -> Iterator[None]:
+    """Raise the caught exceptions as error, ConfigError (exit 1) or
+    DataError (exit 2), with prefix before their message."""
+    try:
+        yield
+    except caught as exc:
+        raise error(prefix + str(exc)) from exc
+
+
 def _parse_bool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("true", "1", "yes"):
@@ -221,10 +231,8 @@ class RunSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunSpec":
-        try:
+        with _raised_as(ConfigError, (OSError,), f"cannot read config {path}: "):
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_text(text, origin=str(path))
 
     def with_overrides(self, overrides: dict) -> "RunSpec":
@@ -266,10 +274,8 @@ class RunSpec:
                 raise ConfigError(f"{key} must be one of {row.choices}, got {value!r}")
             if owner not in row.applies:
                 raise ConfigError(f"key {key!r} does not apply to {by}={owner}")
-            try:
+            with _raised_as(ConfigError):
                 _check_bounds("", row.bounds, **{key: value})
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
         if kind != "lovasz_cut":
             if self.get("problem.path") is None and self.get("problem.synth") is None:
                 raise ConfigError("need problem.path or problem.synth")
@@ -314,18 +320,9 @@ class RunSpec:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-@contextlib.contextmanager
-def _data_errors() -> Iterator[None]:
-    """Raise unreadable or unusable data (OSError, ValueError) as DataError."""
-    try:
-        yield
-    except (OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
-
-
 def _load_dataset(spec: RunSpec) -> Dataset:
     path = spec.get("problem.path")
-    with _data_errors():
+    with _raised_as(DataError, (OSError, ValueError)):
         if path is not None:
             data = parse_libsvm(path, dim=spec.get("problem.dim"))
         else:
@@ -350,7 +347,7 @@ def build_problem(spec: RunSpec, data: Optional[Dataset] = None) -> ProblemInsta
     Config mistakes raise ConfigError; bad or unusable data raises DataError."""
     kind = spec.require("problem.kind")
     norm_q = conjugate_exponent(float(spec.get("solver.norm_p")))
-    with _data_errors():
+    with _raised_as(DataError, (OSError, ValueError)):
         if kind == "lovasz_cut":
             dim = spec.require("problem.dim")
             graph = load_edge_list(spec.require("problem.edges"), dim)
@@ -402,7 +399,7 @@ def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTr
     algo = spec.require("solver.algo")
     stride = spec.get("output.stride")
     extras: dict[str, object] = {"problem_name": problem.name, "dim": problem.dim}
-    try:
+    with _raised_as(ConfigError):
         w0 = _initial_point(spec, problem)
         if algo == "sg":
             eta, T = spec.require("solver.eta"), spec.require("solver.T")
@@ -450,8 +447,6 @@ def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTr
         )
         check_restarts(problem, cfg, dap=cfg.norm_p != 2.0, dcfg=dcfg)
         return (lambda: r2sg(problem, w0, dcfg, cfg, stride)[1]), extras
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 class _ReprCache:
@@ -550,8 +545,16 @@ def cmd_run(spec: RunSpec, out_dir: Optional[str] = None) -> tuple[int, dict]:
     """
     problem = build_problem(spec)
     solve, extras = _plan(spec, problem)
+    return _write_run(spec, problem, solve, extras, _out_dir(spec, out_dir))
+
+
+def _out_dir(spec: RunSpec, out_dir: Optional[str]) -> Path:
+    """The output directory (out_dir, else output.dir), made before any solve:
+    a path that cannot be a directory is a config error with no artifact."""
     out = Path(out_dir if out_dir is not None else spec.get("output.dir"))
-    return _write_run(spec, problem, solve, extras, out)
+    with _raised_as(ConfigError, (OSError,), f"output.dir {str(out)!r} is not a directory: "):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_run(
@@ -561,22 +564,20 @@ def _write_run(
     extras: dict,
     out: Path,
 ) -> tuple[int, dict]:
-    """Run a planned solve and write its artifacts into out."""
-    out.mkdir(parents=True, exist_ok=True)
+    """Run a planned solve and write its artifacts into the directory out."""
     run_id = spec.run_id
     algo = spec.require("solver.algo")
     code = 0
     error: Optional[str] = None
     try:
-        trace = solve()
+        # the solvers raise ValueError only on their arguments, before the
+        # first step: one the plan let through is still a config mistake
+        with _raised_as(ConfigError):
+            trace = solve()
     except DivergenceError as exc:
         trace = exc.trace
         code = 3
         error = str(exc)
-    except ValueError as exc:
-        # the solvers raise ValueError only on their arguments, before the
-        # first step: one the plan let through is still a config mistake
-        raise ConfigError(str(exc)) from exc
     csv_path = out / f"{run_id}.csv"
     timing = bool(spec.get("output.timing"))
     _atomic_write(csv_path, _trace_csv_rows(run_id, algo, trace, timing))
@@ -647,7 +648,7 @@ def cmd_compare(
             problems[norm_p] = build_problem(spec, data)
         planned.append((spec, problems[norm_p], *_plan(spec, problems[norm_p])))
     ids = [s.run_id for s in specs]
-    out = Path(out_dir if out_dir is not None else specs[0].get("output.dir"))
+    out = _out_dir(specs[0], out_dir)
     results = [_write_run(*member, out) for member in planned]
     code = max(r[0] for r in results)
     traces = [r[1]["trace"] for r in results]
@@ -751,12 +752,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             specs = [RunSpec.from_file(p).with_overrides(over) for p in args.config]
             thresholds: list[float] = []
             if args.thresholds:
-                try:
+                with _raised_as(ConfigError, prefix="--thresholds expects numbers: "):
                     thresholds = [float(x) for x in args.thresholds.split(",") if x.strip()]
-                except ValueError:
-                    raise ConfigError(
-                        f"--thresholds expects comma-separated numbers, got {args.thresholds!r}"
-                    ) from None
             code, _ = cmd_compare(specs, args.out, thresholds=thresholds)
             return code
         # verify

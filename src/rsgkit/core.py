@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import KW_ONLY, dataclass
 from itertools import accumulate
 from typing import Callable, Optional
@@ -88,6 +89,21 @@ def _check_bounds(who: str, bounds: Optional[str], **values) -> None:
             rel = ">=" if bounds[0] == "[" else ">"
             raise ValueError(f"{key} must be {finite}{rel} {lo:g}, got {value}")
         raise ValueError(f"{key} must lie in {bounds}, got {value}")
+
+
+# The schedule cap, in log space less 1e-9 for the rounding of the logs: at
+# most 2**62 iterations, so every counter stays a machine integer (at about
+# 9 us per iteration that is 10**6 years), and every power within float range.
+_LOG_CAPS = (62.0 * math.log(2.0) - 1e-9, math.log(sys.float_info.max) - 1e-9)
+
+
+def _check_schedule(who: str, key: str, log_iters: float = 0.0, log_power: float = 0.0) -> None:
+    """Raise ValueError naming key when a schedule passes the cap: log_iters
+    is the log of (a bound on) its planned iterations, log_power that of the
+    largest power it takes, such as alpha**stages, or minus that of the least."""
+    if log_iters > _LOG_CAPS[0] or log_power > _LOG_CAPS[1]:
+        cap = "at most 2**62 iterations, alpha**stages and every power within float range"
+        raise ValueError(f"{who}: {key} put the schedule past its cap ({cap})")
 
 
 def _check_finite(w: Array, r: float) -> float:

@@ -11,7 +11,6 @@ reproducibility claim).
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -25,6 +24,7 @@ from .core import (
     ProblemInstance,
     _check_bounds,
     _check_finite,
+    _check_schedule,
     _qnorm,
 )
 
@@ -137,6 +137,8 @@ class RestartConfig:
         who = "RestartConfig"
         _check_bounds(who, "(1, inf)", alpha=self.alpha)
         _check_bounds(who, "int [1, inf)", stages=self.stages, inner_iters=self.inner_iters)
+        log_iters = math.log(self.stages) + math.log(self.inner_iters)
+        _check_schedule(who, "stages and inner_iters", log_iters)
         _check_bounds(who, "(0, inf)", eps0=self.eps0, eta_scale=self.eta_scale)
         if self.target_eps is not None:
             _check_bounds(who, "(0, inf)", target_eps=self.target_eps)
@@ -161,7 +163,9 @@ class DoublingConfig:
     recalibrate_eps0 shrinks the initial-gap estimate between calls by the
     accuracy already achieved.  The RestartConfig handed to :func:`r2sg`
     supplies alpha, eps0 and the geometry; its stages and inner_iters are
-    not read.
+    not read.  With n = max_calls, ceil(g t) <= g t + 1 bounds the planned
+    iterations by restart_every n (t1 + n) g**(n - 1), which must lie within
+    the schedule cap (``core._check_schedule``), else ValueError is raised.
     """
 
     t1: int
@@ -180,84 +184,46 @@ class DoublingConfig:
         if self.growth is not None:
             _check_bounds(who, "(1, inf)", growth=self.growth)
         _check_bounds(who, "[0, inf]", rel_tol=self.rel_tol)
-        if _last_budget_overflows(self.t1, self.effective_growth, self.max_calls):
-            raise ValueError(
-                f"DoublingConfig: the budget of call {self.max_calls} overflows a float "
-                f"(t1={self.t1}, growth={self.effective_growth})"
-            )
+        # g (1 + 2**-51) covers the rounding of each product t g
+        n, log_g = self.max_calls, math.log(self.effective_growth) + 2.0**-51
+        log_calls = math.log(self.restart_every) + math.log(n) + math.log(self.t1 + n)
+        _check_schedule(who, "t1, growth and max_calls", log_calls + (n - 1) * log_g)
 
     @property
     def effective_growth(self) -> float:
         return self.growth if self.growth is not None else 2.0 ** (2.0 * (1.0 - self.theta))
 
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# exact steps _last_budget_overflows takes before it settles on its bound
-_BUDGET_EXACT_STEPS = 1 << 16
-
-
-def _last_budget_overflows(t1: int, growth: float, calls: int) -> bool:
-    """Whether r2sg's budget overflows a float on the way to call ``calls``:
-    t_1 = t1 and t_{k+1} = ceil(t_k * growth), as :func:`_restarts` grows it.
-
-    Decided in log space: with k steps left, log t_calls lies within
-    [log t + k log g, log(t + c) + k log g] with c = 1/(g - 1), since the ceiling
-    adds less than 1 and so t + c grows by at most g per step, widened by
-    2**-52 per step for the rounding of each product.  Only while that
-    interval straddles log(float max) is one exact step taken; the gap shrinks
-    geometrically, so this agrees with iterating the ceiling.  Within a hair
-    of the boundary, after _BUDGET_EXACT_STEPS undecided steps, it answers
-    True (the budget may overflow).
-    """
-    if growth <= 1.0:
-        return False
-    lg, c, t = math.log(growth), 1.0 / (growth - 1.0), t1
-    for step, k in enumerate(range(calls - 1, 0, -1)):
-        slack = k * 2.0**-52 + 1e-12
-        if math.log(t) + k * lg - slack > _LOG_FLOAT_MAX:
-            return True
-        if math.log(t + c) + k * lg + slack < _LOG_FLOAT_MAX:
-            return False
-        if step == _BUDGET_EXACT_STEPS or math.isinf(t * growth):
-            return True
-        t = math.ceil(t * growth)
-    return False
-
-
 def compute_stage_count(eps0: float, eps: float, alpha: float) -> int:
     """Stages needed to decay eps0 to eps by factor alpha: ceil(log_alpha(eps0/eps)).
 
     Exact powers are detected before the ceiling so float noise cannot add a
-    stage (eps0/eps = alpha**k returns k exactly).  Floors at 1.
+    stage (eps0/eps = alpha**k returns k exactly).  Floors at 1, and raises
+    ValueError when alpha**stages passes the schedule cap.
     """
     _check_bounds("compute_stage_count", "(0, inf)", eps0=eps0, eps=eps)
     if eps > eps0:
         raise ValueError(f"compute_stage_count: eps ({eps}) exceeds eps0 ({eps0})")
     _check_bounds("compute_stage_count", "(1, inf)", alpha=alpha)
-    ratio = eps0 / eps
-    try:
-        r = math.log(ratio) / math.log(alpha)
-        k = round(r)
-        if k >= 1 and math.isclose(alpha**k, ratio, rel_tol=1e-12):
-            return k
-    except OverflowError:
-        msg = f"compute_stage_count: alpha**stages overflows a float (eps0={eps0}, eps={eps})"
-        raise ValueError(msg) from None
-    return max(1, math.ceil(r))
+    r = (math.log(eps0) - math.log(eps)) / math.log(alpha)
+    stages = max(1, math.ceil(r))
+    _check_schedule("compute_stage_count", "eps", log_power=stages * math.log(alpha))
+    k = round(r)
+    if k >= 1 and math.isclose(alpha**k, eps0 / eps, rel_tol=1e-12):
+        return k
+    return stages
 
 
 def compute_inner_iters(G: float, eb: ErrorBoundParams, eps: float, alpha: float) -> int:
     """Per-stage iteration budget ceil(alpha**2 G**2 c**2 / eps**(2(1-theta))).
-    A budget too large for a float raises ValueError."""
+    A budget or factor past the schedule cap, checked first, raises ValueError."""
     _check_bounds("compute_inner_iters", "(0, inf)", G=G, eps=eps)
     _check_bounds("compute_inner_iters", "(1, inf)", alpha=alpha)
-    try:
-        return max(1, math.ceil((alpha * G * eb.c) ** 2 / eps ** (2.0 * (1.0 - eb.theta))))
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(
-            f"compute_inner_iters: the budget overflows (G={G}, c={eb.c}, "
-            f"theta={eb.theta}, eps={eps}, alpha={alpha})"
-        ) from None
+    log_top = 2.0 * (math.log(alpha) + math.log(G) + math.log(eb.c))
+    log_bottom = 2.0 * (1.0 - eb.theta) * math.log(eps)
+    powers = max(log_top, abs(log_bottom))
+    _check_schedule("compute_inner_iters", "eps", log_top - log_bottom, powers)
+    return max(1, math.ceil((alpha * G * eb.c) ** 2 / eps ** (2.0 * (1.0 - eb.theta))))
 
 
 def pnorm_prox(w: Array, g: Array, p: float) -> Array:
@@ -544,13 +510,8 @@ def check_restarts(
         raise ValueError("rsg runs Euclidean stages; use rsg_dap for norm_p != 2")
     if dcfg is None or not dcfg.recalibrate_eps0 or dcfg.max_calls == 1:
         return 1.0
-    try:
-        return cfg.alpha**dcfg.restart_every
-    except OverflowError:
-        raise ValueError(
-            f"r2sg: recalibrate_eps0 divides eps0 by alpha**stages, which "
-            f"overflows a float (alpha={cfg.alpha}, stages={dcfg.restart_every})"
-        ) from None
+    _check_schedule("r2sg", "alpha and stages", log_power=dcfg.restart_every * math.log(cfg.alpha))
+    return cfg.alpha**dcfg.restart_every
 
 
 def _restarts(

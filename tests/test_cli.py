@@ -780,7 +780,7 @@ def member_outputs(out):
         # r2sg would divide eps0 by 1e300**3 between its two calls
         (BASE, BASE.replace("solver.algo = rsg", "solver.algo = r2sg").replace(
             "solver.t = 40\n", "solver.t1 = 2\nsolver.max_calls = 2\nsolver.alpha = 1e300\n"
-            "solver.recalibrate_eps0 = true\n"), "alpha**stages, which overflows"),
+            "solver.recalibrate_eps0 = true\n"), "alpha and stages put the schedule past its cap"),
     ],
     ids=["sg-T0", "target-above-eps0", "recalibration-overflow"],
 )
@@ -1046,8 +1046,27 @@ def test_cli_r2sg_budget_that_overflows_exits_1_before_any_artifact(tmp_path, ca
     out = tmp_path / "g"
     assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "budget of call 3 overflows" in err
+    assert err.startswith("config error:") and "max_calls put the schedule past its cap" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
+def test_cli_out_that_cannot_be_a_directory_exits_1_before_any_solve(
+    tmp_path, capsys, monkeypatch, command, below
+):
+    # --out naming a file, or a path below one, used to end in an uncaught
+    # FileExistsError or NotADirectoryError traceback
+    monkeypatch.setattr(cli, "rsg", lambda *args: pytest.fail("solved before the check"))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    cfg = write_config(tmp_path, BASE)
+    out = afile / below if below else afile
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output.dir") and "Traceback" not in err
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
 
 
 @pytest.mark.parametrize(
@@ -1126,7 +1145,7 @@ def test_cli_derived_budget_that_overflows_exits_1(tmp_path, capsys, schedule):
     out = tmp_path / "b"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "budget overflows" in err
+    assert err.startswith("config error:") and "eps put the schedule past its cap" in err
     assert not out.exists()
 
 
@@ -1307,6 +1326,6 @@ def test_cli_recalibration_that_overflows_exits_1_with_no_artifact(tmp_path, cap
     out = tmp_path / "o"
     assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "alpha**stages, which overflows" in err
+    assert err.startswith("config error:") and "alpha and stages put the schedule past its cap" in err
     assert member_outputs(out) == []
 

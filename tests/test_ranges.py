@@ -201,8 +201,17 @@ def test_target_eps_lies_in_zero_to_eps0_by_design():
 def test_compute_stage_count_refuses_a_count_that_overflows(eps0, eps, alpha):
     # eps0 / eps = inf, or alpha**round(r) past the float range, used to
     # raise OverflowError, which a config run showed as a traceback
-    with pytest.raises(ValueError, match=r"compute_stage_count: alpha\*\*stages overflows"):
+    with pytest.raises(ValueError, match="compute_stage_count: eps put the schedule past its cap"):
         compute_stage_count(eps0, eps, alpha)
+
+
+@pytest.mark.parametrize("c,eps", [(1e148, 1e300), (1e-200, 1e-180)], ids=["over", "under"])
+def test_compute_inner_iters_refuses_a_factor_outside_float_range(c, eps):
+    # the budget (2 c)**2 / eps**2 is small, but eps**2 overflows, or
+    # underflows to 0 with the numerator; the cap refuses both before the
+    # budget is computed
+    with pytest.raises(ValueError, match="compute_inner_iters: eps put the schedule past its cap"):
+        compute_inner_iters(1.0, ErrorBoundParams(0.0, c), eps, 2.0)
 
 
 def test_cli_exits_1_on_a_stage_count_that_overflows(tmp_path, capsys):
@@ -213,7 +222,7 @@ def test_cli_exits_1_on_a_stage_count_that_overflows(tmp_path, capsys):
         "solver.target_eps = 5e-324\n"
     )
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert "alpha**stages overflows" in capsys.readouterr().err
+    assert "compute_stage_count: eps put the schedule past its cap" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -235,44 +235,73 @@ def test_restart_config_rejects_infinite_schedules():
         DoublingConfig(t1=5, max_calls=3, growth=math.inf, rel_tol=-0.0)
 
 
-def _budget_overflows_by_iteration(t1, growth, calls):
-    t = t1
-    for _ in range(calls - 1):
-        if math.isinf(t * growth):
-            return True
-        t = math.ceil(t * growth)
-    return False
+CAP = "put the schedule past its cap"
 
 
 def test_doubling_config_rejects_a_last_budget_that_overflows():
-    with pytest.raises(ValueError, match="budget of call 3 overflows"):
+    with pytest.raises(ValueError, match=CAP):
         DoublingConfig(t1=5, max_calls=3, growth=1e308, rel_tol=-0.0)
-    with pytest.raises(ValueError, match="budget of call 2 overflows"):
+    with pytest.raises(ValueError, match=CAP):
         DoublingConfig(t1=5, max_calls=2, growth=1e308)
-    assert DoublingConfig(t1=1, max_calls=2, growth=1e308).max_calls == 2
-    # default growth 4 at theta = 0: the budget of call 512 is 3 * 4**511 =
-    # 0.75 * 2**1024, which fits; the next product does not
-    assert DoublingConfig(t1=3, max_calls=512).effective_growth == 4.0
-    with pytest.raises(ValueError, match="budget of call 513 overflows"):
-        DoublingConfig(t1=3, max_calls=513)
+    # call 2 would run 1e308 iterations, far past the cap
+    with pytest.raises(ValueError, match=CAP):
+        DoublingConfig(t1=1, max_calls=2, growth=1e308)
+    # default growth 4 at theta = 0: the bound restart_every n (t1 + n) 4**(n-1)
+    # on the planned iterations fits 2**62 up to n = 27 calls
+    assert DoublingConfig(t1=3, max_calls=27).effective_growth == 4.0
+    with pytest.raises(ValueError, match="DoublingConfig: t1, growth and max_calls " + CAP):
+        DoublingConfig(t1=3, max_calls=28)
     # decided in log space, without walking a billion calls
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(ValueError, match=CAP):
         DoublingConfig(t1=1, max_calls=10**9, growth=1.5)
     assert DoublingConfig(t1=1, max_calls=10**9, growth=1.0 + 1e-12).max_calls == 10**9
 
 
-@pytest.mark.parametrize("growth", [1e308, 3.7e100, 4.0, 2.0, 1.5, 1.15, 1.01, 1.001])
+def _first_call_past_the_cap(t1, growth, restart_every, calls):
+    """The first call count, up to calls, whose schedule plans more than 2**62
+    iterations, walking the budgets as r2sg grows them; None if none does."""
+    t, total = t1, 0
+    for n in range(1, calls + 1):
+        total += restart_every * t
+        if total > 2**62:
+            return n
+        # a budget past 2**63 crosses the cap at the next call whatever its size
+        t = math.ceil(min(t * growth, 2.0**63))
+    return None
+
+
+@pytest.mark.parametrize(
+    "growth", [1e308, 3.7e100, 1e10, 4.0, 2.0, 1.5, 1.15, 1.01, 1.001, 1.0 + 1e-9]
+)
 @pytest.mark.parametrize("t1", [1, 5, 7, 1000])
-def test_budget_overflow_check_agrees_with_iterating_the_ceiling(growth, t1):
-    # the last call whose budget still fits, found by walking the schedule
-    t, last = t1, 1
-    while not math.isinf(t * growth):
-        t, last = math.ceil(t * growth), last + 1
-    for calls in (1, 2, last - 1, last, last + 1, last + 2):
-        if calls >= 1:
-            expect = _budget_overflows_by_iteration(t1, growth, calls)
-            assert expect == (calls > last)
-            assert solvers._last_budget_overflows(t1, growth, calls) == expect, calls
+@pytest.mark.parametrize("restart_every", [1, 3])
+def test_doubling_config_refuses_every_schedule_past_the_cap(growth, t1, restart_every):
+    # the bound on the planned iterations grows with max_calls, so refusing
+    # the first call count past the cap refuses every larger one
+    first = _first_call_past_the_cap(t1, growth, restart_every, 5000)
+    for calls in () if first is None else (first, first + 1, 5000):
+        with pytest.raises(ValueError, match=CAP):
+            DoublingConfig(t1=t1, restart_every=restart_every, max_calls=calls, growth=growth)
+
+
+# (t1, restart_every, growth, max_calls) of every doubling schedule the tests,
+# perfbench and the README run; growth None is the default at theta = 0
+SHIPPED_SCHEDULES = [
+    (1_000, 5, 1.15, 10), (400, 4, 1.3, 8), (500, 5, None, 8), (100, 4, 2.0, 4),
+    (20, 2, 2.0, 2), (4, 2, None, 10), (20, 5, 1.15, 3), (12, 3, None, 1), (5, 2, None, 3),
+    (10, 2, None, 3), (6, 2, None, 3), (3, 3, 2.0, 3), (5, 1, None, 3), (2, 2, None, 2),
+]
+
+
+@pytest.mark.parametrize("t1,restart_every,growth,calls", SHIPPED_SCHEDULES)
+def test_every_shipped_schedule_is_within_the_cap(t1, restart_every, growth, calls):
+    DoublingConfig(t1=t1, restart_every=restart_every, growth=growth, max_calls=calls)
+
+
+def test_restart_config_refuses_a_schedule_past_the_cap():
+    assert RestartConfig(stages=2, inner_iters=2**60).inner_iters == 2**60
+    with pytest.raises(ValueError, match="RestartConfig: stages and inner_iters " + CAP):
+        RestartConfig(stages=4, inner_iters=2**61)
 
 
 def test_library_schedules_that_used_to_run_or_overflow_are_rejected():
@@ -306,7 +335,7 @@ def test_r2sg_rejects_a_recalibration_whose_shrink_factor_overflows():
     prob = replace(
         zoo["abs_median_1d"], subgrad=lambda w: calls.append(1) or zoo["abs_median_1d"].subgrad(w)
     )
-    with pytest.raises(ValueError, match=r"alpha\*\*stages, which overflows a float"):
+    with pytest.raises(ValueError, match="r2sg: alpha and stages " + CAP):
         r2sg(prob, [0.0], dcfg, RestartConfig(alpha=1e300, eps0=1.0))
     assert calls == []
     # one call never recalibrates, and a factor that fits is used as before
@@ -324,7 +353,7 @@ def test_check_restarts_raises_what_the_restart_loop_raises_first():
         check_restarts(ball, RestartConfig(norm_p=1.5), dap=True)
     with pytest.raises(ValueError, match="use rsg_dap for norm_p != 2"):
         check_restarts(free, RestartConfig(norm_p=1.5), dap=False)
-    with pytest.raises(ValueError, match=r"alpha\*\*stages, which overflows a float"):
+    with pytest.raises(ValueError, match="r2sg: alpha and stages " + CAP):
         check_restarts(free, RestartConfig(alpha=1e300), dap=False, dcfg=dcfg)
     # the factor recalibrate_eps0 divides eps0 by, 1.0 where no call recalibrates
     assert check_restarts(free, RestartConfig(alpha=3.0), dap=False, dcfg=dcfg) == 9.0
