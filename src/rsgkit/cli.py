@@ -63,8 +63,8 @@ from .solvers import (
     DoublingConfig,
     RestartConfig,
     SolveTrace,
+    _prepare,
     baseline_sg_decreasing,
-    check_restarts,
     compute_inner_iters,
     compute_stage_count,
     r2sg,
@@ -322,7 +322,7 @@ class RunSpec:
 
 def _load_dataset(spec: RunSpec) -> Dataset:
     path = spec.get("problem.path")
-    with _raised_as(DataError, (OSError, ValueError)):
+    with _raised_as(DataError, (OSError, ValueError, MemoryError)):
         if path is not None:
             data = parse_libsvm(path, dim=spec.get("problem.dim"))
         else:
@@ -347,7 +347,7 @@ def build_problem(spec: RunSpec, data: Optional[Dataset] = None) -> ProblemInsta
     Config mistakes raise ConfigError; bad or unusable data raises DataError."""
     kind = spec.require("problem.kind")
     norm_q = conjugate_exponent(float(spec.get("solver.norm_p")))
-    with _raised_as(DataError, (OSError, ValueError)):
+    with _raised_as(DataError, (OSError, ValueError, MemoryError)):
         if kind == "lovasz_cut":
             dim = spec.require("problem.dim")
             graph = load_edge_list(spec.require("problem.edges"), dim)
@@ -394,8 +394,8 @@ def _initial_point(spec: RunSpec, problem: ProblemInstance) -> np.ndarray:
 def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTrace], dict]:
     """Everything a run does short of iterating: the start point, eps0, the
     derived budgets and the solver configs.  Returns the solve as a closure
-    plus the summary extras.  A bad value raises ConfigError here, before
-    any artifact exists."""
+    plus the summary extras.  The solvers' one entry checks it here, so a
+    bad value raises ConfigError before any artifact exists."""
     algo = spec.require("solver.algo")
     stride = spec.get("output.stride")
     extras: dict[str, object] = {"problem_name": problem.name, "dim": problem.dim}
@@ -403,9 +403,11 @@ def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTr
         w0 = _initial_point(spec, problem)
         if algo == "sg":
             eta, T = spec.require("solver.eta"), spec.require("solver.T")
+            _prepare("sg_run", problem, w0, stride, eta, T)
             return (lambda: sg_run(problem, w0, eta, T, stride)[1]), extras
         if algo == "baseline_sg":
             eta0, T = spec.require("solver.eta0"), spec.require("solver.T")
+            _prepare("baseline_sg_decreasing", problem, w0, stride, eta0, T, decreasing=True)
             return (lambda: baseline_sg_decreasing(problem, w0, eta0, T, stride)), extras
         alpha = float(spec.get("solver.alpha"))
         eps0 = spec.get("solver.eps0")
@@ -433,7 +435,7 @@ def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTr
             eta_scale=float(spec.get("solver.eta_scale")),
         )
         if algo in _FIXED_BUDGET:
-            check_restarts(problem, cfg, dap=algo == "rsg_dap")
+            _prepare(algo, problem, w0, stride, cfg=cfg, dap=algo == "rsg_dap")
             solver = rsg if algo == "rsg" else rsg_dap
             return (lambda: solver(problem, w0, cfg, stride)[1]), extras
         dcfg = DoublingConfig(
@@ -445,7 +447,7 @@ def _plan(spec: RunSpec, problem: ProblemInstance) -> tuple[Callable[[], SolveTr
             rel_tol=float(spec.get("solver.rel_tol")),
             recalibrate_eps0=bool(spec.get("solver.recalibrate_eps0")),
         )
-        check_restarts(problem, cfg, dap=cfg.norm_p != 2.0, dcfg=dcfg)
+        _prepare("r2sg", problem, w0, stride, cfg=cfg, dcfg=dcfg, dap=cfg.norm_p != 2.0)
         return (lambda: r2sg(problem, w0, dcfg, cfg, stride)[1]), extras
 
 

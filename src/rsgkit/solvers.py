@@ -2,10 +2,11 @@
 schedules, their p-norm dual-averaging variants, a restart-doubling driver
 for unknown error-bound constants, and the decreasing-step baseline.
 
-All solvers consume a :class:`rsgkit.core.ProblemInstance` and emit a
-:class:`SolveTrace`.  Given identical inputs they are bitwise deterministic
-(the wallclock_ns timing field is informational and excluded from every
-reproducibility claim).
+All solvers consume a :class:`rsgkit.core.ProblemInstance`, make every
+check that can refuse the run in one entry before any oracle call, and run
+one restart loop that emits a :class:`SolveTrace`.  Given identical inputs
+they are bitwise deterministic (the wallclock_ns timing field is
+informational and excluded from every reproducibility claim).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "UnsupportedConstraintError",
     "compute_stage_count",
     "compute_inner_iters",
-    "check_restarts",
     "pnorm_prox",
     "sg_run",
     "rsg",
@@ -267,8 +267,6 @@ class _TraceBuilder:
     among them outranks any later error raised before the flush."""
 
     def __init__(self, problem: ProblemInstance, stride: Optional[int]):
-        if stride is not None:
-            _check_bounds("", "int [1, inf)", stride=stride)
         self.problem = problem
         self.stride = stride
         self._oracle = o = problem._deferred()
@@ -436,6 +434,101 @@ def _dual_averaging(
     return (lambda t: eta), step, lambda: acc / lam_sum
 
 
+def _initial_eta(cfg: RestartConfig, G: float, eps0: float) -> float:
+    """Stage-1 step size for the restart schedules in the cfg geometry,
+    given the current initial-gap estimate eps0."""
+    if cfg.norm_p == 2.0:
+        return cfg.eta_scale * eps0 / (cfg.alpha * G * G)
+    modulus = cfg.norm_p - 1.0
+    if cfg.lambda_mode == "inv_grad_norm":
+        return cfg.eta_scale * eps0 * modulus / (cfg.alpha * G)
+    return cfg.eta_scale * eps0 * modulus / (cfg.alpha * G * G)
+
+
+# the config a plain run's loop reads; its one stage runs at the given step
+_PLAIN = RestartConfig()
+
+
+def _prepare(
+    who: str,
+    problem: ProblemInstance,
+    w0: Array,
+    stride: Optional[int],
+    eta: Optional[float] = None,
+    T: Optional[int] = None,
+    space: Optional[PNormSpace] = None,
+    lambda_mode: str = "unit",
+    cfg: Optional[RestartConfig] = None,
+    dcfg: Optional[DoublingConfig] = None,
+    dap: bool = False,
+    decreasing: bool = False,
+) -> Callable[[], tuple[Array, SolveTrace]]:
+    """The one entry behind every solver: make each check that can refuse
+    the run, then return the run as a closure over the one restart loop, so
+    a caller can refuse a run before any oracle call.
+
+    A plain run (no cfg) is one stage of T steps at eta: projected steps
+    returning the average, decreasing steps eta / sqrt(t) returning the last
+    iterate (the baseline), or dual averaging in space with lambda_mode
+    weights.  Otherwise the run restarts by cfg: cfg.stages stages of
+    cfg.inner_iters steps, or the doubling schedule of dcfg, with p-norm
+    dual-averaging stages in the cfg.norm_p geometry when dap.
+    """
+    _check_bounds(who, "int [1, inf)", stride=1 if stride is None else stride)
+    calls, stages, t1, shrink = 1, 1, T, 1.0
+    if cfg is None:
+        _check_bounds(who, "(0, inf)", **{"eta0" if decreasing else "eta": eta})
+        _check_bounds(who, "int [1, inf)", T=T)
+        _check_schedule(who, "T", math.log(T))
+        if lambda_mode not in ("unit", "inv_grad_norm"):
+            raise ValueError(f"{who}: unknown lambda_mode {lambda_mode!r}")
+        cfg = _PLAIN
+    elif not dap and cfg.norm_p != 2.0:
+        raise ValueError("rsg runs Euclidean stages; use rsg_dap for norm_p != 2")
+    else:
+        lambda_mode, stages, t1 = cfg.lambda_mode, cfg.stages, cfg.inner_iters
+    space = PNormSpace(cfg.norm_p) if dap else space
+    if space is not None and problem.project is not None:
+        raise UnsupportedConstraintError(
+            "p-norm dual-averaging stages require an unconstrained problem (project is None)"
+        )
+    if dcfg is not None:
+        calls, stages, t1 = dcfg.max_calls, dcfg.restart_every, dcfg.t1
+        if dcfg.recalibrate_eps0 and calls > 1:
+            _check_schedule(who, "alpha and stages", log_power=stages * math.log(cfg.alpha))
+            shrink = cfg.alpha**stages
+
+    def run() -> tuple[Array, SolveTrace]:
+        w = problem.feasible(w0)
+        tb = _TraceBuilder(problem, stride)
+        if dcfg is not None:
+            # seed best-so-far with the start so call 1's plateau check
+            # compares against f(w0); the first logged record is this same
+            # point, so the best column of the trace is unaffected
+            tb.best = tb.checked_objective(w, "initial point")
+        t, eps0, stage, obj = t1, cfg.eps0, 0, math.nan
+        for call in range(calls):
+            if call:
+                t = math.ceil(t * dcfg.effective_growth)
+                if dcfg.recalibrate_eps0:
+                    eps0 = eps0 / shrink + (cfg.target_eps or 0.0)
+            best_before = tb.best
+            step = _initial_eta(cfg, problem.lipschitz_bound, eps0) if eta is None else eta
+            for _ in range(stages):
+                stage += 1
+                if space is None:
+                    rule = _projected(problem, w, step, t, decreasing)
+                else:
+                    rule = _dual_averaging(w, step, space, lambda_mode, tb, stage)
+                w, obj = _stage(problem, w, t, tb, stage, rule)
+                step /= cfg.alpha
+            if dcfg is None or best_before - tb.best < dcfg.rel_tol * max(1.0, abs(best_before)):
+                break
+        return w, tb.finish(w, obj)
+
+    return run
+
+
 def sg_run(
     problem: ProblemInstance,
     w1: Array,
@@ -449,12 +542,7 @@ def sg_run(
     returns the average of the T pre-update iterates together with the
     trace.  T = 1 returns the starting point itself.
     """
-    _check_bounds("sg_run", "(0, inf)", eta=eta)
-    _check_bounds("sg_run", "int [1, inf)", T=T)
-    w1 = problem.feasible(w1)
-    tb = _TraceBuilder(problem, stride)
-    avg, obj = _stage(problem, w1, T, tb, 1, _projected(problem, w1, eta, T))
-    return avg, tb.finish(avg, obj)
+    return _prepare("sg_run", problem, w1, stride, eta, T)()
 
 
 def dap_run(
@@ -472,94 +560,7 @@ def dap_run(
     sum, and sets w_{t+1} by the closed-form p-norm prox of that sum around
     the starting point.  Returns the lambda-weighted iterate average.
     """
-    if problem.project is not None:
-        raise UnsupportedConstraintError(
-            "dap_run requires an unconstrained problem (project is None)"
-        )
-    _check_bounds("dap_run", "(0, inf)", eta=eta)
-    _check_bounds("dap_run", "int [1, inf)", T=T)
-    if lambda_mode not in ("unit", "inv_grad_norm"):
-        raise ValueError(f"dap_run: unknown lambda_mode {lambda_mode!r}")
-    w1 = np.asarray(w1, dtype=float)
-    tb = _TraceBuilder(problem, stride)
-    avg, obj = _stage(problem, w1, T, tb, 1, _dual_averaging(w1, eta, space, lambda_mode, tb, 1))
-    return avg, tb.finish(avg, obj)
-
-
-def _initial_eta(cfg: RestartConfig, G: float, eps0: float) -> float:
-    """Stage-1 step size for the restart schedules in the cfg geometry,
-    given the current initial-gap estimate eps0."""
-    if cfg.norm_p == 2.0:
-        return cfg.eta_scale * eps0 / (cfg.alpha * G * G)
-    modulus = cfg.norm_p - 1.0
-    if cfg.lambda_mode == "inv_grad_norm":
-        return cfg.eta_scale * eps0 * modulus / (cfg.alpha * G)
-    return cfg.eta_scale * eps0 * modulus / (cfg.alpha * G * G)
-
-
-def check_restarts(
-    problem: ProblemInstance, cfg: RestartConfig, dap: bool, dcfg: Optional[DoublingConfig] = None
-) -> float:
-    """Raise what :func:`_restarts` raises before its first step; return the
-    alpha**stages by which recalibrate_eps0 divides eps0 between calls."""
-    if dap and problem.project is not None:
-        raise UnsupportedConstraintError(
-            "p-norm dual-averaging stages require an unconstrained problem (project is None)"
-        )
-    if not dap and cfg.norm_p != 2.0:
-        raise ValueError("rsg runs Euclidean stages; use rsg_dap for norm_p != 2")
-    if dcfg is None or not dcfg.recalibrate_eps0 or dcfg.max_calls == 1:
-        return 1.0
-    _check_schedule("r2sg", "alpha and stages", log_power=dcfg.restart_every * math.log(cfg.alpha))
-    return cfg.alpha**dcfg.restart_every
-
-
-def _restarts(
-    problem: ProblemInstance,
-    w0: Array,
-    cfg: RestartConfig,
-    stride: Optional[int],
-    dap: bool,
-    dcfg: Optional[DoublingConfig] = None,
-) -> tuple[Array, SolveTrace]:
-    """The restart loop behind rsg, rsg_dap and r2sg.
-
-    dap selects p-norm dual-averaging stages (unconstrained problems only)
-    over Euclidean projected steps.  Without dcfg this is one call of
-    cfg.stages stages of cfg.inner_iters steps; with dcfg it follows the
-    doubling schedule of :class:`DoublingConfig`.
-    """
-    shrink = check_restarts(problem, cfg, dap, dcfg)
-    space = PNormSpace(cfg.norm_p) if dap else None
-    w = problem.feasible(w0)
-    tb = _TraceBuilder(problem, stride)
-    if dcfg is None:
-        calls, stages, t = 1, cfg.stages, cfg.inner_iters
-    else:
-        calls, stages, t = dcfg.max_calls, dcfg.restart_every, dcfg.t1
-        # seed best-so-far with the start so call 1's plateau check compares
-        # against f(w0); the first logged record is this same point, so the
-        # best column of the trace is unaffected
-        tb.best = tb.checked_objective(w, "initial point")
-    eps0, stage, obj = cfg.eps0, 0, math.nan
-    for call in range(calls):
-        if call:
-            t = math.ceil(t * dcfg.effective_growth)
-            if dcfg.recalibrate_eps0:
-                eps0 = eps0 / shrink + (cfg.target_eps or 0.0)
-        best_before = tb.best
-        eta = _initial_eta(cfg, problem.lipschitz_bound, eps0)
-        for _ in range(stages):
-            stage += 1
-            if space is None:
-                rule = _projected(problem, w, eta, t)
-            else:
-                rule = _dual_averaging(w, eta, space, cfg.lambda_mode, tb, stage)
-            w, obj = _stage(problem, w, t, tb, stage, rule)
-            eta /= cfg.alpha
-        if dcfg is None or best_before - tb.best < dcfg.rel_tol * max(1.0, abs(best_before)):
-            break
-    return w, tb.finish(w, obj)
+    return _prepare("dap_run", problem, w1, stride, eta, T, space, lambda_mode)()
 
 
 def rsg(
@@ -576,7 +577,7 @@ def rsg(
     stage, so the stage-k step is eps0 / (alpha**k G**2) at unit scale.
     Raises ValueError for cfg.norm_p != 2 (use rsg_dap).
     """
-    return _restarts(problem, w0, cfg, stride, dap=False)
+    return _prepare("rsg", problem, w0, stride, cfg=cfg)()
 
 
 def rsg_dap(
@@ -592,7 +593,7 @@ def rsg_dap(
     inv_grad_norm weights and eps0 (p-1) / (alpha G**2) for unit weights,
     each decaying by alpha per stage.
     """
-    return _restarts(problem, w0, cfg, stride, dap=True)
+    return _prepare("rsg_dap", problem, w0, stride, cfg=cfg, dap=True)()
 
 
 def r2sg(
@@ -610,7 +611,7 @@ def r2sg(
     dcfg.effective_growth between calls.  Stage indices in the trace run
     consecutively across calls.
     """
-    return _restarts(problem, w0, cfg, stride, dap=cfg.norm_p != 2.0, dcfg=dcfg)
+    return _prepare("r2sg", problem, w0, stride, cfg=cfg, dcfg=dcfg, dap=cfg.norm_p != 2.0)()
 
 
 def baseline_sg_decreasing(
@@ -625,9 +626,4 @@ def baseline_sg_decreasing(
     Logs both the running objective and the best-so-far value; the final
     point is the last iterate (not an average).
     """
-    _check_bounds("baseline_sg_decreasing", "(0, inf)", eta0=eta0)
-    _check_bounds("baseline_sg_decreasing", "int [1, inf)", T=T)
-    w = problem.feasible(w0)
-    tb = _TraceBuilder(problem, stride)
-    w, obj = _stage(problem, w, T, tb, 1, _projected(problem, w, eta0, T, decreasing=True))
-    return tb.finish(w, obj)
+    return _prepare("baseline_sg_decreasing", problem, w0, stride, eta0, T, decreasing=True)()[1]

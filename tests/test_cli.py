@@ -1050,6 +1050,30 @@ def test_cli_r2sg_budget_that_overflows_exits_1_before_any_artifact(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        SG_VARIANT,
+        SG_VARIANT.replace("algo = sg\nsolver.eta", "algo = baseline_sg\nsolver.eta0"),
+    ],
+    ids=["sg", "baseline_sg"],
+)
+def test_cli_plain_run_past_the_cap_exits_1_before_any_artifact(
+    tmp_path, capsys, monkeypatch, text
+):
+    # a plain run of more than 2**62 iterations used to be planned and
+    # started, and could only be interrupted
+    for name in ("sg_run", "baseline_sg_decreasing"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("solved past the cap"))
+    text = text.replace("solver.T = 100", "solver.T = 10000000000000000000")
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "T put the schedule past its cap" in err
+    assert "Traceback" not in err
+    assert member_outputs(out) == []
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
 def test_cli_out_that_cannot_be_a_directory_exits_1_before_any_solve(
@@ -1092,6 +1116,28 @@ def test_cli_all_zero_features_exit_2_naming_the_data(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "every feature value is zero" in err
+    assert "Traceback" not in err
+    assert member_outputs(out) == []
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("stage", ["synth_regression", "piecewise_linear_erm"])
+def test_cli_data_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch, command, stage):
+    # numpy raises MemoryError for an array it cannot allocate (7.28 TiB at
+    # n = 10**11, d = 10), in the data or in the problem laid out from it; a
+    # stand-in raises it without allocating.  compare loads the shared data
+    # outside build_problem
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, stage, too_large)
+    text = SG_VARIANT.replace("synth = classification", "synth = regression").replace(
+        "problem.margin = 0.5\n", ""
+    )
+    out = tmp_path / "big"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Unable to allocate" in err
     assert "Traceback" not in err
     assert member_outputs(out) == []
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pnorm_reference
-from rsgkit import solvers
+from rsgkit import cli, solvers
 from rsgkit.core import ErrorBoundParams, Oracle, PNormSpace, ProblemInstance, pnorm
 from rsgkit.data import synth_classification, synth_regression
 from rsgkit.problems import (
@@ -23,7 +23,6 @@ from rsgkit.solvers import (
     RestartConfig,
     UnsupportedConstraintError,
     baseline_sg_decreasing,
-    check_restarts,
     compute_inner_iters,
     compute_stage_count,
     dap_run,
@@ -343,22 +342,96 @@ def test_r2sg_rejects_a_recalibration_whose_shrink_factor_overflows():
     assert one.total_iters == 4
     _, two = r2sg(prob, [0.0], dcfg, RestartConfig(alpha=1e150, eps0=1.0))
     assert two.total_iters == 4 + 2 * math.ceil(2 * dcfg.effective_growth)
+    # a schedule that never recalibrates takes no such power
+    unused = replace(dcfg, recalibrate_eps0=False)
+    _, kept = r2sg(prob, [0.0], unused, RestartConfig(alpha=1e300, eps0=1.0))
+    assert kept.total_iters == two.total_iters
+    _, plain = rsg(prob, [0.0], RestartConfig(alpha=1e300, stages=2, inner_iters=2, eps0=1.0))
+    assert plain.total_iters == 4
 
 
-def test_check_restarts_raises_what_the_restart_loop_raises_first():
-    zoo = miniature_zoo()
-    ball, free = zoo["hinge_l1ball_2d"], zoo["abs_median_1d"]
-    dcfg = DoublingConfig(t1=2, restart_every=2, max_calls=2, rel_tol=-0.0, recalibrate_eps0=True)
-    with pytest.raises(UnsupportedConstraintError, match="require an unconstrained problem"):
-        check_restarts(ball, RestartConfig(norm_p=1.5), dap=True)
-    with pytest.raises(ValueError, match="use rsg_dap for norm_p != 2"):
-        check_restarts(free, RestartConfig(norm_p=1.5), dap=False)
-    with pytest.raises(ValueError, match="r2sg: alpha and stages " + CAP):
-        check_restarts(free, RestartConfig(alpha=1e300), dap=False, dcfg=dcfg)
-    # the factor recalibrate_eps0 divides eps0 by, 1.0 where no call recalibrates
-    assert check_restarts(free, RestartConfig(alpha=3.0), dap=False, dcfg=dcfg) == 9.0
-    for unused in (None, replace(dcfg, max_calls=1), replace(dcfg, recalibrate_eps0=False)):
-        assert check_restarts(free, RestartConfig(alpha=1e300), dap=False, dcfg=unused) == 1.0
+BALL_TEXT = "p-norm dual-averaging stages require an unconstrained problem (project is None)"
+RECALIBRATION = DoublingConfig(
+    t1=2, restart_every=2, max_calls=2, rel_tol=-0.0, recalibrate_eps0=True
+)
+
+
+@pytest.mark.parametrize(
+    "member,solve,values,error,text",
+    [
+        ("hinge_l1ball_2d",
+         lambda q: rsg_dap(q, [0.0, 0.0], RestartConfig(stages=2, inner_iters=2, norm_p=1.5)),
+         dict(algo="rsg_dap", norm_p=1.5, stages=2, t=2),
+         UnsupportedConstraintError, BALL_TEXT),
+        ("hinge_l1ball_2d",
+         lambda q: r2sg(q, [0.0, 0.0], DoublingConfig(t1=2), RestartConfig(norm_p=1.5)),
+         dict(algo="r2sg", norm_p=1.5, stages=1, t1=2),
+         UnsupportedConstraintError, BALL_TEXT),
+        ("hinge_l1ball_2d",
+         lambda q: dap_run(q, [0.0, 0.0], 0.1, 2, PNormSpace(1.5)),
+         dict(algo="rsg_dap", norm_p=1.5, stages=1, t=2),
+         UnsupportedConstraintError, BALL_TEXT),
+        ("abs_median_1d",
+         lambda q: rsg(q, [0.0], RestartConfig(stages=2, inner_iters=2, norm_p=1.5)),
+         dict(algo="rsg", norm_p=1.5, stages=2, t=2),
+         ValueError, "rsg runs Euclidean stages; use rsg_dap for norm_p != 2"),
+        ("abs_median_1d",
+         lambda q: r2sg(q, [0.0], RECALIBRATION, RestartConfig(alpha=1e300, eps0=1.0)),
+         dict(algo="r2sg", alpha=1e300, stages=2, t1=2, max_calls=2, rel_tol=-0.0,
+              recalibrate_eps0=True),
+         ValueError, "r2sg: alpha and stages " + CAP),
+    ],
+    ids=["rsg_dap-ball", "r2sg-p1.5-ball", "dap_run-ball", "rsg-p1.5", "recalibration-power"],
+)
+def test_one_refusal_from_the_solver_and_from_plan(member, solve, values, error, text):
+    # the solver and the CLI plan refuse through the one entry: the same
+    # text, before any oracle call.  RunSpec(values) skips the key table
+    # (which already refuses norm_p for rsg), so _plan meets the entry's checks
+    calls = []
+    problem = spied(miniature_zoo()[member], lambda *args: calls.append(args))
+    with pytest.raises(error) as raised:
+        solve(problem)
+    assert str(raised.value).startswith(text)
+    spec = cli.RunSpec({f"solver.{key}": value for key, value in values.items()} | {
+        "problem.kind": "pwl", "solver.eps0": 1.0})
+    with pytest.raises(cli.ConfigError) as planned:
+        cli._plan(spec, problem)
+    assert str(planned.value) == str(raised.value)
+    assert calls == []
+
+
+def first_call_raises(*args):
+    raise AssertionError("the run reached the oracle")
+
+
+@pytest.mark.parametrize(
+    "who,solve",
+    [
+        ("sg_run", lambda q, T: sg_run(q, [1.0], 0.1, T)),
+        ("dap_run", lambda q, T: dap_run(q, [1.0], 0.1, T, PNormSpace(1.5))),
+        ("baseline_sg_decreasing", lambda q, T: baseline_sg_decreasing(q, [1.0], 0.1, T)),
+    ],
+    ids=["sg_run", "dap_run", "baseline"],
+)
+def test_plain_runs_refuse_a_T_past_the_cap(who, solve):
+    # the cap covers plain runs too; one past it used to start and run for
+    # ever, so an oracle that raises on its first call makes that fail fast
+    problem = spied(miniature_zoo()["abs_1d"], first_call_raises)
+    with pytest.raises(ValueError, match=f"^{who}: T {CAP}"):
+        solve(problem, 2**63)
+    with pytest.raises(AssertionError, match="reached the oracle"):
+        solve(problem, 2**61)
+
+
+def test_r2sg_recalibration_divides_eps0_by_alpha_to_the_stages():
+    # alpha 3 and two stages per call: call 2 starts from eps0 / 9
+    problem = miniature_zoo()["abs_median_1d"]
+    cfg = RestartConfig(alpha=3.0, eps0=2.0)
+    _, trace = r2sg(problem, [0.0], RECALIBRATION, cfg)
+    G = problem.lipschitz_bound
+    assert [s.stage for s in trace.stage_results] == [1, 2, 3, 4]
+    assert trace.stage_results[0].eta == solvers._initial_eta(cfg, G, 2.0)
+    assert trace.stage_results[2].eta == solvers._initial_eta(cfg, G, 2.0 / 9.0)
 
 
 # ---------------------------------------------------------------- pnorm prox
