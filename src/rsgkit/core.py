@@ -91,17 +91,22 @@ def _check_bounds(who: str, bounds: Optional[str], **values) -> None:
         raise ValueError(f"{key} must lie in {bounds}, got {value}")
 
 
-# The schedule cap, in log space less 1e-9 for the rounding of the logs: at
-# most 2**62 iterations, so every counter stays a machine integer (at about
-# 9 us per iteration that is 10**6 years), and every power within float range.
+# The schedule cap: at most 2**62 iterations, so every counter stays a machine
+# integer (at about 9 us per iteration that is 10**6 years), and every power
+# within float range.  Exact counts are compared as integers, logs less 1e-9
+# for the rounding of the logs.
+_MAX_ITERS = 2**62
 _LOG_CAPS = (62.0 * math.log(2.0) - 1e-9, math.log(sys.float_info.max) - 1e-9)
 
 
-def _check_schedule(who: str, key: str, log_iters: float = 0.0, log_power: float = 0.0) -> None:
-    """Raise ValueError naming key when a schedule passes the cap: log_iters
-    is the log of (a bound on) its planned iterations, log_power that of the
-    largest power it takes, such as alpha**stages, or minus that of the least."""
-    if log_iters > _LOG_CAPS[0] or log_power > _LOG_CAPS[1]:
+def _check_schedule(
+    who: str, key: str, log_iters: float = 0.0, log_power: float = 0.0, iters: int = 1
+) -> None:
+    """Raise ValueError naming key when a schedule passes the cap: iters is
+    the exact count of its planned iterations, log_iters the log of a bound
+    on them, log_power that of the largest power it takes, such as
+    alpha**stages, or minus that of the least."""
+    if iters > _MAX_ITERS or log_iters > _LOG_CAPS[0] or log_power > _LOG_CAPS[1]:
         cap = "at most 2**62 iterations, alpha**stages and every power within float range"
         raise ValueError(f"{who}: {key} put the schedule past its cap ({cap})")
 

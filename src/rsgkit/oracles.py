@@ -33,6 +33,11 @@ __all__ = [
     "submodular_min_enumerate",
 ]
 
+# the level-set bisections stop at a bracket of _XTOL * max(1, t); a ray
+# that stays below the level for _MAX_EXPAND doublings counts as unbounded
+_XTOL = 1e-13
+_MAX_EXPAND = 80
+
 
 class BudgetError(RuntimeError):
     """The request exceeds the oracle's evaluation budget.  ``required``
@@ -300,22 +305,14 @@ class SublevelGrid:
         return self.points[k].copy()
 
 
-def sublevel_project(
-    problem: ProblemInstance,
-    w: Array,
-    eps: float,
-    oracle: OracleReport,
-    method: str = "segment",
-    points_per_dim: int = 201,
-    xtol: float = 1e-13,
-) -> Array:
+def sublevel_project(problem: ProblemInstance, w: Array, eps: float, oracle: OracleReport) -> Array:
     """Approximate nearest point of {f <= oracle.fstar + eps} to w.
 
-    Points already inside the sublevel set return unchanged.  "segment"
-    bisects f along [w, oracle.argmin] for the boundary crossing — exact
-    for one-dimensional problems, an inside approximation otherwise.
-    "grid" scans a box cover (dim <= 3 scale).  Raises
-    InconsistentOracleError when the sublevel set is empty under the
+    Points already inside the sublevel set return unchanged.  Otherwise f is
+    bisected along [w, oracle.argmin] for the boundary crossing, down to a
+    bracket of _XTOL: exact for one-dimensional problems, an inside
+    approximation otherwise (a grid projection is :class:`SublevelGrid`'s).
+    Raises InconsistentOracleError when the sublevel set is empty under the
     oracle's fstar (eps below the oracle's own suboptimality).
     """
     _check_bounds("sublevel_project", "(0, inf)", eps=eps)
@@ -330,25 +327,15 @@ def sublevel_project(
             f"sublevel_project: oracle argmin has f = {f_arg} above the level "
             f"{level}; the requested sublevel set is empty under this oracle"
         )
-    if method == "segment":
-        target = np.asarray(oracle.argmin, dtype=float)
-        lo_s, hi_s = 0.0, 1.0  # f(w + s*(target-w)): > level at 0, <= level at 1
-        for _ in range(200):
-            mid = 0.5 * (lo_s + hi_s)
-            if float(problem.objective(w + mid * (target - w))) <= level:
-                hi_s = mid
-            else:
-                lo_s = mid
-            if hi_s - lo_s <= xtol:
-                break
-        return w + hi_s * (target - w)
-    if method == "grid":
-        radius = float(np.linalg.norm(w - np.asarray(oracle.argmin, dtype=float)))
-        grid = SublevelGrid(
-            problem, oracle, eps, w - radius, w + radius, points_per_dim=points_per_dim
-        )
-        return grid.project(w)
-    raise ValueError(f"sublevel_project: unknown method {method!r}")
+    target = np.asarray(oracle.argmin, dtype=float)
+    lo_s, hi_s = 0.0, 1.0  # f(w + s*(target-w)): > level at 0, <= level at 1
+    while hi_s - lo_s > _XTOL:
+        mid = 0.5 * (lo_s + hi_s)
+        if float(problem.objective(w + mid * (target - w))) <= level:
+            hi_s = mid
+        else:
+            lo_s = mid
+    return w + hi_s * (target - w)
 
 
 def _ray_directions(d: int, ray_count: int, seed: int) -> Array:
@@ -375,18 +362,15 @@ def sample_level_points(
     oracle: OracleReport,
     ray_count: int = 16,
     seed: int = 0,
-    xtol: float = 1e-13,
-    max_expand: int = 80,
 ) -> list[Array]:
     """Boundary points of {f <= fstar + eps} found by ray bisection.
 
     Casts rays from the oracle argmin (axis directions first, then seeded
     random ones), expands each until the objective crosses the level, and
-    bisects the crossing.  Rays that never cross within max_expand doublings
+    bisects the crossing.  Rays that never cross within _MAX_EXPAND doublings
     (unbounded sublevel directions) are skipped with a warning.  Returned
     points lie inside the sublevel set (inner end of the final bracket).  A
-    ray stops bisecting once its bracket is narrower than xtol (relative to
-    max(1, t)) or its midpoint rounds to an end, so any xtol ends the loop.
+    ray stops bisecting once its bracket is narrower than _XTOL * max(1, t).
     All rays step together: each expansion or bisection step is one
     :meth:`ProblemInstance.values` call on the rays still open.
     """
@@ -407,7 +391,7 @@ def sample_level_points(
     t_lo = np.zeros(len(dirs))
     t_hi = np.full(len(dirs), max(eps / problem.lipschitz_bound, 1e-9))
     crossed = np.zeros(len(dirs), dtype=bool)
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         rays = np.nonzero(~crossed)[0]
         if not rays.size:
             break
@@ -423,8 +407,7 @@ def sample_level_points(
         )
     while True:
         mid = 0.5 * (t_lo + t_hi)
-        bisectable = (t_hi - t_lo > xtol * np.maximum(1.0, t_hi)) & (t_lo < mid) & (mid < t_hi)
-        rays = np.nonzero(crossed & bisectable)[0]
+        rays = np.nonzero(crossed & (t_hi - t_lo > _XTOL * np.maximum(1.0, t_hi)))[0]
         if not rays.size:
             break
         hit = above(mid[rays], rays)

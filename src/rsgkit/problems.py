@@ -25,6 +25,7 @@ from .core import (
     Oracle,
     ProblemInstance,
     _check_bounds,
+    _qnorm,
     _row_dots,
     project_box,
     project_l1_ball,
@@ -124,13 +125,19 @@ def _laid_out(M: sp.spmatrix) -> tuple:
 
 
 def _row_norms(A: Array | sp.csr_matrix, q: float) -> Array:
-    """q-norm of every row of a laid-out matrix (q >= 1 or inf)."""
+    """q-norm of every row of a laid-out matrix (q >= 1 or inf).  A row
+    whose sum of powers overflows is recomputed by ``core._qnorm``, with its
+    max factored out; a row with a non-finite entry stays non-finite."""
     a = abs(A)
     if math.isinf(q):
         m = a.max(axis=1)
         return m.toarray().ravel() if sp.issparse(a) else m
-    s = a.power(q).sum(axis=1) if sp.issparse(a) else (a**q).sum(axis=1)
-    return np.asarray(s).ravel() ** (1.0 / q)
+    with np.errstate(over="ignore"):
+        s = a.power(q).sum(axis=1) if sp.issparse(a) else (a**q).sum(axis=1)
+    norms = np.asarray(s).ravel() ** (1.0 / q)
+    for i in np.nonzero(~np.isfinite(norms))[0]:
+        norms[i] = _qnorm(a.getrow(i).data if sp.issparse(a) else a[i], q)
+    return norms
 
 
 @dataclass(frozen=True)
@@ -523,7 +530,10 @@ def lovasz_problem(
     )
     if not M.max() > 0:
         raise ValueError("lovasz_problem: set function is identically zero")
-    G = float(np.sum(M**2) ** 0.5) if norm_q == 2.0 else float(np.sum(M**norm_q) ** (1 / norm_q))
+    with np.errstate(over="ignore"):
+        G = float(np.sum(M**norm_q) ** (1 / norm_q))
+    if not math.isfinite(G) or math.isinf(norm_q):
+        G = _qnorm(M, norm_q)  # the sum overflowed, or q = inf, where it reads 1
     if fstar_lower_bound is None:
         fstar_lower_bound = min(0.0, -float(np.sum(M)))
 

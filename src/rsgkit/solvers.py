@@ -137,8 +137,8 @@ class RestartConfig:
         who = "RestartConfig"
         _check_bounds(who, "(1, inf)", alpha=self.alpha)
         _check_bounds(who, "int [1, inf)", stages=self.stages, inner_iters=self.inner_iters)
-        log_iters = math.log(self.stages) + math.log(self.inner_iters)
-        _check_schedule(who, "stages and inner_iters", log_iters)
+        iters = int(self.stages) * int(self.inner_iters)
+        _check_schedule(who, "stages and inner_iters", iters=iters)
         _check_bounds(who, "(0, inf)", eps0=self.eps0, eta_scale=self.eta_scale)
         if self.target_eps is not None:
             _check_bounds(who, "(0, inf)", target_eps=self.target_eps)
@@ -434,10 +434,11 @@ def _dual_averaging(
     return (lambda t: eta), step, lambda: acc / lam_sum
 
 
-def _initial_eta(cfg: RestartConfig, G: float, eps0: float) -> float:
-    """Stage-1 step size for the restart schedules in the cfg geometry,
-    given the current initial-gap estimate eps0."""
-    if cfg.norm_p == 2.0:
+def _initial_eta(cfg: RestartConfig, G: float, eps0: float, space: Optional[PNormSpace]) -> float:
+    """Stage-1 step size for the restart schedules, given the current
+    initial-gap estimate eps0: for projected stages when space is None, for
+    dual-averaging stages in space otherwise."""
+    if space is None:
         return cfg.eta_scale * eps0 / (cfg.alpha * G * G)
     modulus = cfg.norm_p - 1.0
     if cfg.lambda_mode == "inv_grad_norm":
@@ -479,7 +480,7 @@ def _prepare(
     if cfg is None:
         _check_bounds(who, "(0, inf)", **{"eta0" if decreasing else "eta": eta})
         _check_bounds(who, "int [1, inf)", T=T)
-        _check_schedule(who, "T", math.log(T))
+        _check_schedule(who, "T", iters=T)
         if lambda_mode not in ("unit", "inv_grad_norm"):
             raise ValueError(f"{who}: unknown lambda_mode {lambda_mode!r}")
         cfg = _PLAIN
@@ -513,7 +514,7 @@ def _prepare(
                 if dcfg.recalibrate_eps0:
                     eps0 = eps0 / shrink + (cfg.target_eps or 0.0)
             best_before = tb.best
-            step = _initial_eta(cfg, problem.lipschitz_bound, eps0) if eta is None else eta
+            step = _initial_eta(cfg, problem.lipschitz_bound, eps0, space) if eta is None else eta
             for _ in range(stages):
                 stage += 1
                 if space is None:

@@ -467,6 +467,26 @@ solver.T = 50
     assert summary["error"]
 
 
+def test_cli_runs_large_features_at_norm_p_near_one(tmp_path, capsys):
+    # at norm_p = 1.01 the dual exponent is 101, and 3e4**101 overflows
+    data = tmp_path / "big.svm"
+    data.write_text("1 1:30000 2:-2.5\n-1 1:1.5 3:29000\n1 2:12000 3:-4\n")
+    text = f"""\
+problem.kind = pwl
+problem.path = {data}
+problem.loss = hinge
+solver.algo = rsg_dap
+solver.norm_p = 1.01
+solver.stages = 3
+solver.t = 20
+solver.eps0 = 1.0
+"""
+    cfg = write_config(tmp_path, text, name="big.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "big")]) == 0
+
+
 def test_cli_exit_1_on_target_above_eps0(tmp_path, capsys):
     text = BASE.replace("solver.stages = 3\n", "") + "solver.target_eps = 2.0\n"
     cfg = write_config(tmp_path, text, name="target.cfg")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from rsgkit import problems
-from rsgkit.core import Oracle
+from rsgkit.core import Oracle, conjugate_exponent, pnorm
 from rsgkit.data import synth_classification
 from rsgkit.problems import (
     Dataset,
@@ -218,6 +219,36 @@ def test_lipschitz_bound_frozen_values():
     assert lipschitz_bound_for("hinge", data, reg="linf", lam=2.0) == 7.0
     assert lipschitz_bound_for("hinge", data, norm_q=math.inf) == 4.0
     assert lipschitz_bound_for("hinge", data, reg="l1", lam=2.0, norm_q=math.inf) == 6.0
+
+
+# a dense and a CSR layout, each with one row whose entries overflow a**q at
+# q = 101 (solver.norm_p = 1.01) though its q-norm is about 3e4
+BIG_ROWS = {
+    "dense": np.array([[3e4, -2.5, 0.0], [1.5, 0.0, 2.9e4], [0.0, 1.2e4, -4.0]]),
+    "csr": np.pad(np.array([[3e4, -2.9e4], [1.0, 2.0]]), ((0, 148), (0, 148))),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(BIG_ROWS))
+def test_lipschitz_bound_survives_overflowing_powers(layout):
+    X = BIG_ROWS[layout]
+    q = conjugate_exponent(1.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = piecewise_linear_erm(dense(X, np.where(np.arange(len(X)) % 2, -1.0, 1.0)), norm_q=q)
+    want = max(pnorm(x, q) for x in X)
+    assert abs(inst.lipschitz_bound - want) <= 1e-12 * want
+
+
+def test_lovasz_bound_survives_overflowing_powers_and_q_inf():
+    setfn = cut_function(3, [(0, 1, 2e4), (1, 2, 2e4)])
+    M = np.array([2e4, 4e4, 2e4])  # F({i}), here also F(V) - F(V \ {i})
+    q = conjugate_exponent(1.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = lovasz_problem(setfn, norm_q=q).lipschitz_bound
+    assert abs(G - pnorm(M, q)) <= 1e-12 * pnorm(M, q)
+    assert lovasz_problem(setfn, norm_q=math.inf).lipschitz_bound == 4e4
 
 
 def test_lipschitz_bound_rejects_unknown_names():

@@ -301,6 +301,10 @@ def test_restart_config_refuses_a_schedule_past_the_cap():
     assert RestartConfig(stages=2, inner_iters=2**60).inner_iters == 2**60
     with pytest.raises(ValueError, match="RestartConfig: stages and inner_iters " + CAP):
         RestartConfig(stages=4, inner_iters=2**61)
+    # an exact count meets the cap as an integer: 2**62 itself is accepted
+    assert RestartConfig(stages=2**31, inner_iters=2**31).stages == 2**31
+    with pytest.raises(ValueError, match="RestartConfig: stages and inner_iters " + CAP):
+        RestartConfig(stages=2**31 + 1, inner_iters=2**31)
 
 
 def test_library_schedules_that_used_to_run_or_overflow_are_rejected():
@@ -421,6 +425,11 @@ def test_plain_runs_refuse_a_T_past_the_cap(who, solve):
         solve(problem, 2**63)
     with pytest.raises(AssertionError, match="reached the oracle"):
         solve(problem, 2**61)
+    # T meets the cap as an integer: 2**62 itself starts, one more does not
+    with pytest.raises(ValueError, match=f"^{who}: T {CAP}"):
+        solve(problem, 2**62 + 1)
+    with pytest.raises(AssertionError, match="reached the oracle"):
+        solve(problem, 2**62)
 
 
 def test_r2sg_recalibration_divides_eps0_by_alpha_to_the_stages():
@@ -430,8 +439,8 @@ def test_r2sg_recalibration_divides_eps0_by_alpha_to_the_stages():
     _, trace = r2sg(problem, [0.0], RECALIBRATION, cfg)
     G = problem.lipschitz_bound
     assert [s.stage for s in trace.stage_results] == [1, 2, 3, 4]
-    assert trace.stage_results[0].eta == solvers._initial_eta(cfg, G, 2.0)
-    assert trace.stage_results[2].eta == solvers._initial_eta(cfg, G, 2.0 / 9.0)
+    assert trace.stage_results[0].eta == solvers._initial_eta(cfg, G, 2.0, space=None)
+    assert trace.stage_results[2].eta == solvers._initial_eta(cfg, G, 2.0 / 9.0, space=None)
 
 
 # ---------------------------------------------------------------- pnorm prox
@@ -546,14 +555,17 @@ def test_rsg_dap_record_count_and_schedule():
         assert stage.eta == pytest.approx(eta1 / 2.0**s, rel=1e-15)
 
 
-def test_rsg_dap_inv_grad_norm_eta():
+@pytest.mark.parametrize("norm_p", [1.5, 2.0])
+def test_rsg_dap_inv_grad_norm_eta(norm_p):
+    # p = 2 too: rsg_dap runs dual-averaging stages there, so its step is
+    # the dual-averaging one, not rsg's eps0 / (alpha G**2)
     prob = l1_nd(2)
     cfg = RestartConfig(
-        alpha=2.0, stages=1, inner_iters=5, eps0=1.0, norm_p=1.5, lambda_mode="inv_grad_norm"
+        alpha=2.0, stages=1, inner_iters=5, eps0=1.0, norm_p=norm_p, lambda_mode="inv_grad_norm"
     )
     _, trace = rsg_dap(prob, np.array([1.0, 1.0]), cfg, stride=1)
     G = prob.lipschitz_bound
-    assert trace.records[0].eta == pytest.approx(1.0 * 0.5 / (2.0 * G), rel=1e-15)
+    assert trace.records[0].eta == pytest.approx(1.0 * (norm_p - 1.0) / (2.0 * G), rel=1e-15)
 
 
 # ---------------------------------------------------------------- r2sg
