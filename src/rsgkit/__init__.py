@@ -2,127 +2,14 @@
 with local error bounds, plus a problem zoo, brute-force oracles, and a
 benchmark CLI."""
 
-from .core import (
-    ErrorBoundParams,
-    PNormSpace,
-    ProblemInstance,
-    conjugate_exponent,
-    pnorm,
-    project_box,
-    project_l1_ball,
-    project_l2_ball,
-)
-from .data import (
-    ParseError,
-    binarize_labels,
-    dump_libsvm,
-    load_edge_list,
-    parse_libsvm,
-    scale_max_abs,
-    synth_classification,
-    synth_regression,
-)
-from .oracles import (
-    BudgetError,
-    InconsistentOracleError,
-    OracleReport,
-    estimate_B_eps,
-    grid_min,
-    long_run_min,
-    sample_level_points,
-    sublevel_project,
-    submodular_min_enumerate,
-    weighted_median,
-)
-from .problems import (
-    Dataset,
-    GFlassoGraph,
-    SetFunction,
-    cut_function,
-    gflasso_svm,
-    graph_from_correlation,
-    lipschitz_bound_for,
-    lovasz_problem,
-    miniature_zoo,
-    piecewise_linear_erm,
-    robust_regression,
-)
-from .solvers import (
-    DivergenceError,
-    DoublingConfig,
-    RestartConfig,
-    SolveTrace,
-    StageResult,
-    TraceRecord,
-    UnsupportedConstraintError,
-    baseline_sg_decreasing,
-    compute_inner_iters,
-    compute_stage_count,
-    dap_run,
-    pnorm_prox,
-    r2sg,
-    rsg,
-    rsg_dap,
-    sg_run,
-)
-from .verify import SUITES, run_suite
+from . import core, data, oracles, problems, solvers, verify
+from .core import *
+from .data import *
+from .oracles import *
+from .problems import *
+from .solvers import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetError",
-    "Dataset",
-    "DivergenceError",
-    "DoublingConfig",
-    "ErrorBoundParams",
-    "GFlassoGraph",
-    "InconsistentOracleError",
-    "OracleReport",
-    "PNormSpace",
-    "ParseError",
-    "ProblemInstance",
-    "RestartConfig",
-    "SUITES",
-    "SetFunction",
-    "SolveTrace",
-    "StageResult",
-    "TraceRecord",
-    "UnsupportedConstraintError",
-    "baseline_sg_decreasing",
-    "binarize_labels",
-    "compute_inner_iters",
-    "compute_stage_count",
-    "conjugate_exponent",
-    "cut_function",
-    "dap_run",
-    "dump_libsvm",
-    "estimate_B_eps",
-    "gflasso_svm",
-    "graph_from_correlation",
-    "grid_min",
-    "lipschitz_bound_for",
-    "load_edge_list",
-    "long_run_min",
-    "lovasz_problem",
-    "miniature_zoo",
-    "parse_libsvm",
-    "piecewise_linear_erm",
-    "pnorm",
-    "pnorm_prox",
-    "project_box",
-    "project_l1_ball",
-    "project_l2_ball",
-    "r2sg",
-    "robust_regression",
-    "rsg",
-    "rsg_dap",
-    "sample_level_points",
-    "scale_max_abs",
-    "sg_run",
-    "sublevel_project",
-    "submodular_min_enumerate",
-    "synth_classification",
-    "synth_regression",
-    "weighted_median",
-    "run_suite",
-]
+__all__ = [n for m in (core, data, oracles, problems, solvers, verify) for n in m.__all__]

@@ -243,22 +243,19 @@ def project_l1_ball(w: Array, radius: float) -> Array:
     return np.sign(w) * np.maximum(b - _l1_threshold(b, radius), 0.0)
 
 
-def project_l2_ball(w: Array, radius: float, center: Optional[Array] = None) -> Array:
-    """Euclidean projection onto the ball of given radius (default center 0),
-    of w or of each row of an (m, d) block w."""
+def project_l2_ball(w: Array, radius: float) -> Array:
+    """Euclidean projection onto the ball of given radius centred at 0, of
+    w or of each row of an (m, d) block w."""
     if not radius > 0.0:
         raise ValueError(f"project_l2_ball: radius must be > 0, got {radius}")
     w = np.asarray(w, dtype=float)
-    d = w if center is None else w - center
     if w.ndim == 2:
-        n = np.sqrt(_row_dots(d, d))[:, None]
-        scaled = d * (radius / np.maximum(n, radius))
-        return np.where(n <= radius, w, scaled if center is None else center + scaled)
-    n = float(np.sqrt(np.dot(d, d)))
+        n = np.sqrt(_row_dots(w, w))[:, None]
+        return np.where(n <= radius, w, w * (radius / np.maximum(n, radius)))
+    n = float(np.sqrt(np.dot(w, w)))
     if n <= radius:
         return w.copy()
-    scaled = d * (radius / n)
-    return scaled if center is None else center + scaled
+    return w * (radius / n)
 
 
 def project_box(w: Array, lo, hi) -> Array:
@@ -386,10 +383,6 @@ class ProblemInstance:
             object.__setattr__(self, "subgrad", o.subgrad)
         if self.objective is None or self.subgrad is None:
             raise ValueError("ProblemInstance: give an oracle, or objective and subgrad")
-
-    @property
-    def is_unconstrained(self) -> bool:
-        return self.project is None
 
     def feasible(self, w: Array) -> Array:
         """Project w onto the feasible set (identity when unconstrained)."""

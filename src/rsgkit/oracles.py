@@ -128,17 +128,20 @@ def grid_min(
     value gap G * ||h||_2 / 2 for grid spacing h: no point of the box is
     farther than half a cell diagonal from a grid point.
 
-    Grid points are evaluated in C order, in blocks, through
-    :meth:`ProblemInstance.values`.  The first minimum in that order wins
-    and points where the objective is NaN are skipped (no finite point:
-    argmin None, fstar inf).  fstar is ``problem.objective(argmin)``; a
-    batch value there that differs from it by more than
-    1e-12 * max(1, |fstar|) raises InconsistentOracleError.
+    On a constrained problem each grid point is replaced by its projection
+    onto the feasible set, which is no farther from a feasible minimizer,
+    so the certificate stands.  Grid points are evaluated in C order, in
+    blocks, through :meth:`ProblemInstance.values`.  The first minimum in
+    that order wins and points where the objective is NaN are skipped (no
+    finite point: argmin None, fstar inf).  fstar is
+    ``problem.objective(argmin)``; a batch value there that differs from it
+    by more than 1e-12 * max(1, |fstar|) raises InconsistentOracleError.
     """
     lo, hi, diag, blocks = _grid(problem.dim, box_lo, box_hi, points_per_dim, budget, "grid_min")
     best_v = math.inf
     best_w: Optional[Array] = None
     for W in blocks:
+        W = problem.feasible_rows(W)
         vals = problem.values(W)
         vals = np.where(np.isnan(vals), math.inf, vals)
         k = int(np.argmin(vals))
@@ -423,10 +426,9 @@ def estimate_B_eps(
     oracle: OracleReport,
     ray_count: int = 16,
     seed: int = 0,
-    norm_p: float = 2.0,
 ) -> float:
-    """Lower estimate of the sublevel-set radius: the largest distance from
-    the oracle argmin to a level point found by ray bisection.
+    """Lower estimate of the sublevel-set radius: the largest Euclidean
+    distance from the oracle argmin to a level point found by ray bisection.
 
     A sampling lower bound — rays can miss the farthest boundary point.  The
     distance is measured to the single oracle argmin, so on problems with a
@@ -439,7 +441,7 @@ def estimate_B_eps(
             "unbounded at this eps"
         )
     center = np.asarray(oracle.argmin, dtype=float)
-    return max(pnorm(p - center, norm_p) for p in pts)
+    return max(pnorm(p - center, 2.0) for p in pts)
 
 
 def submodular_min_enumerate(setfn: SetFunction, budget: int = 1 << 20) -> tuple[float, int]:

@@ -40,7 +40,6 @@ __all__ = [
     "piecewise_linear_erm",
     "gflasso_svm",
     "lovasz_problem",
-    "lipschitz_bound_for",
     "graph_from_correlation",
     "cut_function",
     "enumerate_table",
@@ -395,31 +394,6 @@ def _erm_bound(A: Array | sp.csr_matrix, reg: str, lam: float, norm_q: float) ->
     if reg == "l1":
         return loss_part + lam * (A.shape[1] ** (1.0 / norm_q) if not math.isinf(norm_q) else 1.0)
     return loss_part + (lam if reg == "linf" else 0.0)
-
-
-def lipschitz_bound_for(
-    instance_kind: str,
-    data: Dataset,
-    reg: str = "none",
-    lam: float = 0.0,
-    norm_q: float = 2.0,
-) -> float:
-    """Documented subgradient q-norm bound for the piecewise-linear losses.
-
-    The margin/residual losses (hinge, absolute, eps_insensitive) are
-    1-Lipschitz in the per-row score, so the loss part is bounded by the
-    largest row q-norm.  An l1 penalty adds lam * d**(1/q), an l-infinity
-    penalty adds lam; ball constraints and "none" add nothing.
-    """
-    if instance_kind not in _LOSSES:
-        raise ValueError(
-            f"lipschitz_bound_for: unknown instance_kind {instance_kind!r}, "
-            f"expected one of {_LOSSES}"
-        )
-    if reg not in _REGS:
-        raise ValueError(f"lipschitz_bound_for: unknown reg {reg!r}, expected one of {_REGS}")
-    _require_rows(data, "lipschitz_bound_for")
-    return _erm_bound(_laid_out(data.X)[0], reg, lam, norm_q)
 
 
 def piecewise_linear_erm(

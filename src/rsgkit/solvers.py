@@ -35,7 +35,6 @@ __all__ = [
     "SolveTrace",
     "RestartConfig",
     "DoublingConfig",
-    "ErrorBoundParams",
     "DivergenceError",
     "UnsupportedConstraintError",
     "compute_stage_count",
@@ -440,10 +439,9 @@ def _initial_eta(cfg: RestartConfig, G: float, eps0: float, space: Optional[PNor
     dual-averaging stages in space otherwise."""
     if space is None:
         return cfg.eta_scale * eps0 / (cfg.alpha * G * G)
-    modulus = cfg.norm_p - 1.0
     if cfg.lambda_mode == "inv_grad_norm":
-        return cfg.eta_scale * eps0 * modulus / (cfg.alpha * G)
-    return cfg.eta_scale * eps0 * modulus / (cfg.alpha * G * G)
+        return cfg.eta_scale * eps0 * space.modulus / (cfg.alpha * G)
+    return cfg.eta_scale * eps0 * space.modulus / (cfg.alpha * G * G)
 
 
 # the config a plain run's loop reads; its one stage runs at the given step

@@ -270,14 +270,6 @@ def test_projection_properties():
         assert pnorm(project_l2_ball(u, 0.8), 2.0) <= 0.8 + 1e-12
 
 
-def test_project_l2_ball_center():
-    c = np.array([1.0, 1.0])
-    out = project_l2_ball(np.array([3.0, 1.0]), 1.0, center=c)
-    np.testing.assert_allclose(out, [2.0, 1.0], atol=1e-15)
-    inside = np.array([1.2, 1.1])
-    assert np.array_equal(project_l2_ball(inside, 1.0, center=c), inside)
-
-
 def test_project_box():
     np.testing.assert_allclose(project_box(np.array([0.5]), 0.0, 1.0), [0.5])
     np.testing.assert_allclose(project_box(np.array([-1.0, 2.0]), 0.0, 1.0), [0.0, 1.0])
@@ -342,9 +334,7 @@ def test_block_box_projection_is_bitwise_the_row_projections(case):
 @given(row_blocks())
 def test_block_l2_projection_is_bitwise_the_row_projections(case):
     W, radius = case
-    center = np.linspace(-1.0, 1.0, W.shape[1])
     assert_rows_are_the_points(lambda v: project_l2_ball(v, radius), W)
-    assert_rows_are_the_points(lambda v: project_l2_ball(v, radius, center), W)
 
 
 def test_block_l1_projection_special_rows():
@@ -457,7 +447,7 @@ def _abs_instance():
 
 def test_problem_instance_basics():
     prob = _abs_instance()
-    assert prob.is_unconstrained
+    assert prob.project is None
     w = np.array([2.0])
     assert np.array_equal(prob.feasible(w), w)
     assert prob.default_eps0(w) == 2.0
@@ -469,7 +459,7 @@ def test_problem_instance_basics():
         lipschitz_bound=1.0,
         project=lambda v: np.clip(v, -1.0, 1.0),
     )
-    assert not boxed.is_unconstrained
+    assert boxed.project is not None
     np.testing.assert_allclose(boxed.feasible(np.array([5.0])), [1.0])
 
 

@@ -29,6 +29,7 @@ from rsgkit.problems import (
     Dataset,
     SetFunction,
     cut_function,
+    lovasz_problem,
     miniature_zoo,
     piecewise_linear_erm,
 )
@@ -102,7 +103,7 @@ def test_grid_oracles_reject_non_finite_box(lo, hi):
 
 def reference_grid_min(problem, box_lo, box_hi, points_per_dim):
     """The per-point sweep grid_min replaced: every grid point in C order,
-    one objective call each, the first strict improvement kept."""
+    made feasible, one objective call each, the first strict improvement kept."""
     d = problem.dim
     lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,))
     hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,))
@@ -114,9 +115,10 @@ def reference_grid_min(problem, box_lo, box_hi, points_per_dim):
         for i in range(d - 1, -1, -1):
             rem, k = divmod(rem, points_per_dim)
             w[i] = axes[i][k]
-        val = float(problem.objective(w))
+        x = problem.feasible(w)
+        val = float(problem.objective(x))
         if val < best_f:
-            best_f, best_w = val, w.copy()
+            best_f, best_w = val, x.copy()
     return best_f, best_w
 
 
@@ -157,6 +159,20 @@ def test_grid_min_matches_per_point_sweep_on_seeded_boxes(seed):
             continue
         box = (-4.0 - rng.uniform(0.0, 0.5), 4.0 + rng.uniform(0.0, 0.5))
         assert_same_as_reference(inst, *box, 2001 if inst.dim == 1 else 101)
+
+
+def test_grid_min_evaluates_the_projection_of_each_grid_point():
+    # cut plus the modular term (-1.5, 0.5): its minimum is F(mask 3) = -1,
+    # while the extension reads -2 at the raw grid point [2, 2] off the box
+    cut = cut_function(2, [(0, 1, 1.0)])
+    m = (-1.5, 0.5)
+    setfn = SetFunction(2, lambda mask: cut.evaluate(mask) + m[0] * (mask & 1) + m[1] * (mask >> 1))
+    assert submodular_min_enumerate(setfn) == (-1.0, 3)
+    report = grid_min(lovasz_problem(setfn), -1.0, 2.0, 31)
+    assert report.fstar == -1.0 and np.array_equal(report.argmin, [1.0, 1.0])
+    # the witness of the l1-ball member lies in its radius-0.8 ball
+    ball = grid_min(ZOO["hinge_l1ball_2d"], -1.0, 1.0, 401)
+    assert float(np.sum(np.abs(ball.argmin))) <= 0.8 + 1e-12
 
 
 def custom(objective, batch=None, dim=2):
@@ -427,6 +443,15 @@ def test_estimate_B_eps_square():
 def test_estimate_B_eps_l1_diamond():
     b = estimate_B_eps(ZOO["l1_2d"], eps=1.0, oracle=exact_report(0.0, [0.0, 0.0]), ray_count=32)
     assert math.isclose(b, 1.0, rel_tol=1e-6)
+
+
+def test_estimate_B_eps_from_a_grid_witness_on_a_constrained_member():
+    # an infeasible witness put every first projected probe above the level
+    inst = ZOO["hinge_l1ball_2d"]
+    report = grid_min(inst, -1.0, 1.0, 401)
+    with pytest.warns(UserWarning, match="never crossed"):  # rays stall at the ball's boundary
+        b = estimate_B_eps(inst, 0.0148, report, ray_count=32)
+    assert 0.32 < b < 0.33
 
 
 def test_estimate_B_eps_unbounded_everywhere_raises():

@@ -22,7 +22,6 @@ from rsgkit.problems import (
     enumerate_table,
     gflasso_svm,
     graph_from_correlation,
-    lipschitz_bound_for,
     lovasz_problem,
     miniature_zoo,
     piecewise_linear_erm,
@@ -214,11 +213,15 @@ def test_robust_regression_gradient_matches_finite_differences():
 
 def test_lipschitz_bound_frozen_values():
     data = dense([[3.0, 4.0], [1.0, 0.0]], [1.0, -1.0])
-    assert lipschitz_bound_for("hinge", data) == 5.0
-    assert lipschitz_bound_for("absolute", data, reg="l1", lam=2.0) == 5.0 + 2.0 * math.sqrt(2.0)
-    assert lipschitz_bound_for("hinge", data, reg="linf", lam=2.0) == 7.0
-    assert lipschitz_bound_for("hinge", data, norm_q=math.inf) == 4.0
-    assert lipschitz_bound_for("hinge", data, reg="l1", lam=2.0, norm_q=math.inf) == 6.0
+
+    def bound(loss="hinge", **kw):
+        return piecewise_linear_erm(data, loss, **kw).lipschitz_bound
+
+    assert bound() == 5.0
+    assert bound("absolute", reg="l1", lam=2.0) == 5.0 + 2.0 * math.sqrt(2.0)
+    assert bound(reg="linf", lam=2.0) == 7.0
+    assert bound(norm_q=math.inf) == 4.0
+    assert bound(reg="l1", lam=2.0, norm_q=math.inf) == 6.0
 
 
 # a dense and a CSR layout, each with one row whose entries overflow a**q at
@@ -249,14 +252,6 @@ def test_lovasz_bound_survives_overflowing_powers_and_q_inf():
         G = lovasz_problem(setfn, norm_q=q).lipschitz_bound
     assert abs(G - pnorm(M, q)) <= 1e-12 * pnorm(M, q)
     assert lovasz_problem(setfn, norm_q=math.inf).lipschitz_bound == 4e4
-
-
-def test_lipschitz_bound_rejects_unknown_names():
-    data = dense([[1.0]], [1.0])
-    with pytest.raises(ValueError, match="instance_kind"):
-        lipschitz_bound_for("logistic", data)
-    with pytest.raises(ValueError, match="reg"):
-        lipschitz_bound_for("hinge", data, reg="l2")
 
 
 # ---------------------------------------------------------------------------
