@@ -11,9 +11,10 @@ carrying its line and column.
 from __future__ import annotations
 
 import contextlib
-import io
 import re
 import warnings
+from itertools import chain, repeat
+from operator import contains, itemgetter
 from pathlib import Path
 from typing import IO, Iterator, Optional, Union
 
@@ -40,6 +41,13 @@ Source = Union[str, Path, IO[str]]
 _MAX_REDRAW_ROUNDS = 100_000
 
 _TOKEN = re.compile(r"\S+")
+
+# Stored entries parse_libsvm converts per block: its tokens are held one
+# block at a time.
+_PARSE_BLOCK = 2**14
+
+# The largest feature index parse_libsvm accepts: 0-based indices are int64.
+_MAX_INDEX = 2**63 - 1
 
 
 class ParseError(ValueError):
@@ -85,26 +93,60 @@ def _number(
     return value
 
 
-def parse_libsvm(source: Source, dim: Optional[int] = None) -> Dataset:
-    """Parse svmlight/libsvm text: one "label idx:val idx:val ..." per line.
+def _blocks(records: Iterator[tuple], limit: int) -> Iterator[list[tuple]]:
+    """Consecutive records in lists of at most ``limit`` stored entries (a
+    longer line is a list by itself)."""
+    block: list[tuple] = []
+    entries = 0
+    for record in records:
+        size = len(record[1]) - 1
+        if block and entries + size > limit:
+            yield block
+            block, entries = [], 0
+        block.append(record)
+        entries += size
+    if block:
+        yield block
 
-    Feature indices are 1-based on disk, strictly increasing within a line
-    (duplicates and out-of-order indices are parse errors), 0-based in the
-    returned CSR matrix.  The feature count is the largest index seen unless
-    ``dim``, an integer >= 1, overrides it (needed when trailing features are
-    zero in every record); an index above ``dim`` is refused where it
-    stands.  Blank lines are skipped; an empty source yields an empty
-    Dataset (problem builders reject those at use time).
-    """
-    if dim is not None:
-        _check_bounds("parse_libsvm", "int [1, inf)", dim=dim)
-    labels: list[float] = []
-    indptr: list[int] = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    max_index = 0
-    for where, fields in _records(source):
-        labels.append(_number(float, "label", fields[0], where, 0))
+
+def _bulk(rows: list[list[str]], dim: Optional[int]) -> Optional[tuple[np.ndarray, ...]]:
+    """The labels, 1-based indices, values and entries per line of a block
+    of field lists, each column converted by one map, or None when any
+    conversion or check fails."""
+    fields = list(chain.from_iterable(map(itemgetter(slice(1, None)), rows)))
+    n = len(fields)
+    counts = np.fromiter(map(len, rows), dtype=int, count=len(rows)) - 1
+    # one colon in each field: every field has one and the block has n
+    text = " ".join(fields)
+    if text.count(":") != n or not all(map(contains, fields, repeat(":"))):
+        return None
+    parts = text.replace(":", " ").split(" ") if n else []
+    try:
+        labels = np.fromiter(map(float, map(itemgetter(0), rows)), dtype=float, count=len(rows))
+        idx = np.fromiter(map(int, parts[0::2]), dtype=np.int64, count=n)
+        values = np.fromiter(map(float, parts[1::2]), dtype=float, count=n)
+    except (ValueError, OverflowError):
+        return None
+    # each index above the one before it in its line, the first above 0
+    prev = np.empty_like(idx)
+    prev[1:] = idx[:-1]
+    ends = np.cumsum(counts)
+    prev[(ends - counts)[counts > 0]] = 0
+    if not (
+        np.isfinite(labels).all()
+        and np.isfinite(values).all()
+        and (idx > prev).all()
+        and (dim is None or not n or idx.max() <= dim)
+    ):
+        return None
+    return labels, idx, values, counts
+
+
+def _refuse(block: list[tuple], dim: Optional[int]) -> None:
+    """Raise the first refusal of a block that failed a bulk conversion or
+    check, walking it one field at a time."""
+    for where, fields in block:
+        _number(float, "label", fields[0], where, 0)
         prev = 0
         for k in range(1, len(fields)):
             idx_s, sep, val_s = fields[k].partition(":")
@@ -113,6 +155,8 @@ def parse_libsvm(source: Source, dim: Optional[int] = None) -> Dataset:
             idx = _number(int, "index", idx_s, where, k)
             if idx < 1:
                 raise _refusal(f"index {idx} must be >= 1", where, k)
+            if idx > _MAX_INDEX:
+                raise _refusal(f"index {idx} exceeds the largest index {_MAX_INDEX}", where, k)
             if idx == prev:
                 raise _refusal(f"duplicate index {idx}", where, k)
             if idx < prev:
@@ -120,32 +164,72 @@ def parse_libsvm(source: Source, dim: Optional[int] = None) -> Dataset:
             if dim is not None and idx > dim:
                 message = f"feature index {idx} exceeds the declared dimension {dim}"
                 raise _refusal(message, where, k)
-            values.append(_number(float, "value", val_s, where, k, len(idx_s) + 1))
-            indices.append(idx - 1)
+            _number(float, "value", val_s, where, k, len(idx_s) + 1)
             prev = idx
-        if prev > max_index:
-            max_index = prev
-        indptr.append(len(indices))
+    raise RuntimeError("parse_libsvm: a block failed the bulk checks but no field is refused")
+
+
+def parse_libsvm(source: Source, dim: Optional[int] = None) -> Dataset:
+    """Parse svmlight/libsvm text: one "label idx:val idx:val ..." per line.
+
+    Feature indices are 1-based on disk, strictly increasing within a line
+    (duplicates and out-of-order indices are parse errors), at most
+    2**63 - 1, and 0-based in the returned CSR matrix.  The feature count is
+    the largest index seen unless ``dim``, an integer >= 1, overrides it
+    (needed when trailing features are zero in every record); an index above
+    ``dim`` is refused where it stands.  Blank lines are skipped; an empty
+    source yields an empty Dataset (problem builders reject those at use
+    time).
+
+    The source is read once, in blocks of at most 2**14 stored entries, and
+    each block's columns are converted and checked in bulk; a block that
+    fails is walked one field at a time for its first refusal.
+    """
+    if dim is not None:
+        _check_bounds("parse_libsvm", "int [1, inf)", dim=dim)
+    labels = [np.empty(0)]
+    indices = [np.empty(0, dtype=int)]
+    values = [np.empty(0)]
+    counts = [np.empty(0, dtype=int)]
+    for block in _blocks(_records(source), _PARSE_BLOCK):
+        columns = _bulk([fields for _, fields in block], dim)
+        if columns is None:
+            _refuse(block, dim)
+        for out, column in zip((labels, indices, values, counts), columns):
+            out.append(column)
+    idx = np.concatenate(indices)
+    max_index = int(idx.max(initial=0))
+    idx -= 1
+    indptr = np.zeros(sum(map(len, counts)) + 1, dtype=int)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
     X = sp.csr_matrix(
-        (np.array(values), np.array(indices, dtype=int), np.array(indptr, dtype=int)),
-        shape=(len(labels), max_index if dim is None else dim),
+        (np.concatenate(values), idx, indptr),
+        shape=(indptr.size - 1, max_index if dim is None else dim),
     )
-    return Dataset(X, np.array(labels))
+    return Dataset(X, np.concatenate(labels))
+
+
+def _canonical(X: sp.spmatrix) -> sp.csr_matrix:
+    """A CSR copy of X with sorted indices and each duplicate entry summed,
+    in stored order."""
+    X = X.tocsr(copy=True)
+    if not X.has_canonical_format:
+        X = X.tocsc().tocsr()  # two stable transposes keep duplicates in order
+        X.sum_duplicates()
+    return X
 
 
 def dump_libsvm(data: Dataset) -> str:
     """Serialize a Dataset to canonical svmlight text (1-based indices,
-    shortest round-trip float formatting).  parse_libsvm(dump_libsvm(ds),
-    dim=ds.d) reproduces ds exactly."""
-    X = data.X.tocsr()
-    out = io.StringIO()
-    for i in range(data.n):
-        out.write(repr(float(data.y[i])))
-        lo, hi = X.indptr[i], X.indptr[i + 1]
-        for k in range(lo, hi):
-            out.write(f" {X.indices[k] + 1}:{float(X.data[k])!r}")
-        out.write("\n")
-    return out.getvalue()
+    sorted, duplicates summed; shortest round-trip float formatting).
+    parse_libsvm(dump_libsvm(ds), dim=ds.d) reproduces ds exactly."""
+    X = _canonical(data.X)
+    cells = list(map(" {}:{!r}".format, (X.indices + 1).tolist(), map(float, X.data.tolist())))
+    ptr = X.indptr.tolist()
+    labels = map(repr, map(float, data.y.tolist()))
+    return "".join(
+        f"{label}{''.join(cells[lo:hi])}\n" for label, lo, hi in zip(labels, ptr, ptr[1:])
+    )
 
 
 def binarize_labels(data: Dataset, positive_class: float) -> Dataset:
@@ -188,14 +272,14 @@ def load_edge_list(source: Source, dim: int) -> GFlassoGraph:
 
 def scale_max_abs(data: Dataset) -> Dataset:
     """Scale each feature column by its maximum absolute value (columns that
-    are identically zero are left alone)."""
-    X = data.X.tocsc(copy=True)
+    are identically zero are left alone).  The result is canonical CSR:
+    duplicates summed, zeros dropped."""
+    X = _canonical(data.X)
     maxes = np.zeros(data.d)
-    if X.nnz:
-        m = abs(X).max(axis=0).toarray().ravel()
-        maxes[: m.size] = m
+    np.maximum.at(maxes, X.indices, np.abs(X.data))
     scale = np.where(maxes > 0.0, maxes, 1.0)
-    X = X.multiply(sp.csr_matrix(1.0 / scale)).tocsr()
+    X.data = X.data * (1.0 / scale)[X.indices]
+    X.eliminate_zeros()
     return Dataset(X, data.y, data.planted)
 
 

@@ -1198,6 +1198,20 @@ def test_cli_non_finite_number_in_a_file_exits_2_naming_the_token(
     assert member_outputs(out) == []
 
 
+def test_cli_index_past_int64_exits_2_naming_the_limit(tmp_path, capsys):
+    # before, the int64 conversion of the indices ended in an OverflowError
+    path = tmp_path / "data.txt"
+    path.write_text("1 99999999999999999999:1\n")
+    out = tmp_path / "n"
+    assert main(["run", "--config", write_config(tmp_path, PWL_FILE.format(path=path)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    message = "line 1, column 3: index 99999999999999999999 exceeds the largest index"
+    assert err.startswith("data error:") and message in err and str(2**63 - 1) in err
+    assert "Traceback" not in err
+    assert member_outputs(out) == []
+
+
 @pytest.mark.parametrize(
     "schedule",
     [

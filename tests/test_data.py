@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import io
+import re
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rsgkit import data as data_module
 from rsgkit.data import (
@@ -21,6 +27,8 @@ from rsgkit.data import (
     synth_regression,
 )
 from rsgkit.problems import Dataset, piecewise_linear_erm, robust_regression
+
+import libsvm_reference
 
 
 def test_parse_basic():
@@ -114,6 +122,159 @@ def test_parse_refusals_word_and_place(text, dim, message, line, col):
     assert (exc.value.line, exc.value.column) == (line, col)
 
 
+@pytest.mark.parametrize("dim", [None, 5])
+def test_parse_refuses_an_index_past_int64(dim):
+    # before, np.array(indices, dtype=int) ended in an OverflowError
+    limit = 2**63 - 1
+    with pytest.raises(ParseError) as exc:
+        parse_libsvm(io.StringIO(f"1 1:1\n-1 2:1 {limit + 1}:2\n"), dim=dim)
+    message = f"index {limit + 1} exceeds the largest index {limit}"
+    assert str(exc.value) == f"line 2, column 8: {message}"
+    ds = parse_libsvm(io.StringIO(f"1 {limit}:2\n"))
+    assert ds.d == limit and ds.X.indices.tolist() == [limit - 1]
+
+
+def test_parse_reads_a_stream_once():
+    class OneWay(io.TextIOBase):
+        """A text stream that can only be iterated, once."""
+
+        def __init__(self, text):
+            self._lines = iter(text.splitlines(keepends=True))
+            self.reads = 0
+
+        def __iter__(self):
+            self.reads += 1
+            return self._lines
+
+        def seekable(self):
+            return False
+
+    stream = OneWay("1 1:1 2:2\n-1 3:4\n")
+    ds = parse_libsvm(stream)
+    assert stream.reads == 1 and ds.X.shape == (2, 3)
+
+
+def test_parse_walk_disagreeing_with_the_bulk_checks_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(data_module, "_bulk", lambda rows, dim: None)
+    with pytest.raises(RuntimeError, match="no field is refused"):
+        parse_libsvm(io.StringIO("1 1:1\n"))
+
+
+def test_parse_memory_stays_within_one_block_of_tokens(tmp_path):
+    path = tmp_path / "big.svm"
+    path.write_text(dump_libsvm(synth_regression(2000, 100, noise=0.5, seed=42)))
+    tracemalloc.start()
+    try:
+        ds = parse_libsvm(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the per-field loop peaked at 12.2 MB on this 4.5 MB file (2**14-entry
+    # blocks: 7.7 MB; the whole file as one block: 58 MB)
+    assert ds.X.nnz == 200_000 and peak < 12.2e6
+
+
+def _assert_same_dataset(a, b):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a.X, name), getattr(b.X, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.X.shape == b.X.shape
+    assert a.y.dtype == b.y.dtype and a.y.tobytes() == b.y.tobytes()
+
+
+_LABELS = ["1", "-1", "0.5", "+3", "1_0", "-0", "1e3", "٣", "nan", "inf", "1e400", "x",
+           "1:2"]
+_VALUES = ["1", "-2.5", "0", "1e-300", "+7", "1_0", "٣.5", "nan", "-inf", "1e400", "x",
+           "", "2:3"]
+_INDEX_TOKENS = ["0", "-1", "+3", "1_0", "", "a", "٣", "1.5", str(2**63 - 1),
+                 str(2**63), "99999999999999999999"]
+_SPACES = [" ", "  ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003",
+           "\u3000"]
+
+
+@st.composite
+def _libsvm_lines(draw):
+    """Up to 8 lines.  A line is clean (accepted tokens, increasing indices)
+    or, one time in five, dirty: there each token is drawn from every token
+    listed half the time."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t \xa0"])))
+            continue
+        dirty = draw(st.integers(0, 4)) == 0
+
+        def pick(clean, every):
+            return draw(st.sampled_from(every if dirty and draw(st.booleans()) else clean))
+
+        tokens = [pick(_LABELS[:8], _LABELS)]
+        idx = 0
+        for _ in range(draw(st.integers(0, 6))):
+            idx = max(idx + pick([1, 1, 2, 3], [1, 0, -1]), 0)
+            index = pick([str(idx), str(idx), f"+{idx}", f"0{idx}"], _INDEX_TOKENS)
+            form = pick(["{}:{}"], ["{}:", ":{}", "{}:{}:9", "{}"])
+            tokens.append(form.format(index, pick(_VALUES[:7], _VALUES)))
+        seps = [pick(_SPACES[:3], _SPACES) for _ in tokens]
+        lead = draw(st.sampled_from(["", "", " ", "\xa0"]))
+        lines.append(lead + "".join(t + s for t, s in zip(tokens, seps)).rstrip(" "))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _field_at(line, column):
+    """The whitespace-separated field that holds 1-based ``column``, or ends
+    just before it (an empty value after a trailing colon), and the offset
+    of the column in it."""
+    for m in re.finditer(r"\S+", line):
+        if m.start() < column <= m.end() + 1:
+            return m.group(), column - 1 - m.start()
+    raise AssertionError(f"column {column} is not at a field of {line!r}")
+
+
+def _assert_column_names_its_field(text, err):
+    field, offset = _field_at(text.split("\n")[err.line - 1], err.column)
+    message = str(err).split(": ", 1)[1]
+    quoted = re.search(r"(?:label|index|value|got) ('.*')", message)
+    if quoted:
+        named = ast.literal_eval(quoted.group(1))
+        assert field[offset:].startswith(named), (field, message)
+        assert offset < len(field) or not named, (field, message)
+        if message.startswith("value"):  # a value starts after its index's colon
+            assert field[offset - 1] == ":", (field, message)
+        else:
+            assert offset == 0, (field, message)
+    else:
+        number = int(re.search(r"index (-?\d+)", message).group(1))
+        assert offset == 0 and int(field.partition(":")[0]) == number, (field, message)
+
+
+@given(
+    text=_libsvm_lines(),
+    dim=st.one_of(st.none(), st.integers(1, 12)),
+    block=st.integers(1, 9),
+)
+def test_parse_fuzz_matches_the_per_field_reader(text, dim, block):
+    """Blocks of 1..9 entries end between arbitrary lines; the block reader
+    gives the per-field reader's arrays, or its refusal."""
+    try:
+        expected = libsvm_reference.parse_libsvm(io.StringIO(text), dim=dim)
+    except ParseError as exc:
+        expected = exc
+    with mock.patch.object(data_module, "_PARSE_BLOCK", block):
+        try:
+            got = parse_libsvm(io.StringIO(text), dim=dim)
+        except ParseError as exc:
+            got = exc
+    if isinstance(expected, ParseError):
+        assert isinstance(got, ParseError), got
+        assert (str(got), got.line, got.column) == (
+            str(expected), expected.line, expected.column
+        )
+        _assert_column_names_its_field(text, got)
+    else:
+        assert not isinstance(got, ParseError), got
+        _assert_same_dataset(got, expected)
+
+
 def test_parse_accepts_paths(tmp_path):
     path = tmp_path / "tiny.svm"
     path.write_text("1 1:3\n-1 2:0.5\n")
@@ -128,6 +289,32 @@ def test_dump_parse_round_trip():
     back = parse_libsvm(io.StringIO(text), dim=ds.d)
     assert np.array_equal(np.asarray(back.X.todense()), np.asarray(ds.X.todense()))
     assert np.array_equal(back.y, ds.y)
+
+
+@pytest.mark.parametrize(
+    "indices,data,text",
+    [
+        ([1, 0], [2.0, 1.0], "1.0 1:1.0 2:2.0\n"),  # unsorted: written sorted
+        ([0, 0], [2.0, 1.0], "1.0 1:3.0\n"),  # duplicates: written summed
+    ],
+    ids=["unsorted", "duplicate"],
+)
+def test_dump_writes_a_canonical_copy(indices, data, text):
+    X = sp.csr_matrix((data, indices, [0, 2]), shape=(1, 2))
+    ds = Dataset(X, np.array([1.0]))
+    assert dump_libsvm(ds) == text
+    back = parse_libsvm(io.StringIO(dump_libsvm(ds)), dim=ds.d)
+    assert np.array_equal(back.X.toarray(), X.toarray())
+    assert X.indices.tolist() == indices  # the input is not touched
+
+
+def test_dump_formats_every_dtype_through_float():
+    X = sp.csr_matrix(np.array([[3, 0, -1], [0, 0, 0]], dtype=np.int64))
+    ds = Dataset(X, np.array([1, -2]))
+    assert dump_libsvm(ds) == "1.0 1:3.0 3:-1.0\n-2.0\n"
+    small = Dataset(sp.csr_matrix(np.array([[0.1]], dtype=np.float32)), np.array([0.5]))
+    assert dump_libsvm(small) == "0.5 1:0.10000000149011612\n"
+    assert dump_libsvm(Dataset(sp.csr_matrix((0, 3)), np.empty(0))) == ""
 
 
 def test_binarize_labels():
@@ -202,6 +389,62 @@ def test_scale_max_abs():
         np.asarray(out.X.todense()), np.array([[1.0, 0.0, -1.0], [0.5, 0.0, 0.5]])
     )
     assert out.y is ds.y
+
+
+def test_scale_max_abs_sums_duplicates_and_drops_zeros():
+    # five stored entries: one explicit zero and two duplicate pairs, one
+    # of which cancels; the scaled matrix stores the two nonzero sums
+    X = sp.csr_matrix(
+        ([0.0, 2.0, -1.0, 4.0, -4.0], [2, 0, 0, 1, 1], [0, 5]), shape=(1, 3)
+    )
+    out = scale_max_abs(Dataset(X, np.array([1.0])))
+    assert out.X.nnz == 1 and out.X.indices.tolist() == [0] and out.X.data.tolist() == [1.0]
+    Y = sp.csr_matrix(
+        ([0.0, 3.0, -1.0, 6.0, -2.0], [1, 2, 0, 0, 0], [0, 3, 5]), shape=(2, 3)
+    )
+    out = scale_max_abs(Dataset(Y, np.array([1.0, 2.0])))
+    assert out.X.has_canonical_format and out.X.indices.dtype == Y.indices.dtype
+    assert out.X.nnz == 3 and out.X.indptr.tolist() == [0, 2, 3]
+    assert out.X.toarray().tolist() == [[-0.25, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    assert Y.nnz == 5  # the input is not touched
+
+
+def test_scale_max_abs_sums_duplicates_in_stored_order():
+    # rows of 60 unsorted entries over 8 columns mixing 1e16 and small
+    # values: summed in another order (an unstable sort), they differ
+    rng = np.random.default_rng(1)
+    n, d, m = 10, 8, 60
+    cols = rng.integers(0, d, n * m)
+    vals = rng.choice([1e16, -1e16, 1.0, 3.0, -2.0], n * m)
+    X = sp.csr_matrix((vals, cols, np.arange(0, n * m + 1, m)), shape=(n, d))
+    dense = np.zeros((n, d))
+    for k, (j, v) in enumerate(zip(cols, vals)):
+        dense[k // m, j] += v
+    maxes = np.abs(dense).max(axis=0)
+    expected = dense * (1.0 / np.where(maxes > 0.0, maxes, 1.0))
+    out = scale_max_abs(Dataset(X, np.zeros(n)))
+    assert np.array_equal(out.X.toarray(), expected)
+    assert out.X.nnz == np.count_nonzero(expected)
+    back = parse_libsvm(io.StringIO(dump_libsvm(Dataset(X, np.zeros(n)))), dim=d)
+    assert np.array_equal(back.X.toarray(), dense)
+
+
+def test_scale_max_abs_drops_zeros_at_one_feature_too():
+    # scipy's broadcast multiply took a scalar path at d = 1 and kept them
+    X = sp.csr_matrix(([0.0, 2.0, -4.0, 1.0, -1.0], [0, 0, 0, 0, 0], [0, 1, 2, 3, 5]),
+                      shape=(4, 1))
+    out = scale_max_abs(Dataset(X, np.zeros(4)))
+    assert out.X.nnz == 2 and out.X.indptr.tolist() == [0, 0, 1, 2, 2]
+    assert out.X.data.tolist() == [0.5, -1.0]
+
+
+def test_scale_max_abs_integer_data_and_empty_columns():
+    X = sp.csr_matrix(np.array([[4, 0, 0], [-2, 0, 3]], dtype=np.int64))
+    out = scale_max_abs(Dataset(X, np.array([1.0, 2.0])))
+    assert out.X.dtype == np.float64
+    assert out.X.toarray().tolist() == [[1.0, 0.0, 0.0], [-0.5, 0.0, 1.0]]
+    empty = scale_max_abs(Dataset(sp.csr_matrix((2, 3)), np.array([1.0, 2.0])))
+    assert empty.X.nnz == 0 and empty.X.shape == (2, 3)
 
 
 def test_synth_regression_bitwise_reproducible():
