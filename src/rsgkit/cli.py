@@ -341,6 +341,21 @@ def _load_dataset(spec: RunSpec) -> Dataset:
         return data
 
 
+@contextlib.contextmanager
+def _naming_the_file(spec: RunSpec, data: Dataset) -> Iterator[None]:
+    """Raise a ValueError or MemoryError from building a problem on a data
+    file as a DataError naming the file and its largest feature index, which
+    sets the dimension unless problem.dim does."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        path = spec.get("problem.path")
+        if path is None:
+            raise
+        largest = int(data.X.indices.max(initial=-1)) + 1
+        raise DataError(f"{path}, largest feature index {largest}: {exc}") from exc
+
+
 def build_problem(spec: RunSpec, data: Optional[Dataset] = None) -> ProblemInstance:
     """Construct the configured ProblemInstance.  Its data is loaded here
     unless given as data, which must be what the spec's problem block loads.
@@ -355,30 +370,32 @@ def build_problem(spec: RunSpec, data: Optional[Dataset] = None) -> ProblemInsta
             return lovasz_problem(setfn, norm_q=norm_q, fstar_lower_bound=0.0)
         if data is None:
             data = _load_dataset(spec)
-        if kind == "robust_regression":
-            return robust_regression(
-                data,
-                p_loss=spec.require("problem.p_loss"),
-                region_radius=spec.get("problem.region_radius"),
-                constrain_to_region=spec.get("problem.constrain_region"),
-                norm_q=norm_q,
-            )
-        if kind == "pwl":
-            return piecewise_linear_erm(
-                data,
-                loss=spec.get("problem.loss"),
-                reg=spec.get("problem.reg"),
-                lam=spec.get("problem.lam"),
-                radius=spec.get("problem.radius"),
-                eps_ins=spec.get("problem.eps_ins"),
-                norm_q=norm_q,
-            )
-        # gflasso
-        if spec.get("problem.edges") is not None:
+        graph = None
+        if kind == "gflasso" and spec.get("problem.edges") is not None:
             graph = load_edge_list(spec.require("problem.edges"), data.d)
-        else:
-            graph = graph_from_correlation(data, spec.require("problem.corr_cutoff"))
-        return gflasso_svm(data, graph, lam=spec.require("problem.lam"), norm_q=norm_q)
+        with _naming_the_file(spec, data):
+            if kind == "robust_regression":
+                return robust_regression(
+                    data,
+                    p_loss=spec.require("problem.p_loss"),
+                    region_radius=spec.get("problem.region_radius"),
+                    constrain_to_region=spec.get("problem.constrain_region"),
+                    norm_q=norm_q,
+                )
+            if kind == "pwl":
+                return piecewise_linear_erm(
+                    data,
+                    loss=spec.get("problem.loss"),
+                    reg=spec.get("problem.reg"),
+                    lam=spec.get("problem.lam"),
+                    radius=spec.get("problem.radius"),
+                    eps_ins=spec.get("problem.eps_ins"),
+                    norm_q=norm_q,
+                )
+            # gflasso
+            if graph is None:
+                graph = graph_from_correlation(data, spec.require("problem.corr_cutoff"))
+            return gflasso_svm(data, graph, lam=spec.require("problem.lam"), norm_q=norm_q)
 
 
 def _initial_point(spec: RunSpec, problem: ProblemInstance) -> np.ndarray:

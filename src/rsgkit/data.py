@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import _check_bounds
-from .problems import Dataset, GFlassoGraph
+from .problems import Dataset, GFlassoGraph, _dense_csr
 
 __all__ = [
     "ParseError",
@@ -298,7 +298,7 @@ def synth_regression(n: int, d: int, noise: float, seed: int) -> Dataset:
     y = X @ planted
     if noise > 0.0:
         y = y + noise * rng.standard_normal(n)
-    return Dataset(sp.csr_matrix(X), y, planted)
+    return Dataset(_dense_csr(X), y, planted)
 
 
 def synth_classification(n: int, d: int, margin: float, seed: int) -> Dataset:
@@ -338,4 +338,4 @@ def synth_classification(n: int, d: int, margin: float, seed: int) -> Dataset:
     y = np.where(scores >= 0.0, 1.0, -1.0)
     with np.errstate(over="ignore"):
         planted = u / margin if margin > 0.0 else u.copy()
-    return Dataset(sp.csr_matrix(X), y, planted if np.isfinite(planted).all() else None)
+    return Dataset(_dense_csr(X), y, planted if np.isfinite(planted).all() else None)

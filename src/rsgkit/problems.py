@@ -78,6 +78,20 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _dense_csr(X: np.ndarray) -> sp.csr_matrix:
+    """``sp.csr_matrix(X)`` of a dense 2-D float array, built directly: the
+    entries X != 0 are stored (nan too, -0.0 not) in row order, with the
+    same arrays, dtypes and flags as scipy's own conversion."""
+    n, d = X.shape
+    data, indices, indptr = X.flatten(), np.tile(np.arange(d), n), d * np.arange(n + 1)
+    if np.count_nonzero(data) < data.size:  # drop the zeros
+        stored = data != 0
+        data, indices = data[stored], indices[stored]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(stored.reshape(n, d).sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, d))  # scipy picks the index dtype
+
+
 def _require_rows(data: Dataset, who: str) -> None:
     if data.n < 1:
         raise ValueError(f"{who}: dataset has no rows")
@@ -93,9 +107,9 @@ def _data_bound(G: float, data: Dataset, who: str) -> float:
 
 
 def _require_binary_labels(data: Dataset, who: str) -> None:
-    labels = np.unique(data.y)
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
-        raise ValueError(f"{who}: labels must be in {{-1, +1}}, got {labels[:8]}")
+    y = data.y
+    if not ((y == 1.0) | (y == -1.0)).all():
+        raise ValueError(f"{who}: labels must be in {{-1, +1}}, got {np.unique(y)[:8]}")
 
 
 # X w plus X^T v on one BLAS thread costs about c_d0 + c_d * rows * cols dense
@@ -139,9 +153,43 @@ def _row_norms(A: Array | sp.csr_matrix, q: float) -> Array:
     return norms
 
 
+def _edge_columns(edges: tuple, dim: int) -> Optional[tuple[Array, Array, Array]]:
+    """The endpoints i, j and weights s of edges as three arrays, when every
+    edge is a triple with integers 0 <= i < j < dim and a finite s > 0;
+    None when one is not, or a conversion raises."""
+    if not edges:
+        return (), (), ()
+    try:
+        i, j, s = map(np.asarray, zip(*edges, strict=True))
+        valid = (
+            i.shape == j.shape == s.shape == (len(edges),)
+            and i.dtype.kind in "biu"
+            and j.dtype.kind in "biu"
+            and s.dtype.kind in "biuf"
+            and ((0 <= i) & (i < j) & (j < dim)).all()
+            and ((s > 0) & (s < math.inf)).all()
+        )
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return (i, j, s) if valid else None
+
+
+def _fused_matrix(i, j, s, dim: int) -> sp.csr_matrix:
+    """F with row k holding s_k at column i_k and -s_k at column j_k."""
+    m = len(s)
+    indices = np.empty(2 * m, dtype=np.int64)
+    indices[0::2], indices[1::2] = i, j
+    data = np.empty(2 * m)
+    data[0::2] = s
+    data[1::2] = -data[0::2]
+    return sp.csr_matrix((data, indices, 2 * np.arange(m + 1)), shape=(m, dim))
+
+
 @dataclass(frozen=True)
 class GFlassoGraph:
-    """Weighted feature graph: edges (i, j, s) with 0-based i < j and s > 0.
+    """Weighted feature graph: edges (i, j, s) with 0-based integer
+    endpoints i < j and finite weights s > 0 (a non-integer endpoint is
+    refused, not truncated).
 
     The fused-difference matrix F has one row per edge with entries +s at i
     and -s at j, so the penalty sum|F w| charges s * |w_i - w_j| per edge.
@@ -152,7 +200,18 @@ class GFlassoGraph:
 
     def __post_init__(self) -> None:
         _check_bounds("GFlassoGraph", "int [1, inf)", dim=self.dim)
+        columns = _edge_columns(self.edges, self.dim)
+        if columns is None:
+            self._check_edges()
+            columns = tuple(zip(*self.edges))
+        object.__setattr__(self, "_F", _fused_matrix(*columns, self.dim))
+
+    def _check_edges(self) -> None:
+        """Raise the first refusal of the edges, checked one at a time:
+        every edge's endpoints, then every weight."""
         for k, (i, j, s) in enumerate(self.edges):
+            for v in (i, j):
+                _check_bounds("GFlassoGraph", "int [-inf, inf]", **{f"edge {k} endpoint": v})
             if not (0 <= i < j < self.dim):
                 raise ValueError(
                     f"GFlassoGraph: edge {k} has endpoints ({i}, {j}) outside "
@@ -160,17 +219,6 @@ class GFlassoGraph:
                 )
         weights = {f"edge {k} weight": s for k, (_, _, s) in enumerate(self.edges)}
         _check_bounds("GFlassoGraph", "(0, inf)", **weights)
-        object.__setattr__(self, "_F", self._build_F())
-
-    def _build_F(self) -> sp.csr_matrix:
-        m = len(self.edges)
-        rows = np.repeat(np.arange(m), 2)
-        cols = np.empty(2 * m, dtype=int)
-        vals = np.empty(2 * m)
-        for k, (i, j, s) in enumerate(self.edges):
-            cols[2 * k], cols[2 * k + 1] = i, j
-            vals[2 * k], vals[2 * k + 1] = s, -s
-        return sp.csr_matrix((vals, (rows, cols)), shape=(m, self.dim))
 
     @property
     def F(self) -> sp.csr_matrix:
@@ -220,7 +268,7 @@ def enumerate_table(setfn: SetFunction, budget: int = 1 << 20) -> np.ndarray:
 def cut_function(dim: int, edges: list[tuple[int, int, float]] | tuple) -> SetFunction:
     """Weighted graph cut as a set function: F(A) = sum of s over edges with
     exactly one endpoint in A.  Nonnegative weights make it submodular."""
-    checked = GFlassoGraph(dim, tuple((int(i), int(j), float(s)) for i, j, s in edges))
+    checked = GFlassoGraph(dim, tuple((i, j, float(s)) for i, j, s in edges))
 
     def evaluate(mask: int) -> float:
         total = 0.0
@@ -578,7 +626,7 @@ def graph_from_correlation(data: Dataset, cutoff: float) -> GFlassoGraph:
 
 
 def _dense_dataset(X_rows: list[list[float]], y: list[float]) -> Dataset:
-    return Dataset(sp.csr_matrix(np.array(X_rows, dtype=float)), np.array(y, dtype=float))
+    return Dataset(_dense_csr(np.array(X_rows, dtype=float)), np.array(y, dtype=float))
 
 
 def miniature_zoo() -> dict[str, ProblemInstance]:
@@ -640,7 +688,7 @@ def miniature_zoo() -> dict[str, ProblemInstance]:
     zoo["hinge_sep_2d"] = replace(hinge, known_fstar=0.0, name="hinge_sep_2d")
 
     rr_data = Dataset(
-        sp.csr_matrix(np.array([[1.0], [2.0], [-1.0]])),
+        _dense_csr(np.array([[1.0], [2.0], [-1.0]])),
         np.array([1.5, 3.0, -1.5]),
         planted=np.array([1.5]),
     )

@@ -1212,6 +1212,24 @@ def test_cli_index_past_int64_exits_2_naming_the_limit(tmp_path, capsys):
     assert member_outputs(out) == []
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_largest_index_too_large_to_lay_out_exits_2_naming_file_and_index(
+    tmp_path, capsys, command
+):
+    # the index parses, and the transpose of a 1 x (2**63 - 1) matrix needs
+    # 2**63 row pointers, which numpy refuses before allocating anything;
+    # before, the message named neither the file nor the index
+    path = tmp_path / "huge.svm"
+    path.write_text(f"1 {2**63 - 1}:1\n")
+    out = tmp_path / "n"
+    assert main([command, "--config", write_config(tmp_path, PWL_FILE.format(path=path)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}, largest feature index {2**63 - 1}: ")
+    assert "Traceback" not in err
+    assert member_outputs(out) == []
+
+
 @pytest.mark.parametrize(
     "schedule",
     [
