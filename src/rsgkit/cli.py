@@ -276,7 +276,10 @@ class RunSpec:
                 raise ConfigError(f"key {key!r} does not apply to {by}={owner}")
             with _raised_as(ConfigError):
                 _check_bounds("", row.bounds, **{key: value})
-        if kind != "lovasz_cut":
+        if kind == "lovasz_cut":  # SetFunction's ground-set range, before any file is read
+            with _raised_as(ConfigError):
+                _check_bounds("", "int [1, 24]", **{"problem.dim": self.get("problem.dim")})
+        else:
             if self.get("problem.path") is None and self.get("problem.synth") is None:
                 raise ConfigError("need problem.path or problem.synth")
             if self.get("problem.synth") is not None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import KW_ONLY, dataclass
 from itertools import accumulate
@@ -71,17 +72,22 @@ def _check_bounds(who: str, bounds: Optional[str], **values) -> None:
     """Raise ValueError naming the first of values outside the interval
     bounds, such as "(0, inf)" (> 0 and finite) or "[0, inf]" (inf
     admitted); nan lies outside every interval, and an "int " prefix also
-    requires an integer.  The one wording of a range violation, for config
-    keys (who = "") and library arguments ("<who>: <name> must ...") alike."""
+    requires an integer.  A value that is not a real number (a str, None)
+    is refused before any comparison.  The one wording of a range violation,
+    for config keys (who = "") and library arguments ("<who>: <name> must
+    ...") alike."""
     if bounds is None:
         return
     count, bounds, lo, hi = _interval(bounds)
     for name, value in values.items():
-        integral = not count or isinstance(value, (int, np.integer))
+        real = isinstance(value, numbers.Real)
+        integral = real and (not count or isinstance(value, (int, np.integer)))
         above = integral and (value >= lo if bounds[0] == "[" else value > lo)
         if above and (value <= hi if bounds[-1] == "]" else value < hi):
             continue
         key = f"{who}: {name}" if who else name
+        if not real:
+            raise ValueError(f"{key} must be a number, got {value!r}")
         if not integral:
             raise ValueError(f"{key} must be an integer, got {value}")
         if math.isinf(hi):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "weighted_median",
     "long_run_min",
     "sublevel_project",
-    "SublevelGrid",
     "sample_level_points",
     "estimate_B_eps",
     "submodular_min_enumerate",
@@ -64,7 +63,7 @@ class OracleReport:
 
     fstar: float
     argmin: Array
-    method: str  # "grid" | "weighted_median" | "subset_enum" | "long_run"
+    method: str  # "grid" | "long_run"
     certified_tol: float
     certified: bool
     params: dict = field(default_factory=dict)
@@ -80,36 +79,6 @@ class OracleReport:
             "params": self.params,
             "seed": self.seed,
         }
-
-
-def _grid(d: int, box_lo, box_hi, points_per_dim: int, budget: int, who: str) -> tuple:
-    """The checked grid of points_per_dim points per axis over a box in R^d:
-    its bounds, its cell diagonal ||h||_2 and its points in C order, in
-    (m, d) blocks of at most ``problems._SCORE_BLOCK`` entries."""
-    _check_bounds(who, "int [2, inf)", points_per_dim=points_per_dim)
-    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,))
-    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,))
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError(f"{who}: box bounds must be finite, got {lo.tolist()} to {hi.tolist()}")
-    if np.any(lo >= hi):
-        raise ValueError(f"{who}: box_lo must be strictly below box_hi")
-    total = points_per_dim**d
-    if total > budget:
-        raise BudgetError(
-            f"{who}: {points_per_dim}**{d} = {total} evaluations exceed the "
-            f"budget of {budget}; raise the budget or coarsen the grid",
-            required=total,
-        )
-    axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
-    shape = (points_per_dim,) * d
-    block = max(1, _SCORE_BLOCK // d)
-
-    def blocks() -> Iterator[Array]:
-        for start in range(0, total, block):
-            idx = np.unravel_index(np.arange(start, min(start + block, total)), shape)
-            yield np.column_stack([axes[i][idx[i]] for i in range(d)])
-
-    return lo, hi, float(np.linalg.norm((hi - lo) / (points_per_dim - 1))), blocks()
 
 
 def grid_min(
@@ -137,11 +106,30 @@ def grid_min(
     ``problem.objective(argmin)``; a batch value there that differs from it
     by more than 1e-12 * max(1, |fstar|) raises InconsistentOracleError.
     """
-    lo, hi, diag, blocks = _grid(problem.dim, box_lo, box_hi, points_per_dim, budget, "grid_min")
+    d = problem.dim
+    _check_bounds("grid_min", "int [2, inf)", points_per_dim=points_per_dim)
+    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,))
+    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,))
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"grid_min: box bounds must be finite, got {lo.tolist()} to {hi.tolist()}")
+    if np.any(lo >= hi):
+        raise ValueError("grid_min: box_lo must be strictly below box_hi")
+    total = points_per_dim**d
+    if total > budget:
+        raise BudgetError(
+            f"grid_min: {points_per_dim}**{d} = {total} evaluations exceed the "
+            f"budget of {budget}; raise the budget or coarsen the grid",
+            required=total,
+        )
+    axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
+    diag = float(np.linalg.norm((hi - lo) / (points_per_dim - 1)))  # ||h||_2
+    shape = (points_per_dim,) * d
+    block = max(1, _SCORE_BLOCK // d)  # C-order blocks of at most _SCORE_BLOCK entries
     best_v = math.inf
     best_w: Optional[Array] = None
-    for W in blocks:
-        W = problem.feasible_rows(W)
+    for start in range(0, total, block):
+        idx = np.unravel_index(np.arange(start, min(start + block, total)), shape)
+        W = problem.feasible_rows(np.column_stack([axes[i][idx[i]] for i in range(d)]))
         vals = problem.values(W)
         vals = np.where(np.isnan(vals), math.inf, vals)
         k = int(np.argmin(vals))
@@ -264,57 +252,13 @@ def _check_report(problem: ProblemInstance, oracle: OracleReport) -> float:
     return f_arg
 
 
-class SublevelGrid:
-    """Precomputed grid projection onto a sublevel set {f <= fstar + eps}.
-
-    Builds the level subset once; project() then answers nearest-sublevel-
-    point queries with a vectorized distance scan.  Intended for the 1- and
-    2-dimensional miniatures.  The grid and its checks are grid_min's, and
-    the objective is evaluated at every grid point, infeasible ones too;
-    only the points at or below the level are tested for feasibility, by
-    one :meth:`ProblemInstance.feasible_rows` call per block.
-    """
-
-    def __init__(
-        self,
-        problem: ProblemInstance,
-        oracle: OracleReport,
-        eps: float,
-        box_lo,
-        box_hi,
-        points_per_dim: int = 201,
-        budget: int = 1 << 22,
-    ):
-        _check_bounds("SublevelGrid", "(0, inf)", eps=eps)
-        _, _, self.cell_diag, blocks = _grid(
-            problem.dim, box_lo, box_hi, points_per_dim, budget, "SublevelGrid"
-        )
-        _check_report(problem, oracle)
-        self.level = oracle.fstar + eps
-        kept = []
-        for W in blocks:
-            W = W[problem.values(W) <= self.level]
-            kept.append(W[np.max(np.abs(problem.feasible_rows(W) - W), axis=1) <= 1e-12])
-        self.points = np.concatenate(kept)
-        if not len(self.points):
-            raise InconsistentOracleError(
-                "SublevelGrid: no grid point reaches the level; the box misses "
-                "the sublevel set or the grid is too coarse"
-            )
-
-    def project(self, w: Array) -> Array:
-        w = np.asarray(w, dtype=float)
-        k = int(np.argmin(np.sum((self.points - w) ** 2, axis=1)))
-        return self.points[k].copy()
-
-
 def sublevel_project(problem: ProblemInstance, w: Array, eps: float, oracle: OracleReport) -> Array:
     """Approximate nearest point of {f <= oracle.fstar + eps} to w.
 
     Points already inside the sublevel set return unchanged.  Otherwise f is
     bisected along [w, oracle.argmin] for the boundary crossing, down to a
     bracket of _XTOL: exact for one-dimensional problems, an inside
-    approximation otherwise (a grid projection is :class:`SublevelGrid`'s).
+    approximation otherwise.
     Raises InconsistentOracleError when the sublevel set is empty under the
     oracle's fstar (eps below the oracle's own suboptimality).
     """

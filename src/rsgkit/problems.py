@@ -267,19 +267,21 @@ def enumerate_table(setfn: SetFunction, budget: int = 1 << 20) -> np.ndarray:
 
 def cut_function(dim: int, edges: list[tuple[int, int, float]] | tuple) -> SetFunction:
     """Weighted graph cut as a set function: F(A) = sum of s over edges with
-    exactly one endpoint in A.  Nonnegative weights make it submodular."""
-    checked = GFlassoGraph(dim, tuple((i, j, float(s)) for i, j, s in edges))
+    exactly one endpoint in A.  Nonnegative weights make it submodular.  The
+    edges are checked as given, as :class:`GFlassoGraph` checks them; only
+    then are the weights read as floats."""
+    edges = [(i, j, float(s)) for i, j, s in GFlassoGraph(dim, tuple(edges)).edges]
 
     def evaluate(mask: int) -> float:
         total = 0.0
-        for i, j, s in checked.edges:
+        for i, j, s in edges:
             if ((mask >> i) & 1) != ((mask >> j) & 1):
                 total += s
         return total
 
     def bulk_evaluate(masks: np.ndarray) -> np.ndarray:
         out = np.zeros(masks.shape, dtype=float)
-        for i, j, s in checked.edges:
+        for i, j, s in edges:
             out += s * (((masks >> i) & 1) != ((masks >> j) & 1))
         return out
 

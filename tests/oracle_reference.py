@@ -1,10 +1,9 @@
 """Frozen per-point forms of the ground-truth consumers that now evaluate in
-blocks: the ray loop of ``oracles.sample_level_points``, the pair, norm and
-idempotence loops of ``verify.zoo_suite`` (with its per-point probe box) and
-the feasibility filter of ``oracles.SublevelGrid``, kept literally as they
-were written with one ``objective`` / ``subgrad`` / ``project`` call per
-point.  The tests compare the library's block forms against them: the same
-level points, the same verdicts and the same kept grid points."""
+blocks: the ray loop of ``oracles.sample_level_points`` and the pair, norm
+and idempotence loops of ``verify.zoo_suite`` (with its per-point probe
+box), kept literally as they were written with one ``objective`` /
+``subgrad`` / ``project`` call per point.  The tests compare the library's
+block forms against them: the same level points and the same verdicts."""
 
 import math
 import warnings
@@ -12,7 +11,7 @@ import warnings
 import numpy as np
 
 from rsgkit.core import pnorm
-from rsgkit.oracles import _check_report, _grid, _ray_directions
+from rsgkit.oracles import _check_report, _ray_directions
 from rsgkit.problems import miniature_zoo
 
 
@@ -53,22 +52,6 @@ def sample_level_points(problem, eps, oracle, ray_count=16, seed=0, xtol=1e-13, 
         if t_lo > 0.0:
             points.append(point_at(t_lo, direction))
     return points
-
-
-def sublevel_points(problem, oracle, eps, box_lo, box_hi, points_per_dim=201, budget=1 << 22):
-    """The points ``SublevelGrid`` keeps, filtered one projection per point."""
-    _, _, _, blocks = _grid(problem.dim, box_lo, box_hi, points_per_dim, budget, "SublevelGrid")
-    _check_report(problem, oracle)
-    level = oracle.fstar + eps
-    project = problem.project
-    kept = []
-    for W in blocks:
-        W = W[problem.values(W) <= level]
-        if project is not None:
-            feasible = [np.max(np.abs(project(w) - w)) <= 1e-12 for w in W]
-            W = W[np.array(feasible, dtype=bool)]
-        kept.append(W)
-    return np.concatenate(kept)
 
 
 def _probe_box(rng, problem, n):

@@ -23,7 +23,6 @@ from rsgkit.cli import RunSpec, cmd_run
 from rsgkit.core import ErrorBoundParams, pnorm
 from rsgkit.data import parse_libsvm, scale_max_abs, synth_classification, synth_regression
 from rsgkit.oracles import (
-    OracleReport,
     estimate_B_eps,
     grid_min,
     long_run_min,
@@ -435,28 +434,6 @@ def test_c09_rerun_is_bitwise_identical(tmp_path):
 # C10: the level-set distance inequality on every 1-d/2-d miniature
 
 
-def _feasible_grid_report(inst) -> OracleReport:
-    """Grid oracle for the l1-ball-constrained miniature: scan the box and
-    keep only feasible points, so the argmin respects the constraint."""
-    xs = np.linspace(-0.8, 0.8, 321)
-    h = xs[1] - xs[0]
-    best, amin = math.inf, None
-    for a in xs:
-        for b in xs:
-            if abs(a) + abs(b) <= 0.8 + 1e-12:
-                v = inst.objective(np.array([a, b]))
-                if v < best:
-                    best, amin = v, np.array([a, b])
-    return OracleReport(
-        fstar=best,
-        argmin=amin,
-        method="grid",
-        certified_tol=inst.lipschitz_bound * float(h) * math.sqrt(2.0) / 2.0,
-        certified=True,
-        params={"points_per_dim": 321, "feasible_only": True},
-    )
-
-
 def test_c10_level_set_distance_inequality():
     zoo = miniature_zoo()
     eps = 0.3
@@ -469,7 +446,7 @@ def test_c10_level_set_distance_inequality():
             "eps_ins_1d": grid_min(zoo["eps_ins_1d"], -1.0, 4.0, 4001),
             "l1_2d": grid_min(zoo["l1_2d"], -2.0, 2.0, 401),
             "hinge_sep_2d": grid_min(zoo["hinge_sep_2d"], -3.0, 3.0, 401),
-            "hinge_l1ball_2d": _feasible_grid_report(zoo["hinge_l1ball_2d"]),
+            "hinge_l1ball_2d": grid_min(zoo["hinge_l1ball_2d"], -0.8, 0.8, 321),
         }
         for idx, (name, rep) in enumerate(sorted(reports.items())):
             inst = zoo[name]

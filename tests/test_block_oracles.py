@@ -1,7 +1,6 @@
 """The ground-truth consumers that evaluate in blocks against their frozen
 per-point forms in ``oracle_reference``: ray bisection finds the same level
-points, the zoo suite reaches the same verdicts, and the sublevel grid
-keeps the same points.
+points and the zoo suite reaches the same verdicts.
 
 Bitwise where a member's batch objective is bitwise its per-point objective;
 on the hinge members a matrix product and a matrix-vector product round
@@ -17,20 +16,13 @@ import scipy.sparse as sp
 import oracle_reference as ref
 from rsgkit import verify
 from rsgkit.core import ProblemInstance
-from rsgkit.oracles import SublevelGrid, grid_min, sample_level_points
-from rsgkit.problems import (
-    Dataset,
-    cut_function,
-    lovasz_problem,
-    miniature_zoo,
-    piecewise_linear_erm,
-)
+from rsgkit.oracles import grid_min, sample_level_points
+from rsgkit.problems import Dataset, miniature_zoo, piecewise_linear_erm
 
 ZOO = miniature_zoo()
 # the members whose values() differ from per-point objectives in the last
 # bit (test_problems.ZOO_NOT_BITWISE)
 NOT_BITWISE = {"hinge_sep_2d", "hinge_l1ball_2d"}
-SMALL = sorted(n for n in ZOO if ZOO[n].dim <= 2)
 
 
 def level_points(fn, *args, **kwargs):
@@ -109,17 +101,3 @@ def test_zoo_suite_fails_as_the_per_point_loops_do(monkeypatch):
     assert [line.split(" on ")[1].split()[0].rstrip(":") for line in lines[:-1]] == [
         "concave_1d", "low_G", "drift"
     ]
-
-
-@pytest.mark.parametrize("eps", [0.05, 0.3])
-@pytest.mark.parametrize("name", SMALL + ["lovasz_box"])
-def test_sublevel_grid_keeps_the_per_point_filter_points(name, eps):
-    if name == "lovasz_box":
-        inst = lovasz_problem(cut_function(2, [(0, 1, 1.0)]))
-        lo, hi, ppd = -0.5, 1.5, 41
-    else:
-        inst, lo, hi, ppd = ZOO[name], -1.5, 1.5, 61
-    oracle = grid_min(inst, lo, hi, ppd)
-    grid = SublevelGrid(inst, oracle, eps, lo, hi, points_per_dim=ppd)
-    expected = ref.sublevel_points(inst, oracle, eps, lo, hi, ppd)
-    assert grid.points.tobytes() == expected.tobytes() and grid.points.shape == expected.shape

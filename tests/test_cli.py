@@ -1198,6 +1198,25 @@ def test_cli_non_finite_number_in_a_file_exits_2_naming_the_token(
     assert member_outputs(out) == []
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "dim", ["1000000000000000000000000000000", "25"], ids=["past-int64", "past-24"]
+)
+def test_cli_lovasz_cut_dim_out_of_range_exits_1_before_reading_edges(
+    tmp_path, capsys, command, dim
+):
+    # the [1, 24] ground-set range used to be checked only after the edge
+    # file was loaded: 10**30 ended in an OverflowError traceback and 25 in a
+    # data error; the edge file named here does not exist
+    text = CUT_FILE.format(path=tmp_path / "missing.txt").replace("dim = 3", f"dim = {dim}")
+    out = tmp_path / "c"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: problem.dim must lie in [1, 24], got {dim}")
+    assert "Traceback" not in err
+    assert member_outputs(out) == []
+
+
 def test_cli_index_past_int64_exits_2_naming_the_limit(tmp_path, capsys):
     # before, the int64 conversion of the indices ended in an OverflowError
     path = tmp_path / "data.txt"

@@ -174,17 +174,28 @@ def test_graph_refusals_name_the_first_bad_edge(edges, message):
 
 
 @pytest.mark.parametrize(
-    "edges,error",
+    "edges,match",
     [
-        (((0, 1, 1.0), (0, 1)), ValueError),
-        (((0, 1, 1.0, 4),), ValueError),
-        (((0, 1, "2"),), TypeError),
-        (((0, 1, None),), TypeError),
+        (((0, 1, 1.0), (0, 1)), "not enough values to unpack"),
+        (((0, 1, 1.0, 4),), "too many values to unpack"),
+        # before, a bare TypeError from the comparison
+        (((0, 1, "2"),), "^GFlassoGraph: edge 0 weight must be a number, got '2'$"),
+        (((0, 1, None),), "^GFlassoGraph: edge 0 weight must be a number, got None$"),
     ],
+    ids=["short", "long", "str-weight", "None-weight"],
 )
-def test_graph_refuses_malformed_edges_as_unpacking_and_comparison_do(edges, error):
-    with pytest.raises(error):
+def test_graph_refuses_malformed_edges_as_unpacking_and_check_bounds_do(edges, match):
+    with pytest.raises(ValueError, match=match):
         GFlassoGraph(3, edges)
+
+
+@pytest.mark.parametrize("weight,shown", [("2", "'2'"), (None, "None")], ids=["str", "None"])
+def test_cut_function_refuses_non_numeric_weights_as_the_graph_does(weight, shown):
+    # before, cut_function converted each weight with float(), so it built a
+    # cut from "2" and raised a bare TypeError for None
+    with pytest.raises(ValueError) as info:
+        cut_function(3, [(0, 1, 1.0), (1, 2, weight)])
+    assert str(info.value) == f"GFlassoGraph: edge 1 weight must be a number, got {shown}"
 
 
 def test_cut_function_refuses_non_integer_endpoints():

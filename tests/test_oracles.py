@@ -16,7 +16,6 @@ from rsgkit.oracles import (
     BudgetError,
     InconsistentOracleError,
     OracleReport,
-    SublevelGrid,
     estimate_B_eps,
     grid_min,
     long_run_min,
@@ -80,9 +79,9 @@ def test_grid_min_budget_refusal_reports_required_count():
 
 def test_grid_min_validation():
     inst = ZOO["abs_1d"]
-    with pytest.raises(ValueError, match="points_per_dim"):
+    with pytest.raises(ValueError, match="grid_min: points_per_dim must be >= 2"):
         grid_min(inst, -1.0, 1.0, 1)
-    with pytest.raises(ValueError, match="box_lo"):
+    with pytest.raises(ValueError, match="grid_min: box_lo must be strictly below box_hi"):
         grid_min(inst, 1.0, -1.0, 11)
 
 
@@ -96,9 +95,6 @@ def test_grid_oracles_reject_non_finite_box(lo, hi):
     inst = ZOO["abs_1d"] if np.ndim(lo) == 0 else ZOO["l1_2d"]
     with pytest.raises(ValueError, match="finite"):
         grid_min(inst, lo, hi, 11)
-    oracle = exact_report(0.0, np.zeros(inst.dim))
-    with pytest.raises(ValueError, match="finite"):
-        SublevelGrid(inst, oracle, eps=0.5, box_lo=lo, box_hi=hi, points_per_dim=11)
 
 
 def reference_grid_min(problem, box_lo, box_hi, points_per_dim):
@@ -292,17 +288,6 @@ def test_sublevel_project_segment_finds_boundary():
     assert inst.objective(out) <= 0.5 + 1e-12
 
 
-def test_sublevel_project_grid_on_l1_ball():
-    inst = ZOO["l1_2d"]
-    w = np.array([2.0, 0.0])
-    # the box of radius ||w - argmin|| around w covers the nearest level point
-    r = float(np.linalg.norm(w))
-    grid = SublevelGrid(inst, exact_report(0.0, [0.0, 0.0]), 1.0, w - r, w + r, points_per_dim=201)
-    out = grid.project(w)
-    assert inst.objective(out) <= 1.0 + 1e-12
-    assert float(np.linalg.norm(out - np.array([1.0, 0.0]))) <= 0.03
-
-
 def test_sublevel_project_rejects_fabricated_fstar():
     inst = ZOO["abs_1d"]
     with pytest.raises(InconsistentOracleError, match="objective"):
@@ -322,60 +307,6 @@ def test_sublevel_project_validation():
     oracle = exact_report(0.0, [0.0])
     with pytest.raises(ValueError, match="eps"):
         sublevel_project(inst, np.array([2.0]), eps=0.0, oracle=oracle)
-
-
-def test_sublevel_grid_respects_constraints():
-    inst = ZOO["hinge_l1ball_2d"]  # feasible set: l1 ball of radius 0.8
-    oracle = exact_report(0.0, [0.8, 0.0])
-    grid = SublevelGrid(inst, oracle, eps=0.05, box_lo=-1.0, box_hi=1.0, points_per_dim=81)
-    out = grid.project(np.array([2.0, 2.0]))
-    assert float(np.sum(np.abs(out))) <= 0.8 + 1e-9
-    assert inst.objective(out) <= 0.05 + 1e-12
-
-
-def test_sublevel_grid_budget():
-    with pytest.raises(BudgetError):
-        SublevelGrid(ZOO["l1_2d"], exact_report(0.0, [0.0, 0.0]), 1.0, -1.0, 1.0, 3000)
-
-
-def reference_sublevel_points(problem, level, box_lo, box_hi, points_per_dim):
-    """The level subset as SublevelGrid built it before it filtered by level
-    first: the whole grid from a meshgrid, a per-point feasibility loop over
-    it, then one values() call on the feasible points."""
-    d = problem.dim
-    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (d,))
-    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (d,))
-    axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    if problem.project is not None:
-        keep = [
-            k
-            for k in range(pts.shape[0])
-            if np.max(np.abs(problem.project(pts[k]) - pts[k])) <= 1e-12
-        ]
-        pts = pts[keep]
-    return pts[problem.values(pts) <= level]
-
-
-@pytest.mark.parametrize("eps", [0.05, 0.3])
-@pytest.mark.parametrize("name", sorted(n for n in ZOO if ZOO[n].dim <= 2))
-def test_sublevel_grid_matches_the_per_point_filter(name, eps):
-    inst = ZOO[name]
-    oracle = grid_min(inst, -1.5, 1.5, 61)
-    grid = SublevelGrid(inst, oracle, eps, -1.5, 1.5, points_per_dim=61)
-    expected = reference_sublevel_points(inst, oracle.fstar + eps, -1.5, 1.5, 61)
-    assert grid.points.shape == expected.shape
-    assert np.array_equal(grid.points, expected)
-    assert grid.cell_diag == float(np.linalg.norm(np.full(inst.dim, 3.0 / 60)))
-
-
-def test_sublevel_grid_checks_its_grid_as_grid_min_does():
-    inst, oracle = ZOO["abs_1d"], exact_report(0.0, [0.0])
-    with pytest.raises(ValueError, match="points_per_dim must be >= 2"):
-        SublevelGrid(inst, oracle, eps=0.5, box_lo=-1.0, box_hi=1.0, points_per_dim=1)
-    with pytest.raises(ValueError, match="box_lo must be strictly below box_hi"):
-        SublevelGrid(inst, oracle, eps=0.5, box_lo=1.0, box_hi=-1.0, points_per_dim=11)
 
 
 # ---------------------------------------------------------------------------

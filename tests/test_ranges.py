@@ -242,6 +242,10 @@ def test_cli_exits_1_on_a_stage_count_that_overflows(tmp_path, capsys):
         ("int [1, inf)", 0, "x must be >= 1, got 0"),
         ("int [1, inf)", 2.0, "x must be an integer, got 2.0"),
         ("int [1, 24]", 25, "x must lie in [1, 24], got 25"),
+        # a value that is not a real number is refused before any comparison
+        ("(0, inf)", "2", "x must be a number, got '2'"),
+        ("[0, inf]", None, "x must be a number, got None"),
+        ("int [1, inf)", "3", "x must be a number, got '3'"),
     ],
 )
 def test_check_bounds_wording(bounds, value, message):
@@ -281,6 +285,13 @@ def test_non_integer_counts_are_refused_at_construction(build, name):
     # with "TypeError: 'float' object cannot be interpreted as an integer"
     with pytest.raises(ValueError, match=rf"(^|: ){name} must be an integer, got "):
         build()
+
+
+def test_restart_config_refuses_a_non_numeric_alpha():
+    # before, the comparison in _check_bounds raised a bare TypeError
+    with pytest.raises(ValueError) as info:
+        RestartConfig(alpha="2")
+    assert str(info.value) == "RestartConfig: alpha must be a number, got '2'"
 
 
 def test_long_run_min_refuses_zero_stages():
