@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from rsgkit import oracles
 from rsgkit.core import Oracle, ProblemInstance
 from rsgkit.oracles import (
     BudgetError,
@@ -216,6 +217,117 @@ def test_grid_min_refuses_a_batch_that_disagrees_with_its_objective():
     # a last-bit difference is within the 1e-12 relative tolerance
     close = custom(lambda w: f(w), lambda W: np.abs(W).sum(axis=1) * (1.0 + 2.0**-52))
     assert grid_min(close, 0.5, 1.0, 11).fstar == 1.0
+
+
+SMALL = sorted(n for n in ZOO if ZOO[n].dim <= 2)
+
+
+def modular_cut():
+    """The cut of one edge plus the modular term (-1.5, 0.5); minimum -1 at mask 3."""
+    cut = cut_function(2, [(0, 1, 1.0)])
+    return SetFunction(2, lambda mask: cut.evaluate(mask) - 1.5 * (mask & 1) + 0.5 * (mask >> 1))
+
+
+def small_member(name):
+    """A member of dim <= 2 with the box and grid the block tests sweep."""
+    if name == "lovasz_box":
+        return lovasz_problem(cut_function(2, [(0, 1, 1.0)])), -0.5, 1.5, 41
+    return ZOO[name], -1.5, 1.5, 61
+
+
+@pytest.mark.parametrize("score_block", [1, 7])
+@pytest.mark.parametrize("name", SMALL + ["lovasz_box"])
+def test_grid_min_report_does_not_depend_on_its_block_size(monkeypatch, name, score_block):
+    # blocks of one point (2-d: max(1, 1 // 2)) and blocks that end mid-row
+    inst, lo, hi, ppd = small_member(name)
+    default = grid_min(inst, lo, hi, ppd)
+    monkeypatch.setattr(oracles, "_SCORE_BLOCK", score_block)
+    report = assert_same_as_reference(inst, lo, hi, ppd)
+    assert report.fstar == default.fstar
+    assert report.argmin.tobytes() == default.argmin.tobytes()
+    assert report.certified_tol == default.certified_tol
+    assert report.params == default.params
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_grid_min_certificate_is_half_the_cell_diagonal_of_a_per_coordinate_box(name):
+    inst = ZOO[name]
+    lo, hi = [-1.0, -0.5][: inst.dim], [2.0, 1.5][: inst.dim]
+    report = assert_same_as_reference(inst, lo, hi, 31)
+    h = (np.array(hi) - np.array(lo)) / 30
+    assert report.certified_tol == 0.5 * inst.lipschitz_bound * float(np.linalg.norm(h))
+    assert report.params == {"points_per_dim": 31, "lo": lo, "hi": hi}
+    assert report.method == "grid" and report.certified
+
+
+def feasible_only_min(problem, box_lo, box_hi, points_per_dim):
+    """The least value over the grid points that are feasible as they stand,
+    the form of constrained reference grid_min's projected points replace."""
+    d = problem.dim
+    axes = [np.linspace(box_lo, box_hi, points_per_dim)] * d
+    W = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    W = W[np.max(np.abs(problem.feasible_rows(W) - W), axis=1) <= 1e-12]
+    return float(np.min(problem.values(W)))
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi, ppd, fstar",
+    [
+        ("hinge_l1ball_2d", -0.8, 0.8, 321, 0.0),  # the C10 grid
+        ("hinge_l1ball_2d", -1.0, 1.0, 81, 0.0),
+        ("hinge_l1ball_2d", -1.5, 1.5, 61, 0.0),
+        ("lovasz_box", -0.5, 1.5, 41, 0.0),
+        ("lovasz_modular", -1.0, 2.0, 31, -1.0),
+    ],
+    ids=["hinge_l1ball_2d-c10", "hinge_l1ball_2d-81", "hinge_l1ball_2d-61", "lovasz_box",
+         "lovasz_modular"],
+)
+def test_grid_min_on_a_constrained_member_keeps_its_certificate(name, lo, hi, ppd, fstar):
+    # fstar is the member's true minimum: hinge_l1ball_2d is separable inside
+    # its ball, the Lovasz extensions reach the least set value
+    if name == "lovasz_modular":
+        assert submodular_min_enumerate(modular_cut())[0] == fstar
+        inst = lovasz_problem(modular_cut())
+    else:
+        inst = small_member(name)[0] if name == "lovasz_box" else ZOO[name]
+    report = grid_min(inst, lo, hi, ppd)
+    assert np.max(np.abs(inst.project(report.argmin) - report.argmin)) <= 1e-12
+    assert report.fstar - report.certified_tol <= fstar <= report.fstar
+    assert report.fstar <= feasible_only_min(inst, lo, hi, ppd)
+
+
+@pytest.mark.parametrize(
+    "member, lo, hi, ppd, budget, error, message",
+    [
+        ("abs_1d", -1.0, 1.0, 1, None, ValueError, "points_per_dim must be >= 2, got 1"),
+        ("abs_1d", -1.0, 1.0, 2.0, None, ValueError, "points_per_dim must be an integer, got 2.0"),
+        ("abs_1d", -1.0, 1.0, "3", None, ValueError, "points_per_dim must be a number, got '3'"),
+        ("abs_1d", math.nan, 1.0, 1, None, ValueError, "points_per_dim must be >= 2, got 1"),
+        ("abs_1d", 1.0, 1.0, 11, None, ValueError, "box_lo must be strictly below box_hi"),
+        ("l1_2d", [-1.0, 1.0], [1.0, 0.5], 11, None, ValueError,
+         "box_lo must be strictly below box_hi"),
+        ("abs_1d", math.nan, 1.0, 11, None, ValueError,
+         "box bounds must be finite, got [nan] to [1.0]"),
+        ("l1_2d", -1.0, [1.0, math.inf], 11, None, ValueError,
+         "box bounds must be finite, got [-1.0, -1.0] to [1.0, inf]"),
+        ("abs_1d", math.inf, 1.0, 11, None, ValueError,
+         "box bounds must be finite, got [inf] to [1.0]"),
+        ("l1_2d", 1.0, -1.0, 5000, None, ValueError, "box_lo must be strictly below box_hi"),
+        ("l1_2d", -1.0, 1.0, 101, 10_000, BudgetError,
+         "101**2 = 10201 evaluations exceed the budget of 10000; "
+         "raise the budget or coarsen the grid"),
+    ],
+    ids=["ppd-1", "ppd-float", "ppd-str", "ppd-before-box", "box-empty", "box-reversed-coord",
+         "box-nan", "box-inf-coord", "finite-before-order", "order-before-budget", "budget"],
+)
+def test_grid_min_refusal_wording_and_order(member, lo, hi, ppd, budget, error, message):
+    # the checks run in order: points_per_dim, finite box, box order, budget
+    kwargs = {} if budget is None else {"budget": budget}
+    with pytest.raises(error) as info:
+        grid_min(ZOO[member], lo, hi, ppd, **kwargs)
+    assert str(info.value) == f"grid_min: {message}"
+    if error is BudgetError:
+        assert info.value.required == 101**2
 
 
 # ---------------------------------------------------------------------------
