@@ -44,14 +44,16 @@ def _qnorm(a: Array, q: float) -> float:
     non-finite result, which the callers tell apart from overflow.
     """
     if q == 2.0:
-        return math.sqrt(np.dot(a, a))
-    if q == 1.0:
+        s = np.vdot(a, a)  # np.dot's kernel, without its floating-point warnings
+        if 0.0 < s < math.inf:
+            return math.sqrt(s)
+    elif q == 1.0:
         return float(_add(a))
     amax = float(_max(a))
     if q == math.inf or not 0.0 < amax < math.inf:
         return amax
-    # factor out the max so a**q cannot overflow at large q; the scaled
-    # entries lie in [0, 1] (underflow of tiny ratios only sharpens zero)
+    # factor out the max so a**q cannot overflow (nor, at q = 2, underflow to
+    # 0); the scaled entries lie in [0, 1] (underflow of tiny ratios only sharpens zero)
     return amax * float(_add((a / amax) ** q) ** (1.0 / q))
 
 
@@ -115,6 +117,12 @@ def _check_schedule(
     if iters > _MAX_ITERS or log_iters > _LOG_CAPS[0] or log_power > _LOG_CAPS[1]:
         cap = "at most 2**62 iterations, alpha**stages and every power within float range"
         raise ValueError(f"{who}: {key} put the schedule past its cap ({cap})")
+
+
+def _check_shape(who: str, name: str, w, dim: int) -> None:
+    """Raise ValueError naming who and name unless w is a point of shape (dim,)."""
+    if np.shape(w) != (dim,):
+        raise ValueError(f"{who}: {name} must have shape ({dim},), got {np.shape(w)}")
 
 
 def _check_finite(w: Array, r: float) -> float:

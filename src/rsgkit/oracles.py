@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, ProblemInstance, _check_bounds, pnorm
+from .core import Array, ProblemInstance, _check_bounds, _check_shape, pnorm
 from .problems import _SCORE_BLOCK, SetFunction, enumerate_table
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "weighted_median",
     "long_run_min",
     "sublevel_project",
-    "sample_level_points",
     "estimate_B_eps",
     "submodular_min_enumerate",
 ]
@@ -114,6 +113,7 @@ def grid_min(
         raise ValueError(f"grid_min: box bounds must be finite, got {lo.tolist()} to {hi.tolist()}")
     if np.any(lo >= hi):
         raise ValueError("grid_min: box_lo must be strictly below box_hi")
+    _check_bounds("grid_min", "int [1, inf)", budget=budget)
     total = points_per_dim**d
     if total > budget:
         raise BudgetError(
@@ -166,16 +166,16 @@ def weighted_median(values, weights=None) -> float:
     flat interval (even total weight splits).
     """
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("weighted_median: empty input")
+    if v.ndim != 1 or not v.size or not np.all(np.isfinite(v)):
+        raise ValueError("weighted_median: values must be a non-empty 1-d array of finite numbers")
     if weights is None:
         w = np.ones_like(v)
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != v.shape:
             raise ValueError("weighted_median: weights shape mismatch")
-        if np.any(w <= 0):
-            raise ValueError("weighted_median: weights must be > 0")
+        if not np.all((w > 0.0) & (w < math.inf)):
+            raise ValueError("weighted_median: weights must be finite and > 0")
     order = np.argsort(v, kind="stable")
     cw = np.cumsum(w[order])
     half = cw[-1] / 2.0
@@ -200,6 +200,7 @@ def long_run_min(
     _check_bounds("long_run_min", "int [1, inf)", total_iters=total_iters, stages=stages)
     if total_iters < stages:
         raise ValueError("long_run_min: total_iters must be >= stages")
+    _check_shape("long_run_min", "w0", w0, problem.dim)
     objective, subgrad, project = problem.objective, problem.subgrad, problem.project
     w = problem.feasible(np.asarray(w0, dtype=float))
     G = problem.lipschitz_bound
@@ -240,13 +241,13 @@ def long_run_min(
     )
 
 
-def _check_report(problem: ProblemInstance, oracle: OracleReport) -> float:
+def _check_report(who: str, problem: ProblemInstance, oracle: OracleReport) -> float:
     """Sanity-check a report against direct evaluation; returns f(argmin)."""
     f_arg = float(problem.objective(np.asarray(oracle.argmin, dtype=float)))
     slack = max(oracle.certified_tol, 1e-9 * max(1.0, abs(oracle.fstar)))
     if f_arg > oracle.fstar + slack or f_arg < oracle.fstar - slack:
         raise InconsistentOracleError(
-            f"oracle fstar = {oracle.fstar} but objective(argmin) = {f_arg} "
+            f"{who}: oracle fstar = {oracle.fstar} but objective(argmin) = {f_arg} "
             f"(allowed slack {slack})"
         )
     return f_arg
@@ -263,9 +264,10 @@ def sublevel_project(problem: ProblemInstance, w: Array, eps: float, oracle: Ora
     oracle's fstar (eps below the oracle's own suboptimality).
     """
     _check_bounds("sublevel_project", "(0, inf)", eps=eps)
+    _check_shape("sublevel_project", "w", w, problem.dim)
     w = np.asarray(w, dtype=float)
     level = oracle.fstar + eps
-    f_arg = _check_report(problem, oracle)
+    f_arg = _check_report("sublevel_project", problem, oracle)
     f_w = float(problem.objective(w))
     if f_w <= level:
         return w.copy()
@@ -303,31 +305,32 @@ def _ray_directions(d: int, ray_count: int, seed: int) -> Array:
     return np.array(dirs)
 
 
-def sample_level_points(
+def estimate_B_eps(
     problem: ProblemInstance,
     eps: float,
     oracle: OracleReport,
     ray_count: int = 16,
     seed: int = 0,
-) -> list[Array]:
-    """Boundary points of {f <= fstar + eps} found by ray bisection.
+) -> float:
+    """Lower estimate of the sublevel-set radius: the largest Euclidean
+    distance from the oracle argmin to a point of {f <= fstar + eps}.
 
-    Casts rays from the oracle argmin (axis directions first, then seeded
-    random ones), expands each until the objective crosses the level, and
-    bisects the crossing.  Rays that never cross within _MAX_EXPAND doublings
-    (unbounded sublevel directions) are skipped with a warning.  Returned
-    points lie inside the sublevel set (inner end of the final bracket).  A
-    ray stops bisecting once its bracket is narrower than _XTOL * max(1, t).
-    All rays step together: each expansion or bisection step is one
-    :meth:`ProblemInstance.values` call on the rays still open.
+    Casts rays from the argmin (axis directions first, then seeded random
+    ones), expands each until the objective crosses the level, and bisects
+    until the bracket is narrower than _XTOL * max(1, t); the bracket's inner
+    end, made feasible, is the ray's level point.  Each step is one
+    :meth:`ProblemInstance.values` call on the rays still open.  A ray below
+    the level after _MAX_EXPAND doublings is dropped with a warning.  Rays
+    can miss the farthest level point, and the distance is measured from the
+    one argmin, not from a spread-out optimal set.
     """
-    _check_bounds("sample_level_points", "(0, inf)", eps=eps)
-    f_arg = _check_report(problem, oracle)
+    _check_bounds("estimate_B_eps", "(0, inf)", eps=eps)
+    _check_bounds("estimate_B_eps", "int [1, inf)", ray_count=ray_count)
+    _check_bounds("estimate_B_eps", "int [0, inf)", seed=seed)
+    f_arg = _check_report("estimate_B_eps", problem, oracle)
     level = oracle.fstar + eps
     if f_arg > level:
-        raise InconsistentOracleError(
-            "sample_level_points: oracle argmin sits above the requested level"
-        )
+        raise InconsistentOracleError("estimate_B_eps: oracle argmin sits above the requested level")
     center = np.asarray(oracle.argmin, dtype=float)
     dirs = _ray_directions(problem.dim, ray_count, seed)
 
@@ -348,8 +351,9 @@ def sample_level_points(
         t_hi[rays[~hit]] *= 2.0
     for _ in range(int(np.count_nonzero(~crossed))):
         warnings.warn(
-            "sample_level_points: ray never crossed the level "
-            "(unbounded sublevel direction); skipped",
+            f"estimate_B_eps: ray stayed below the level for {_MAX_EXPAND} doublings "
+            "(an unbounded direction, or a projected ray stalled on the feasible "
+            "set's boundary); skipped",
             stacklevel=2,
         )
     while True:
@@ -361,30 +365,12 @@ def sample_level_points(
         t_hi[rays[hit]] = mid[rays[hit]]
         t_lo[rays[~hit]] = mid[rays[~hit]]
     keep = crossed & (t_lo > 0.0)
-    return list(problem.feasible_rows(center + t_lo[keep, None] * dirs[keep]))
-
-
-def estimate_B_eps(
-    problem: ProblemInstance,
-    eps: float,
-    oracle: OracleReport,
-    ray_count: int = 16,
-    seed: int = 0,
-) -> float:
-    """Lower estimate of the sublevel-set radius: the largest Euclidean
-    distance from the oracle argmin to a level point found by ray bisection.
-
-    A sampling lower bound — rays can miss the farthest boundary point.  The
-    distance is measured to the single oracle argmin, so on problems with a
-    spread-out optimal set it measures from that witness, not the set.
-    """
-    pts = sample_level_points(problem, eps, oracle, ray_count=ray_count, seed=seed)
-    if not pts:
+    pts = problem.feasible_rows(center + t_lo[keep, None] * dirs[keep])
+    if not len(pts):
         raise RuntimeError(
             "estimate_B_eps: no ray crossed the level; the sublevel set looks "
             "unbounded at this eps"
         )
-    center = np.asarray(oracle.argmin, dtype=float)
     return max(pnorm(p - center, 2.0) for p in pts)
 
 
@@ -392,6 +378,7 @@ def submodular_min_enumerate(setfn: SetFunction, budget: int = 1 << 20) -> tuple
     """Exact set-function minimum by enumerating all subsets (<= budget
     evaluations; 2**20 covers ground sets of up to 20 elements).  Returns
     (minimum value, lowest minimizing bitmask)."""
+    _check_bounds("submodular_min_enumerate", "int [1, inf)", budget=budget)
     if (1 << setfn.ground_size) > budget:
         raise BudgetError(
             f"submodular_min_enumerate: 2**{setfn.ground_size} evaluations "

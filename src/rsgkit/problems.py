@@ -250,6 +250,7 @@ class SetFunction:
 
 def enumerate_table(setfn: SetFunction, budget: int = 1 << 20) -> np.ndarray:
     """Values of setfn on all 2**d masks (index = mask).  Refuses above budget."""
+    _check_bounds("enumerate_table", "int [1, inf)", budget=budget)
     d = setfn.ground_size
     size = 1 << d
     if size > budget:

@@ -25,6 +25,7 @@ from .core import (
     ProblemInstance,
     _check_bounds,
     _check_finite,
+    _check_shape,
     _check_schedule,
     _qnorm,
 )
@@ -474,6 +475,7 @@ def _prepare(
     dual-averaging stages in the cfg.norm_p geometry when dap.
     """
     _check_bounds(who, "int [1, inf)", stride=1 if stride is None else stride)
+    _check_shape(who, "start point", w0, problem.dim)
     calls, stages, t1, shrink = 1, 1, T, 1.0
     if cfg is None:
         _check_bounds(who, "(0, inf)", **{"eta0" if decreasing else "eta": eta})

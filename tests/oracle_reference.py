@@ -1,9 +1,9 @@
 """Frozen per-point forms of the ground-truth consumers that now evaluate in
-blocks: the ray loop of ``oracles.sample_level_points`` and the pair, norm
+blocks: the ray loop of ``oracles.estimate_B_eps`` and the pair, norm
 and idempotence loops of ``verify.zoo_suite`` (with its per-point probe
 box), kept literally as they were written with one ``objective`` /
 ``subgrad`` / ``project`` call per point.  The tests compare the library's
-block forms against them: the same level points and the same verdicts."""
+block forms against them: the same sublevel-set radius and the same verdicts."""
 
 import math
 import warnings
@@ -16,7 +16,7 @@ from rsgkit.problems import miniature_zoo
 
 
 def sample_level_points(problem, eps, oracle, ray_count=16, seed=0, xtol=1e-13, max_expand=80):
-    f_arg = _check_report(problem, oracle)
+    f_arg = _check_report("sample_level_points", problem, oracle)
     level = oracle.fstar + eps
     assert not f_arg > level
     center = np.asarray(oracle.argmin, dtype=float)
@@ -38,8 +38,9 @@ def sample_level_points(problem, eps, oracle, ray_count=16, seed=0, xtol=1e-13, 
             t_hi *= 2.0
         if not crossed:
             warnings.warn(
-                "sample_level_points: ray never crossed the level "
-                "(unbounded sublevel direction); skipped",
+                f"estimate_B_eps: ray stayed below the level for {max_expand} doublings "
+                "(an unbounded direction, or a projected ray stalled on the feasible "
+                "set's boundary); skipped",
                 stacklevel=2,
             )
             continue

@@ -26,10 +26,11 @@ def pnorm(w, p: float) -> float:
         r = float(a.max())
     elif p == 1.0:
         r = float(a.sum())
-    elif p == 2.0:
+    elif p == 2.0 and 0.0 < float(np.dot(a, a)) < math.inf:
         r = float(np.sqrt(np.dot(a, a)))
     else:
-        # factor out the max so a**p cannot overflow at large p; the scaled
+        # factor out the max so a**p cannot overflow at large p (nor, at p = 2,
+        # overflow or underflow to 0 where the sum of squares does); the scaled
         # entries lie in [0, 1] (underflow of tiny ratios only sharpens zero)
         amax = float(a.max())
         r = amax * float(np.sum((a / amax) ** p) ** (1.0 / p)) if 0.0 < amax < math.inf else amax

@@ -1,11 +1,10 @@
 """The ground-truth consumers that evaluate in blocks against their frozen
-per-point forms in ``oracle_reference``: ray bisection finds the same level
-points and the zoo suite reaches the same verdicts.
+per-point forms in ``oracle_reference``: ray bisection finds the same
+sublevel-set radius and the zoo suite reaches the same verdicts.
 
 Bitwise where a member's batch objective is bitwise its per-point objective;
 on the hinge members a matrix product and a matrix-vector product round
-differently in the last bit, and there the level points agree to 1e-12
-relative."""
+differently in the last bit, and there the radii agree to 1e-12 relative."""
 
 import warnings
 
@@ -15,8 +14,8 @@ import scipy.sparse as sp
 
 import oracle_reference as ref
 from rsgkit import verify
-from rsgkit.core import ProblemInstance
-from rsgkit.oracles import grid_min, sample_level_points
+from rsgkit.core import ProblemInstance, pnorm
+from rsgkit.oracles import estimate_B_eps, grid_min
 from rsgkit.problems import Dataset, miniature_zoo, piecewise_linear_erm
 
 ZOO = miniature_zoo()
@@ -25,32 +24,34 @@ ZOO = miniature_zoo()
 NOT_BITWISE = {"hinge_sep_2d", "hinge_l1ball_2d"}
 
 
-def level_points(fn, *args, **kwargs):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pts = fn(*args, **kwargs)
-    return pts, [str(w.message) for w in caught]
+def radii(inst, eps, oracle, **kwargs):
+    """estimate_B_eps and the largest distance from the argmin over the
+    per-point level points, each with the warnings it gave."""
+    out = []
+    for fn in (estimate_B_eps, ref.sample_level_points):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = fn(inst, eps, oracle, **kwargs)
+        if fn is ref.sample_level_points:
+            got = max(pnorm(p - np.asarray(oracle.argmin, dtype=float), 2.0) for p in got)
+        out.append((got, [str(w.message) for w in caught]))
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("eps", [0.05, 0.3, 2.0])
 @pytest.mark.parametrize("name", sorted(ZOO))
-def test_ray_block_finds_the_per_point_level_points(name, eps, seed):
+def test_ray_block_finds_the_per_point_radius(name, eps, seed):
     inst = ZOO[name]
     # a box around a feasible minimizer: the l1 ball of radius 0.8, the unit box
     lo, hi = {"hinge_l1ball_2d": (-1.0, 1.0), "lovasz_path4": (0.0, 1.0)}.get(name, (-4.0, 4.0))
     oracle = grid_min(inst, lo, hi, 9)
-    args = (inst, eps, oracle)
-    kwargs = dict(ray_count=12, seed=seed)
-    got, got_warned = level_points(sample_level_points, *args, **kwargs)
-    want, want_warned = level_points(ref.sample_level_points, *args, **kwargs)
+    (got, got_warned), (want, want_warned) = radii(inst, eps, oracle, ray_count=12, seed=seed)
     assert got_warned == want_warned
-    assert len(got) == len(want)
     if name in NOT_BITWISE:
-        for g, w in zip(got, want):
-            assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
     else:
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert float(got).hex() == float(want).hex()
 
 
 def test_ray_block_warns_once_per_unbounded_ray():
@@ -59,11 +60,9 @@ def test_ray_block_warns_once_per_unbounded_ray():
         Dataset(sp.csr_matrix(np.array([[1.0, 0.0]])), np.array([0.0])), loss="absolute"
     )
     oracle = grid_min(inst, -1.0, 1.0, 5)
-    kwargs = dict(ray_count=10, seed=1)
-    got, got_warned = level_points(sample_level_points, inst, 0.5, oracle, **kwargs)
-    want, want_warned = level_points(ref.sample_level_points, inst, 0.5, oracle, **kwargs)
-    assert got_warned == want_warned and got_warned
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    (got, got_warned), (want, want_warned) = radii(inst, 0.5, oracle, ray_count=10, seed=1)
+    assert got_warned == want_warned and len(got_warned) == 2
+    assert float(got).hex() == float(want).hex()
 
 
 @pytest.mark.parametrize("seed", [1, 20240603])

@@ -44,10 +44,19 @@ def test_pnorm_non_finite_entry_raises_and_overflow_returns_inf(p):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             pnorm(np.array([1.0, bad, 0.0]), p)
-    # finite entries whose norm overflows are not an error
+    # finite entries whose norm overflows are not an error (at p = 2 the norm
+    # of [1e308, 1e308] is 1.41e308, finite; that of [1.7e308, 1.7e308] is not)
     if p in (1.0, 2.0):
         with np.errstate(over="ignore"):
-            assert pnorm(np.array([1e308, 1e308]), p) == math.inf
+            assert pnorm(np.array([1.7e308, 1.7e308]), p) == math.inf
+
+
+def test_pnorm_2_holds_where_the_sum_of_squares_leaves_float_range():
+    # the squares sum to 2e600 (once an overflow warning and inf) and to
+    # 2e-340 (once 0.0); the norms lie well inside float range
+    assert pnorm([1e300, 1e300], 2.0) == pytest.approx(1e300 * math.sqrt(2.0), rel=1e-15)
+    assert pnorm([1e-170, -1e-170], 2.0) == pytest.approx(1e-170 * math.sqrt(2.0), rel=1e-15)
+    assert pnorm([3e200, 4e200], 2.0) == pytest.approx(5e200, rel=1e-15)
 
 
 def test_conjugate_exponent():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracle_reference as ref
 from rsgkit import oracles
 from rsgkit.core import Oracle, ProblemInstance
 from rsgkit.oracles import (
@@ -20,7 +21,6 @@ from rsgkit.oracles import (
     estimate_B_eps,
     grid_min,
     long_run_min,
-    sample_level_points,
     sublevel_project,
     submodular_min_enumerate,
     weighted_median,
@@ -350,6 +350,25 @@ def test_weighted_median_validation():
         weighted_median([1.0, 2.0], [1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "values, weights, message",
+    [
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0], "weights must be finite and > 0"),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 1.0], "weights must be finite and > 0"),
+        ([math.nan, 2.0, 3.0], None, "values must be a non-empty 1-d array of finite numbers"),
+        ([1.0, -math.inf], [1.0, 1.0], "values must be a non-empty 1-d array of finite numbers"),
+        ([[1.0, 2.0], [3.0, 4.0]], None, "values must be a non-empty 1-d array of finite numbers"),
+        (2.0, None, "values must be a non-empty 1-d array of finite numbers"),
+    ],
+)
+def test_weighted_median_refuses_non_finite_or_non_vector_input(values, weights, message):
+    # before, [1, 2, 3] with weights [1, nan, 1] gave 2.0, [nan, 2, 3] gave
+    # 3.0, and a 2-d input ended in an IndexError
+    with pytest.raises(ValueError) as exc:
+        weighted_median(values, weights)
+    assert str(exc.value) == f"weighted_median: {message}"
+
+
 def test_weighted_median_minimizes_weighted_absolute_sum():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -422,26 +441,27 @@ def test_sublevel_project_validation():
 
 
 # ---------------------------------------------------------------------------
-# level-point sampling and radius estimates
+# sublevel-set radius estimates
+
+STALLED = "estimate_B_eps: ray stayed below the level for 80 doublings"
 
 
-def test_sample_level_points_sit_on_the_level():
-    inst = ZOO["abs_1d"]
-    pts = sample_level_points(inst, eps=0.5, oracle=exact_report(0.0, [0.0]), ray_count=8)
-    assert len(pts) >= 2
-    for p in pts:
-        val = inst.objective(p)
-        assert val <= 0.5 + 1e-12
-        assert val >= 0.5 - 1e-6
+def test_estimate_B_eps_ends_inside_the_level():
+    # the level point is the inner end of a bracket narrower than 1e-13
+    b = estimate_B_eps(ZOO["abs_1d"], eps=0.5, oracle=exact_report(0.0, [0.0]), ray_count=8)
+    assert 0.5 - 1e-12 <= b <= 0.5
 
 
-def test_sample_level_points_warns_on_unbounded_rays():
+def test_estimate_B_eps_warns_on_unbounded_rays():
     # f(w) = |w_0| in two dimensions: the w_1 axis never crosses the level
     data = Dataset(sp.csr_matrix(np.array([[1.0, 0.0]])), np.array([0.0]))
     inst = piecewise_linear_erm(data, loss="absolute")
-    with pytest.warns(UserWarning, match="never crossed"):
-        pts = sample_level_points(inst, eps=0.5, oracle=exact_report(0.0, [0.0, 0.0]), ray_count=4)
-    assert len(pts) == 2  # only the +/- first-axis rays cross
+    with pytest.warns(UserWarning, match=STALLED) as caught:
+        b = estimate_B_eps(inst, eps=0.5, oracle=exact_report(0.0, [0.0, 0.0]), ray_count=4)
+    assert len(caught) == 2  # only the +/- first-axis rays cross
+    assert 0.5 - 1e-12 <= b <= 0.5
+    assert "unbounded direction" in str(caught[0].message)
+    assert "stalled on the feasible set's boundary" in str(caught[0].message)
 
 
 @contextlib.contextmanager
@@ -460,17 +480,15 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_sample_level_points_ends_at_the_fixed_tolerance():
+def test_estimate_B_eps_ends_at_the_fixed_tolerance():
     # the width test alone stops every ray: a bracket wider than
-    # 1e-13 * max(1, t) always has a midpoint strictly inside it
-    inst = ZOO["abs_median_1d"]
+    # 1e-13 * max(1, t) always has a midpoint strictly inside it.  The mean
+    # of |w - 1| + |w - 2| + |w - 10| has slope 1/3 to the right of the
+    # median 2 and -1/3 on [1, 2], so both level points lie 0.9 from it
     oracle = exact_report(3.0, [2.0])
     with time_limit(20):
-        pts = sample_level_points(inst, eps=0.3, oracle=oracle, ray_count=2)
-    assert len(pts) == 2
-    level = oracle.fstar + 0.3
-    for p in pts:
-        assert level - 1e-12 <= inst.objective(p) <= level
+        b = estimate_B_eps(ZOO["abs_median_1d"], eps=0.3, oracle=oracle, ray_count=2)
+    assert 0.9 - 1e-12 <= b <= 0.9
 
 
 def test_estimate_B_eps_absolute_value():
@@ -492,9 +510,19 @@ def test_estimate_B_eps_from_a_grid_witness_on_a_constrained_member():
     # an infeasible witness put every first projected probe above the level
     inst = ZOO["hinge_l1ball_2d"]
     report = grid_min(inst, -1.0, 1.0, 401)
-    with pytest.warns(UserWarning, match="never crossed"):  # rays stall at the ball's boundary
+    with pytest.warns(UserWarning, match=STALLED):  # rays stall at the ball's boundary
         b = estimate_B_eps(inst, 0.0148, report, ray_count=32)
     assert 0.32 < b < 0.33
+
+
+def test_estimate_B_eps_refuses_an_oracle_in_its_own_name():
+    inst = ZOO["abs_1d"]
+    with pytest.raises(InconsistentOracleError, match="^estimate_B_eps: oracle fstar = -1.0"):
+        estimate_B_eps(inst, 0.5, exact_report(-1.0, [0.0]))
+    with pytest.raises(
+        InconsistentOracleError, match="^estimate_B_eps: oracle argmin sits above the requested"
+    ):
+        estimate_B_eps(inst, 0.1, exact_report(0.3, [0.5], tol=0.5))
 
 
 def test_estimate_B_eps_unbounded_everywhere_raises():
@@ -505,7 +533,7 @@ def test_estimate_B_eps_unbounded_everywhere_raises():
         lipschitz_bound=1.0,
         name="flat",
     )
-    with pytest.warns(UserWarning, match="never crossed"):
+    with pytest.warns(UserWarning, match=STALLED):
         with pytest.raises(RuntimeError, match="no ray crossed"):
             estimate_B_eps(flat, eps=0.5, oracle=exact_report(0.0, [0.0]))
 
@@ -561,7 +589,7 @@ def test_level_set_distance_inequality():
     eps = 0.25
     for key, oracle, samples in cases:
         inst = ZOO[key]
-        level_pts = sample_level_points(inst, eps, oracle, ray_count=16)
+        level_pts = ref.sample_level_points(inst, eps, oracle, ray_count=16)
         rho = min(float(np.linalg.norm(inst.subgrad(p))) for p in level_pts)
         assert rho > 0.0
         for w in samples:

@@ -243,6 +243,23 @@ def test_lipschitz_bound_survives_overflowing_powers(layout):
     assert abs(inst.lipschitz_bound - want) <= 1e-12 * want
 
 
+# rows whose squares overflow though their 2-norms (about 1.4e200) do not
+HUGE_ROWS = {
+    "dense": np.array([[1e200, 1e200], [1.5, 0.0], [0.0, -2.0]]),
+    "csr": np.pad(np.array([[1e200, -1e200], [1.0, 2.0]]), ((0, 148), (0, 148))),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(HUGE_ROWS))
+def test_default_euclidean_bound_survives_overflowing_squares(layout):
+    # before, the row's sum of squares overflowed and the bound was inf
+    X = HUGE_ROWS[layout]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = piecewise_linear_erm(dense(X, np.where(np.arange(len(X)) % 2, -1.0, 1.0)))
+    assert inst.lipschitz_bound == pytest.approx(1e200 * math.sqrt(2.0), rel=1e-15)
+
+
 def test_lovasz_bound_survives_overflowing_powers_and_q_inf():
     setfn = cut_function(3, [(0, 1, 2e4), (1, 2, 2e4)])
     M = np.array([2e4, 4e4, 2e4])  # F({i}), here also F(V) - F(V \ {i})

@@ -20,10 +20,20 @@ import scipy.sparse as sp
 from rsgkit import cli
 from rsgkit.core import ErrorBoundParams, PNormSpace, ProblemInstance, _check_bounds
 from rsgkit.data import load_edge_list, parse_libsvm, synth_classification, synth_regression
-from rsgkit.oracles import long_run_min
+from rsgkit.oracles import (
+    OracleReport,
+    estimate_B_eps,
+    grid_min,
+    long_run_min,
+    sublevel_project,
+    submodular_min_enumerate,
+)
 from rsgkit.problems import (
     Dataset,
     GFlassoGraph,
+    SetFunction,
+    cut_function,
+    enumerate_table,
     gflasso_svm,
     graph_from_correlation,
     miniature_zoo,
@@ -37,6 +47,9 @@ from rsgkit.solvers import (
     compute_inner_iters,
     compute_stage_count,
     dap_run,
+    r2sg,
+    rsg,
+    rsg_dap,
     sg_run,
 )
 
@@ -326,3 +339,96 @@ def test_nan_and_inf_arguments_are_refused_by_name(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+SHORT = RestartConfig(stages=2, inner_iters=5, eps0=1.0)
+L1_2D = miniature_zoo()["l1_2d"]
+AT_ZERO = OracleReport(0.0, np.zeros(2), "grid", 0.0, True)
+
+# each solver and each oracle that takes a point -> (its name for it, call)
+START_POINTS = {
+    "sg_run": ("start point", lambda w: sg_run(L1_2D, w, 0.1, 5)),
+    "dap_run": ("start point", lambda w: dap_run(L1_2D, w, 0.1, 5, PNormSpace(1.5))),
+    "baseline_sg_decreasing": ("start point", lambda w: baseline_sg_decreasing(L1_2D, w, 0.1, 5)),
+    "rsg": ("start point", lambda w: rsg(L1_2D, w, SHORT)),
+    "rsg_dap": ("start point", lambda w: rsg_dap(L1_2D, w, RestartConfig(eps0=1.0, norm_p=1.5))),
+    "r2sg": ("start point", lambda w: r2sg(L1_2D, w, DoublingConfig(t1=2, max_calls=2), SHORT)),
+    "long_run_min": ("w0", lambda w: long_run_min(L1_2D, w, total_iters=10, stages=2)),
+    "sublevel_project": ("w", lambda w: sublevel_project(L1_2D, w, 0.3, AT_ZERO)),
+}
+
+
+@pytest.mark.parametrize("w", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
+@pytest.mark.parametrize("who", sorted(START_POINTS))
+def test_a_point_of_the_wrong_shape_is_refused_by_name(who, w):
+    # before, a 1-entry start on l1_2d ran to a 1-entry "solution"
+    name, call = START_POINTS[who]
+    with pytest.raises(ValueError) as exc:
+        call(w)
+    assert str(exc.value) == f"{who}: {name} must have shape (2,), got {np.shape(w)}"
+
+
+def _counted_cut(calls):
+    """A 16-element path cut whose evaluations append to calls."""
+    cut = cut_function(16, [(i, i + 1, 1.0) for i in range(15)])
+    return SetFunction(16, lambda mask: calls.append(mask) or cut.evaluate(mask))
+
+
+def _counted_abs(calls):
+    """|w| in one dimension, whose objective calls append to calls."""
+    return ProblemInstance(
+        dim=1, objective=lambda w: calls.append(w) or abs(w[0]), subgrad=np.sign,
+        lipschitz_bound=1.0,
+    )
+
+
+# each budgeted oracle -> (a builder of what it evaluates, the call)
+BUDGETS = {
+    "grid_min": (_counted_abs, lambda inst, b: grid_min(inst, -1.0, 1.0, 11, budget=b)),
+    "enumerate_table": (_counted_cut, lambda fn, b: enumerate_table(fn, budget=b)),
+    "submodular_min_enumerate": (_counted_cut, lambda fn, b: submodular_min_enumerate(fn, budget=b)),
+}
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (math.nan, "must be an integer, got nan"),
+        (2.5, "must be an integer, got 2.5"),
+        (math.inf, "must be an integer, got inf"),
+        (0, "must be >= 1, got 0"),
+        ("9", "must be a number, got '9'"),
+    ],
+)
+@pytest.mark.parametrize("who", sorted(BUDGETS))
+def test_an_oracle_budget_is_refused_before_any_evaluation(who, budget, message):
+    # before, nan switched the cap off (total > nan is False): the cut's
+    # 65 536 masks were enumerated where a budget of 1000 refuses
+    calls = []
+    build, call = BUDGETS[who]
+    target = build(calls)
+    calls.clear()  # the builders may evaluate, as cut_function does
+    with pytest.raises(ValueError) as exc:
+        call(target, budget)
+    assert str(exc.value) == f"{who}: budget {message}" and not calls
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"eps": -1.0}, "eps must be finite and > 0, got -1.0"),
+        ({"ray_count": 0}, "ray_count must be >= 1, got 0"),
+        ({"ray_count": -5}, "ray_count must be >= 1, got -5"),
+        ({"ray_count": 2.5}, "ray_count must be an integer, got 2.5"),
+        ({"ray_count": math.nan}, "ray_count must be an integer, got nan"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+    ],
+)
+def test_estimate_B_eps_refuses_its_arguments_by_name(kwargs, message):
+    # before, eps was refused as sample_level_points', ray counts of 0, -5,
+    # 2.5 and nan ran, and seed -1 ended in numpy's own error
+    args = {"eps": 0.3, "ray_count": 16, "seed": 0, **kwargs}
+    with pytest.raises(ValueError) as exc:
+        estimate_B_eps(L1_2D, oracle=AT_ZERO, **args)
+    assert str(exc.value) == f"estimate_B_eps: {message}"
