@@ -259,14 +259,18 @@ def project_l1_ball(w: Array, radius: float) -> Array:
 
 def project_l2_ball(w: Array, radius: float) -> Array:
     """Euclidean projection onto the ball of given radius centred at 0, of
-    w or of each row of an (m, d) block w."""
+    w or of each row of an (m, d) block w, by ``_qnorm``'s overflow-free norm."""
     if not radius > 0.0:
         raise ValueError(f"project_l2_ball: radius must be > 0, got {radius}")
     w = np.asarray(w, dtype=float)
     if w.ndim == 2:
-        n = np.sqrt(_row_dots(w, w))[:, None]
+        with np.errstate(over="ignore"):
+            s = _row_dots(w, w)
+        n = np.sqrt(s)[:, None]
+        for i in np.nonzero(~((0.0 < s) & (s < math.inf)))[0] if w.shape[1] else ():
+            n[i] = _qnorm(np.abs(w[i]), 2.0)  # its sum of squares overflowed or underflowed
         return np.where(n <= radius, w, w * (radius / np.maximum(n, radius)))
-    n = float(np.sqrt(np.dot(w, w)))
+    n = _qnorm(np.abs(w), 2.0) if w.size else 0.0
     if n <= radius:
         return w.copy()
     return w * (radius / n)

@@ -365,12 +365,14 @@ def estimate_B_eps(
         t_hi[rays[hit]] = mid[rays[hit]]
         t_lo[rays[~hit]] = mid[rays[~hit]]
     keep = crossed & (t_lo > 0.0)
-    pts = problem.feasible_rows(center + t_lo[keep, None] * dirs[keep])
-    if not len(pts):
-        raise RuntimeError(
-            "estimate_B_eps: no ray crossed the level; the sublevel set looks "
-            "unbounded at this eps"
+    if not keep.any():
+        cause = (
+            "every ray that crossed the level ended at the argmin; eps is below what the "
+            "bisection resolves at this scale" if crossed.any() else
+            "no ray crossed the level; the sublevel set looks unbounded at this eps"
         )
+        raise RuntimeError(f"estimate_B_eps: {cause}")
+    pts = problem.feasible_rows(center + t_lo[keep, None] * dirs[keep])
     return max(pnorm(p - center, 2.0) for p in pts)
 
 

@@ -233,9 +233,9 @@ class GFlassoGraph:
 class SetFunction:
     """A set function on {0, ..., ground_size-1} evaluated on bitmasks.
 
-    evaluate(0) must be 0.  bulk_evaluate, when given, maps an integer mask
-    array to the corresponding values and lets the enumeration paths skip
-    the per-mask Python loop.
+    evaluate(0) must be 0.  bulk_evaluate maps an integer mask array to the
+    corresponding values; when not given, it is set to call evaluate once
+    per mask, in mask order.
     """
 
     ground_size: int
@@ -246,10 +246,14 @@ class SetFunction:
         _check_bounds("SetFunction", "int [1, 24]", ground_size=self.ground_size)
         if self.evaluate(0) != 0.0:
             raise ValueError("SetFunction: evaluate(empty set) must be 0")
+        per_mask = np.vectorize(self.evaluate, otypes=[float])  # in mask order
+        object.__setattr__(self, "bulk_evaluate", self.bulk_evaluate or per_mask)
 
 
 def enumerate_table(setfn: SetFunction, budget: int = 1 << 20) -> np.ndarray:
-    """Values of setfn on all 2**d masks (index = mask).  Refuses above budget."""
+    """Values of setfn on all 2**d masks (index = mask) from one bulk_evaluate
+    call (evaluate once per mask, in mask order, unless setfn was given its
+    own).  Refuses above budget."""
     _check_bounds("enumerate_table", "int [1, inf)", budget=budget)
     d = setfn.ground_size
     size = 1 << d
@@ -257,13 +261,10 @@ def enumerate_table(setfn: SetFunction, budget: int = 1 << 20) -> np.ndarray:
         raise ValueError(
             f"enumerate_table: 2**{d} = {size} evaluations exceed the budget {budget}"
         )
-    masks = np.arange(size, dtype=np.int64)
-    if setfn.bulk_evaluate is not None:
-        table = np.asarray(setfn.bulk_evaluate(masks), dtype=float)
-        if table.shape != (size,):
-            raise ValueError("enumerate_table: bulk_evaluate returned a wrong shape")
-        return table
-    return np.array([setfn.evaluate(int(m)) for m in masks], dtype=float)
+    table = np.asarray(setfn.bulk_evaluate(np.arange(size, dtype=np.int64)), dtype=float)
+    if table.shape != (size,):
+        raise ValueError("enumerate_table: bulk_evaluate returned a wrong shape")
+    return table
 
 
 def cut_function(dim: int, edges: list[tuple[int, int, float]] | tuple) -> SetFunction:
@@ -420,7 +421,7 @@ def robust_regression(
     _require_rows(data, "robust_regression")
     y, n = data.y, data.n
     if region_radius is None:
-        region_radius = 10.0 * max(1.0, float(np.linalg.norm(y)) / math.sqrt(n))
+        region_radius = 10.0 * max(1.0, _qnorm(np.abs(y), 2.0) / math.sqrt(n))
     _check_bounds("robust_regression", "(0, inf)", region_radius=region_radius)
     layout = _laid_out(data.X)
     rn2 = _row_norms(layout[0], 2.0)
@@ -538,8 +539,8 @@ def lovasz_problem(
 
     The subgradient bound uses the marginal-range envelope: chain
     increments for element i lie between F(V) - F(V \\ {i}) and F({i}).
-    With ``bulk_evaluate`` a block of points walks all its chains with one
-    bulk call.
+    A block of points walks all its chains with one ``bulk_evaluate`` call;
+    a single point walks its own chain through ``evaluate``.
     """
     d = setfn.ground_size
     if d <= 12:
@@ -555,10 +556,7 @@ def lovasz_problem(
     )
     if not M.max() > 0:
         raise ValueError("lovasz_problem: set function is identically zero")
-    with np.errstate(over="ignore"):
-        G = float(np.sum(M**norm_q) ** (1 / norm_q))
-    if not math.isfinite(G) or math.isinf(norm_q):
-        G = _qnorm(M, norm_q)  # the sum overflowed, or q = inf, where it reads 1
+    G = float(_row_norms(M[None], norm_q)[0])
     if fstar_lower_bound is None:
         fstar_lower_bound = min(0.0, -float(np.sum(M)))
 
@@ -577,9 +575,7 @@ def lovasz_problem(
     bulk = setfn.bulk_evaluate
 
     def chains(W: Array) -> Array:
-        """_chain of each row (with bulk_evaluate, all prefix masks in one call)."""
-        if bulk is None:
-            return np.array([_chain(w) for w in W]).reshape(W.shape)
+        """_chain of each row, all prefix masks in one bulk call."""
         order = np.argsort(-W, axis=1, kind="stable")
         masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
         cur = np.asarray(bulk(masks.ravel()), dtype=float).reshape(masks.shape)

@@ -14,10 +14,32 @@ import numpy as np
 import pytest
 
 from rsgkit import cli
-from rsgkit.cli import CSV_HEADER, ConfigError, RunSpec, cmd_compare, cmd_run, main
-from rsgkit.data import dump_libsvm, synth_regression
-from rsgkit.solvers import SolveTrace, TraceRecord, compute_inner_iters, compute_stage_count
-from rsgkit.core import ErrorBoundParams
+from rsgkit.cli import CSV_HEADER, ConfigError, RunSpec, build_problem, cmd_compare, cmd_run, main
+from rsgkit.data import (
+    binarize_labels,
+    dump_libsvm,
+    parse_libsvm,
+    scale_max_abs,
+    synth_classification,
+    synth_regression,
+)
+from rsgkit.problems import (
+    GFlassoGraph,
+    gflasso_svm,
+    graph_from_correlation,
+    piecewise_linear_erm,
+)
+from rsgkit.solvers import (
+    DoublingConfig,
+    RestartConfig,
+    SolveTrace,
+    TraceRecord,
+    compute_inner_iters,
+    compute_stage_count,
+    r2sg,
+    rsg,
+)
+from rsgkit.core import ErrorBoundParams, conjugate_exponent
 
 BASE = """\
 # small separable hinge problem
@@ -1446,3 +1468,135 @@ def test_cli_recalibration_that_overflows_exits_1_with_no_artifact(tmp_path, cap
     assert err.startswith("config error:") and "alpha and stages put the schedule past its cap" in err
     assert member_outputs(out) == []
 
+
+
+# ---------------------------------------------------------------------------
+# problem and solver paths end to end: the CLI run against the library
+
+
+R2SG_SYNTH = """\
+problem.kind = pwl
+problem.synth = regression
+problem.n = 20
+problem.d = 3
+problem.noise = 0.1
+problem.loss = absolute
+solver.algo = r2sg
+solver.norm_p = {p}
+solver.stages = 2
+solver.t1 = 10
+solver.max_calls = 3
+solver.eps0 = 1.0
+"""
+GFL_RSG = """\
+problem.kind = gflasso
+problem.synth = classification
+problem.n = 30
+problem.d = 4
+problem.margin = 0.5
+problem.data_seed = 1
+problem.lam = 0.1
+{graph}
+solver.algo = rsg
+solver.stages = 3
+solver.t = 20
+solver.eps0 = 1.0
+"""
+THREE_CLASS_SVM = """\
+1 1:0.5 2:3
+2 1:-1 3:4
+3 2:2 3:-1
+2 1:2 2:-0.5 3:1
+1 1:-4 3:0.25
+3 1:1.5 2:1 3:-2
+"""
+HINGE_THREE_CLASS = """\
+problem.kind = pwl
+problem.path = {dir}/three.svm
+problem.positive_class = 2
+problem.scale_features = true
+problem.loss = hinge
+solver.algo = rsg
+solver.stages = 3
+solver.t = 20
+solver.eps0 = 1.0
+"""
+
+
+def _restarts(problem):
+    return rsg(problem, np.zeros(problem.dim), RestartConfig(stages=3, inner_iters=20))[1]
+
+
+def _doubling(p):
+    dcfg = DoublingConfig(t1=10, restart_every=2, max_calls=3)
+    return lambda problem: r2sg(problem, np.zeros(problem.dim), dcfg, RestartConfig(norm_p=p))[1]
+
+
+def _gflasso_from_edges(_):
+    graph = GFlassoGraph(4, ((0, 1, 1.0), (1, 3, 0.5)))
+    return gflasso_svm(synth_classification(30, 4, 0.5, 1), graph, 0.1)
+
+
+def _gflasso_from_correlation(_):
+    data = synth_classification(30, 4, 0.5, 1)
+    return gflasso_svm(data, graph_from_correlation(data, 0.2), 0.1)
+
+
+# id -> (config, the problem built by library calls from the dataset, the solve)
+CLI_PATHS = {
+    "r2sg-p2": (
+        R2SG_SYNTH.format(p=2.0),
+        lambda _: piecewise_linear_erm(synth_regression(20, 3, 0.1, 0), loss="absolute"),
+        _doubling(2.0),
+    ),
+    "r2sg-p1.5": (
+        R2SG_SYNTH.format(p=1.5),
+        lambda _: piecewise_linear_erm(
+            synth_regression(20, 3, 0.1, 0), loss="absolute", norm_q=conjugate_exponent(1.5)
+        ),
+        _doubling(1.5),
+    ),
+    "gflasso-edge-file": (
+        GFL_RSG.format(graph="problem.edges = {dir}/edges.txt"),
+        _gflasso_from_edges,
+        _restarts,
+    ),
+    "gflasso-corr-cutoff": (
+        GFL_RSG.format(graph="problem.corr_cutoff = 0.2"),
+        _gflasso_from_correlation,
+        _restarts,
+    ),
+    "pwl-positive-class-scaled": (
+        HINGE_THREE_CLASS,
+        lambda path: piecewise_linear_erm(
+            scale_max_abs(binarize_labels(parse_libsvm(path / "three.svm"), 2.0)), loss="hinge"
+        ),
+        _restarts,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_PATHS))
+def test_cli_run_matches_the_library_on_each_problem_path(tmp_path, case):
+    text, library_problem, solve = CLI_PATHS[case]
+    (tmp_path / "edges.txt").write_text("1 2\n4 2 0.5\n")
+    (tmp_path / "three.svm").write_text(THREE_CLASS_SVM)
+    text = text.format(dir=tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    spec = RunSpec.from_text(text)
+    problem = build_problem(spec)
+    W = np.random.default_rng(5).standard_normal((6, problem.dim))
+    expected = library_problem(tmp_path)
+    assert problem.lipschitz_bound == expected.lipschitz_bound
+    assert problem.values(W).tobytes() == expected.values(W).tobytes()
+    trace = solve(problem)
+    rows = read_rows(out / f"{spec.run_id}.csv")
+    assert len(rows) == 1 + len(trace.records)
+    summary = json.loads((out / f"{spec.run_id}.json").read_text())
+    assert summary["exit_code"] == 0
+    assert (summary["final_objective"], summary["best_objective"], summary["total_iters"]) == (
+        trace.final_objective,
+        trace.best_objective,
+        trace.total_iters,
+    )

@@ -354,6 +354,21 @@ def test_block_l1_projection_special_rows():
     assert project_l1_ball(np.empty((0, 3)), 1.0).shape == (0, 3)
 
 
+@pytest.mark.parametrize(
+    "w,radius",
+    [([1e200, 1e200], 1.0), ([1e-170, 1e-170], 1e-200)],
+    ids=["squares-overflow", "squares-underflow"],
+)
+def test_l2_projection_where_the_sum_of_squares_leaves_the_float_range(w, radius):
+    # the norm, sqrt(2) * |w_0|, is finite and above the radius either way:
+    # the point lands on the sphere with its direction kept, and warns nothing
+    point = project_l2_ball(np.array(w), radius)
+    np.testing.assert_allclose(point, [radius * math.sqrt(0.5)] * 2, rtol=1e-15)
+    W = np.array([w, [3.0 * radius, 4.0 * radius], [0.0, 0.0]])
+    assert_rows_are_the_points(lambda v: project_l2_ball(v, radius), W)
+    np.testing.assert_allclose(project_l2_ball(W[1], radius), [0.6 * radius, 0.8 * radius])
+
+
 # ---------------------------------------------------------------------------
 # block forms on ProblemInstance: fn.batch, or one call per row
 

@@ -541,8 +541,8 @@ def test_estimate_B_eps_unbounded_everywhere_raises():
 def test_estimate_B_eps_leaves_out_rays_that_end_at_the_argmin():
     # at eps = 1e-14 on |w| the first probe, 1e-9, is above the level and the
     # bisection stops at [0, 6.1e-14] with its inner end still at the argmin;
-    # such rays give no level point, so none is left
-    with pytest.raises(RuntimeError, match="no ray crossed"):
+    # such rays give no level point, so none is left, though both crossed
+    with pytest.raises(RuntimeError, match="every ray that crossed the level ended at the argmin"):
         estimate_B_eps(ZOO["abs_1d"], eps=1e-14, oracle=exact_report(0.0, [0.0]))
 
 

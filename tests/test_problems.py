@@ -173,6 +173,16 @@ def test_robust_regression_default_region_and_bound():
     assert inst.project is None
 
 
+def test_robust_regression_default_region_when_the_squares_of_y_overflow():
+    # ||y||_2 = sqrt(14) * 1e160 is finite though its square is not, so the
+    # default radius is 10 * ||y|| / sqrt(3), not inf, and nothing warns
+    data = dense([[1.0], [2.0], [-1.0]], [1e160, -2e160, 3e160])
+    assert math.isfinite(robust_regression(data, 1.5).lipschitz_bound)
+    inst = robust_regression(data, 1.5, constrain_to_region=True)
+    radius = 10.0 * math.sqrt(14.0 / 3.0) * 1e160
+    assert math.isclose(inst.project(np.array([1e300]))[0], radius, rel_tol=1e-15)
+
+
 def test_robust_regression_region_radius_validation():
     with pytest.raises(ValueError, match="region_radius"):
         robust_regression(dense([[1.0]], [0.0]), 1.5, region_radius=0.0)
